@@ -38,6 +38,7 @@ from .dsp import (
 from .errors import AgevalError
 from .fixture import make_fixture_corpus
 from .harness import (
+    GroupReport,
     ManifestEntry,
     RunConfig,
     ScoreRow,
@@ -68,6 +69,7 @@ __all__ = [
     "CorrelationReport",
     "FeatureMatrix",
     "FrameSpec",
+    "GroupReport",
     "LayerSpec",
     "LogisticParams",
     "ManifestEntry",

@@ -205,29 +205,39 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _model_input(model: AcousticModel, features: FeatureMatrix) -> np.ndarray:
+    """Check that features have the model's input width and splice them with its context."""
+    x = features.values
+    if x.shape[1] != model.input_dim:
+        raise ShapeMismatchError(f"features have dim {x.shape[1]}, expected {model.input_dim}")
+    return splice_array(x, model.left_context, model.right_context)
+
+
+def _params(model: AcousticModel) -> tuple[list[np.ndarray], list[np.ndarray], list[str]]:
+    layers = model.layers
+    return [s.weight for s in layers], [s.bias for s in layers], [s.activation for s in layers]
+
+
+def _layer_stack(
+    weights: list[np.ndarray], biases: list[np.ndarray], activations: list[str], x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Inputs to every layer (x first, then each hidden output) and the final logits."""
+    hs = [x]
+    for w, b, act in zip(weights[:-1], biases[:-1], activations[:-1]):
+        hs.append(_activate(act, hs[-1] @ w.T + b))
+    return hs, hs[-1] @ weights[-1].T + biases[-1]
+
+
 def forward(model: AcousticModel, features: FeatureMatrix) -> PosteriorMatrix:
     """Run the affine/activation stack and return row-stochastic posteriors.
 
-    Accepts either raw features of dim input_dim (spliced internally with the
-    model's context) or features already spliced to the first layer's width.
-    Softmax subtracts the per-row max before exponentiation.
+    Features must have dim input_dim; they are spliced internally with the
+    model's context. Softmax subtracts the per-row max before exponentiation.
     """
-    x = features.values
-    if x.shape[1] == model.input_dim:
-        x = splice_array(x, model.left_context, model.right_context)
-    elif x.shape[1] != model.layers[0].in_dim:
-        raise ShapeMismatchError(
-            f"features have dim {x.shape[1]}, expected {model.input_dim} raw "
-            f"or {model.layers[0].in_dim} spliced"
-        )
-    h = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers[:-1]:
-            h = _activate(layer.activation, h @ layer.weight.T + layer.bias)
-            if not np.all(np.isfinite(h)):
-                raise NumericError("non-finite values in a hidden layer")
-        last = model.layers[-1]
-        logits = h @ last.weight.T + last.bias
+        hs, logits = _layer_stack(*_params(model), _model_input(model, features))
+    if not all(np.all(np.isfinite(h)) for h in hs[1:]):
+        raise NumericError("non-finite values in a hidden layer")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in the output layer")
     return PosteriorMatrix(_softmax_rows(logits))
@@ -242,10 +252,7 @@ def _loss_and_grads(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy over one full batch and its parameter gradients."""
     n = x.shape[0]
-    hs = [x]
-    for w, b, act in zip(weights[:-1], biases[:-1], activations[:-1]):
-        hs.append(_activate(act, hs[-1] @ w.T + b))
-    logits = hs[-1] @ weights[-1].T + biases[-1]
+    hs, logits = _layer_stack(weights, biases, activations, x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
@@ -273,14 +280,9 @@ def _loss_and_grads(
 
 def cross_entropy_loss(model: AcousticModel, features: FeatureMatrix, labels: Sequence[int]) -> float:
     """Mean cross-entropy of the model's posteriors against integer frame labels."""
-    x = features.values
-    if x.shape[1] == model.input_dim:
-        x = splice_array(x, model.left_context, model.right_context)
+    x = _model_input(model, features)
     y = _checked_labels(labels, x.shape[0], model.n_classes)
-    weights = [layer.weight for layer in model.layers]
-    biases = [layer.bias for layer in model.layers]
-    acts = [layer.activation for layer in model.layers]
-    loss, _, _ = _loss_and_grads(weights, biases, acts, x, y)
+    loss, _, _ = _loss_and_grads(*_params(model), x, y)
     return loss
 
 
@@ -315,8 +317,8 @@ def _init_layers(
 
 
 def train_toy(
-    features: FeatureMatrix,
-    labels: Sequence[int],
+    features: Sequence[FeatureMatrix],
+    labels: Sequence[Sequence[int]],
     hidden_dims: Sequence[int] = (16,),
     activation: str = "sigmoid",
     learning_rate: float = 0.1,
@@ -329,6 +331,10 @@ def train_toy(
 ) -> AcousticModel:
     """Full-batch gradient descent on mean cross-entropy; returns the lowest-loss iterate.
 
+    features and labels hold one matrix and one label array per utterance.
+    Each utterance is spliced on its own, so no frame's context crosses an
+    utterance boundary; all frames then form one batch.
+
     Training is deterministic given the seed. With epochs=0 the seeded initial
     model is returned untouched. on_epoch, when given, is called with
     (steps_taken, loss_after_those_steps) for every epoch including the last.
@@ -339,49 +345,46 @@ def train_toy(
         raise ValidationError("learning_rate must be positive")
     if epochs < 0:
         raise ValidationError("epochs must be nonnegative")
-    x = splice_array(features.values, left_context, right_context)
-    y = np.asarray(labels, dtype=np.int64)
+    if not features:
+        raise EmptyInputError("no training utterances")
+    if len(features) != len(labels) or any(f.dim != features[0].dim for f in features):
+        raise ShapeMismatchError("need one label array per feature matrix, all of one width")
+    y = np.concatenate([np.ravel(lab) for lab in labels]).astype(np.int64)
     if y.size == 0:
         raise EmptyInputError("no training labels")
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeMismatchError(f"expected {x.shape[0]} labels, got shape {y.shape}")
-    if y.min() < 0:
-        raise LabelError("labels must be nonnegative")
     classes = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    if y.max() >= classes:
-        raise LabelError(f"label {int(y.max())} out of range for {classes} classes")
-    if x.shape[0] < classes:
+    for feats, lab in zip(features, labels):
+        _checked_labels(lab, feats.n_frames, classes)
+    if y.size < classes:
         raise TooShortError(f"need at least {classes} frames to train {classes} classes")
+    x = np.vstack([splice_array(f.values, left_context, right_context) for f in features])
 
     rng = np.random.default_rng(seed)
     dims = [x.shape[1], *(int(d) for d in hidden_dims), classes]
     weights, biases = _init_layers(rng, dims)
     acts = [activation] * (len(dims) - 2) + ["softmax"]
 
-    def loss_only(ws: list[np.ndarray], bs: list[np.ndarray]) -> float:
-        value, _, _ = _loss_and_grads(ws, bs, acts, x, y)
-        return value
-
-    best_w, best_b = weights, biases
-    best_loss = loss_only(weights, biases)
+    # Each pass yields the loss of the current iterate and the gradient for
+    # the next step, so epochs steps cost epochs + 1 passes.
+    loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
+    best_loss, best_w, best_b = loss, weights, biases
     if on_epoch is not None:
-        on_epoch(0, best_loss)
+        on_epoch(0, loss)
     for step in range(epochs):
-        loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
         weights = [w - learning_rate * g for w, g in zip(weights, grads_w)]
         biases = [b - learning_rate * g for b, g in zip(biases, grads_b)]
-        new_loss = loss_only(weights, biases)
+        loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
         if on_epoch is not None:
-            on_epoch(step + 1, new_loss)
-        if new_loss < best_loss:
-            best_loss, best_w, best_b = new_loss, weights, biases
+            on_epoch(step + 1, loss)
+        if loss < best_loss:
+            best_loss, best_w, best_b = loss, weights, biases
 
     layers = tuple(
         LayerSpec(w, b, act) for w, b, act in zip(best_w, best_b, acts)
     )
     return AcousticModel(
         layers=layers,
-        input_dim=features.dim,
+        input_dim=features[0].dim,
         n_classes=classes,
         left_context=left_context,
         right_context=right_context,

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import am, dsp, fixture, harness
 from .errors import AgevalError
+from .measures import DEFAULT_ALIGNMENT_TOLERANCE
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,8 +125,8 @@ def _cmd_train_toy(args: argparse.Namespace) -> int:
     labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
     hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     model = am.train_toy(
-        feats,
-        labels,
+        [feats],
+        [labels],
         hidden_dims=hidden,
         activation=args.activation,
         learning_rate=args.lr,
@@ -167,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--model", default=None, help="model JSON (needed for age/entropy)")
     p_score.add_argument("--measures", default="age,entropy,stoi")
     p_score.add_argument("--feature-kind", choices=("fbank", "mfcc"), default="fbank")
-    p_score.add_argument("--tolerance", type=float, default=0.02, help="frame count tolerance")
+    p_score.add_argument("--tolerance", type=float, default=DEFAULT_ALIGNMENT_TOLERANCE,
+                         help="relative clean/degraded length difference allowed")
     p_score.add_argument("--workers", type=int, default=1)
     p_score.add_argument("--out", required=True, help="output directory")
     _add_feature_flags(p_score)
@@ -206,10 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AgevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (AgevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

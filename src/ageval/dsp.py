@@ -147,6 +147,7 @@ def load_wav(path: str | Path, channel: int = 0) -> Waveform:
 
     Multichannel input is reduced by selecting one channel (default 0).
     PCM16 samples are scaled by 1/32768 so full scale maps into [-1, 1).
+    A non-finite sample in the selected channel is a FormatError.
     """
     try:
         rate, data = scipy.io.wavfile.read(str(path))
@@ -173,6 +174,8 @@ def load_wav(path: str | Path, channel: int = 0) -> Waveform:
         samples = samples[:, channel]
     if samples.size == 0:
         raise EmptyInputError(f"{path}: file contains no audio samples")
+    if not np.all(np.isfinite(samples)):
+        raise FormatError(f"{path}: non-finite samples (NaN or infinity)")
     return Waveform(samples, int(rate))
 
 

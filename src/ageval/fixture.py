@@ -146,21 +146,14 @@ def make_fixture_corpus(
     noise = dsp.Waveform(rng.normal(0.0, 1.0, size=int(1.5 * SAMPLE_RATE)), SAMPLE_RATE)
 
     clean_features = [dsp.mvn(dsp.fbank(w, fspec, mspec)) for w in clean_waves]
-    spliced = np.vstack([dsp.splice(f, context, context).values for f in clean_features])
-    spliced_matrix = dsp.FeatureMatrix(spliced, "spliced", fspec.frame_shift_ms)
-    flat_model = am.train_toy(
-        spliced_matrix,
-        np.concatenate(labels),
+    model = am.train_toy(
+        clean_features,
+        labels,
         hidden_dims=hidden_dims,
         activation="sigmoid",
         learning_rate=learning_rate,
         epochs=epochs,
         seed=seed + 1,
-        n_classes=N_TONE_CLASSES + 1,
-    )
-    model = am.AcousticModel(
-        layers=flat_model.layers,
-        input_dim=clean_features[0].dim,
         n_classes=N_TONE_CLASSES + 1,
         left_context=context,
         right_context=context,

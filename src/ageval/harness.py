@@ -12,7 +12,8 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -35,7 +36,9 @@ from .errors import (
     UndefinedCorrelationError,
     DegenerateFitError,
 )
-from .measures import MEASURE_NAMES, age, entropy_confidence, stoi
+from .measures import (
+    DEFAULT_ALIGNMENT_TOLERANCE, MEASURE_NAMES, age, aligned_length, entropy_confidence, stoi
+)
 from .stats import CorrelationReport, evaluate_measure, fit_logistic, map_logistic
 
 _MANIFEST_REQUIRED = ("utt_id", "clean_path", "degraded_path")
@@ -86,7 +89,7 @@ class RunConfig:
     feature_kind: str = "fbank"
     frame_spec: FrameSpec = field(default_factory=FrameSpec)
     mel_spec: MelSpec = field(default_factory=MelSpec)
-    alignment_tolerance: float = 0.02
+    alignment_tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE
     channel: int = 0
     workers: int = 1
 
@@ -204,23 +207,10 @@ def _aligned_posteriors(
     clean: Waveform, degraded: Waveform, model: AcousticModel, cfg: RunConfig
 ) -> tuple[PosteriorMatrix, PosteriorMatrix]:
     """Features for both sides, frame counts reconciled, normalized, then forward."""
-    feat_clean = _features(clean, cfg)
-    feat_degraded = _features(degraded, cfg)
-    n_clean, n_degraded = feat_clean.n_frames, feat_degraded.n_frames
-    if n_clean != n_degraded:
-        rel = abs(n_clean - n_degraded) / max(n_clean, n_degraded)
-        if rel > cfg.alignment_tolerance:
-            raise AlignmentError(
-                f"frame counts {n_clean} vs {n_degraded} differ by {rel:.1%}, "
-                f"beyond the {cfg.alignment_tolerance:.1%} tolerance"
-            )
-        n = min(n_clean, n_degraded)
-        feat_clean = FeatureMatrix(feat_clean.values[:n], feat_clean.feature_kind, feat_clean.frame_shift_ms)
-        feat_degraded = FeatureMatrix(feat_degraded.values[:n], feat_degraded.feature_kind, feat_degraded.frame_shift_ms)
-    return (
-        forward(model, mvn(feat_clean)),
-        forward(model, mvn(feat_degraded)),
-    )
+    feats = (_features(clean, cfg), _features(degraded, cfg))
+    n = aligned_length(feats[0].n_frames, feats[1].n_frames, cfg.alignment_tolerance, "frame")
+    feats = tuple(f if f.n_frames == n else replace(f, values=f.values[:n]) for f in feats)
+    return forward(model, mvn(feats[0])), forward(model, mvn(feats[1]))
 
 
 def score_utterance(
@@ -245,7 +235,7 @@ def score_utterance(
         if "entropy" in cfg.measures:
             values["entropy"] = entropy_confidence(p_degraded).value
     if "stoi" in cfg.measures:
-        values["stoi"] = stoi(clean, degraded).value
+        values["stoi"] = stoi(clean, degraded, tolerance=cfg.alignment_tolerance).value
     return ScoreRow(
         utt_id=entry.utt_id,
         values=values,
@@ -290,21 +280,32 @@ def score_manifest(
     return rows, skipped
 
 
+@dataclass(frozen=True)
+class GroupReport:
+    """One group's row counts, unweighted means (each measure and "wer") and fits."""
+
+    n_rows: int
+    n_with_wer: int
+    means: dict[str, float]
+    correlations: dict[str, CorrelationReport]
+
+
 def correlate_by_group(
     rows: Sequence[ScoreRow], group_key: str | None = None
-) -> tuple[dict[str, dict[str, CorrelationReport]], dict[str, str]]:
+) -> tuple[dict[str, GroupReport], dict[str, str]]:
     """Fit and correlate each measure against WER within each tag group.
 
-    With group_key=None all rows form one group named "all". Groups with
-    fewer than 3 WER-bearing rows, and group/measure combinations with
-    degenerate data, are reported in the skipped map instead of failing the
-    run. If nothing is reportable, EmptyReportError is raised.
+    With group_key=None all rows form one group named "all"; otherwise rows
+    lacking the tag form the group "_missing". Groups with fewer than 3
+    WER-bearing rows, and group/measure combinations with degenerate data,
+    are reported in the skipped map. If nothing is reportable,
+    EmptyReportError is raised.
     """
     groups: dict[str, list[ScoreRow]] = {}
     for row in rows:
         name = "all" if group_key is None else row.tags.get(group_key, "_missing")
         groups.setdefault(name, []).append(row)
-    reports: dict[str, dict[str, CorrelationReport]] = {}
+    reports: dict[str, GroupReport] = {}
     skipped: dict[str, str] = {}
     for name, members in groups.items():
         with_wer = [r for r in members if r.wer_percent is not None]
@@ -312,17 +313,22 @@ def correlate_by_group(
             skipped[name] = f"only {len(with_wer)} rows with wer, need 3"
             continue
         measure_names = sorted(set.intersection(*(set(r.values) for r in with_wer)))
-        group_reports: dict[str, CorrelationReport] = {}
+        correlations: dict[str, CorrelationReport] = {}
         for measure in measure_names:
             pairs = [(r.values[measure], r.wer_percent) for r in with_wer]
             try:
-                group_reports[measure] = evaluate_measure(pairs, measure)
+                correlations[measure] = evaluate_measure(pairs, measure)
             except (DegenerateFitError, UndefinedCorrelationError, TooFewPointsError) as exc:
                 skipped[f"{name}/{measure}"] = f"{type(exc).__name__}: {exc}"
-        if group_reports:
-            reports[name] = group_reports
-        else:
+        if not correlations:
             skipped.setdefault(name, "no measure produced a report")
+            continue
+        means = {
+            measure: float(np.mean([r.values[measure] for r in members if measure in r.values]))
+            for measure in sorted({m for r in members for m in r.values})
+        }
+        means["wer"] = float(np.mean([r.wer_percent for r in with_wer]))
+        reports[name] = GroupReport(len(members), len(with_wer), means, correlations)
     if not reports:
         raise EmptyReportError("no group had enough usable data")
     return reports, skipped
@@ -350,6 +356,16 @@ def write_scores_csv(rows: Sequence[ScoreRow], path: str | Path) -> None:
             )
 
 
+def _parse_measure(text: str, column: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{where}: {column} value {text!r} is not a finite number")
+    return value
+
+
 def load_scores_csv(path: str | Path) -> list[ScoreRow]:
     """Read rows written by write_scores_csv."""
     path = Path(path)
@@ -363,16 +379,19 @@ def load_scores_csv(path: str | Path) -> list[ScoreRow]:
         ]
         rows = []
         for lineno, record in enumerate(reader, start=2):
+            where = f"{path}:{lineno}"
+            if None in record.values():
+                raise FormatError(f"{where}: fewer fields than header columns")
             values = {
-                m: float(record[m]) for m in measure_cols if record.get(m, "").strip()
+                m: _parse_measure(record[m], m, where) for m in measure_cols if record[m].strip()
             }
             if not values:
-                raise FormatError(f"{path}:{lineno}: row has no measure values")
+                raise FormatError(f"{where}: row has no measure values")
             rows.append(
                 ScoreRow(
                     utt_id=record["utt_id"],
                     values=values,
-                    wer_percent=_parse_wer(record.get("wer"), f"{path}:{lineno}"),
+                    wer_percent=_parse_wer(record.get("wer"), where),
                     tags={t: record[t] for t in tag_cols if record.get(t, "").strip()},
                 )
             )
@@ -396,7 +415,7 @@ def _report_to_dict(report: CorrelationReport) -> dict[str, object]:
 
 def emit_report(
     rows: Sequence[ScoreRow],
-    reports: dict[str, dict[str, CorrelationReport]],
+    reports: dict[str, GroupReport],
     out_dir: str | Path,
     skipped: dict[str, str] | None = None,
     group_key: str | None = None,
@@ -404,38 +423,26 @@ def emit_report(
 ) -> Path:
     """Write scores.csv, report.json and one scatter CSV per measure.
 
-    The report carries each group's correlation summaries plus unweighted
-    means of every measure and of WER. Scatter files hold (m, wer, f(m))
-    triples using a logistic fit over all WER-bearing rows. Output is
-    deterministic: identical inputs give byte-identical files.
+    The report serializes the group reports from correlate_by_group. Scatter
+    files hold (m, wer, f(m)) triples using a logistic fit over all
+    WER-bearing rows. Output is deterministic: identical inputs give
+    byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(rows, out / "scores.csv")
 
-    groups_payload: dict[str, object] = {}
-    for name, group_reports in reports.items():
-        members = [
-            r
-            for r in rows
-            if (group_key is None and name == "all")
-            or (group_key is not None and r.tags.get(group_key, "_missing") == name)
-        ]
-        with_wer = [r for r in members if r.wer_percent is not None]
-        means: dict[str, float | None] = {}
-        for measure in sorted({m for r in members for m in r.values}):
-            present = [r.values[measure] for r in members if measure in r.values]
-            means[measure] = float(np.mean(present)) if present else None
-        means["wer"] = float(np.mean([r.wer_percent for r in with_wer])) if with_wer else None
-        groups_payload[name] = {
-            "n_rows": len(members),
-            "n_with_wer": len(with_wer),
-            "means": means,
-            "correlations": {m: _report_to_dict(rep) for m, rep in group_reports.items()},
-        }
     payload = {
         "group_key": group_key,
-        "groups": groups_payload,
+        "groups": {
+            name: {
+                "n_rows": group.n_rows,
+                "n_with_wer": group.n_with_wer,
+                "means": group.means,
+                "correlations": {m: _report_to_dict(rep) for m, rep in group.correlations.items()},
+            }
+            for name, group in reports.items()
+        },
         "skipped": dict(skipped or {}),
     }
     report_path = out / report_name

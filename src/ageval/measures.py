@@ -29,6 +29,8 @@ MEASURE_NAMES = ("age", "entropy", "stoi")
 # afterwards, so uniform-posterior identities stay exact.
 POSTERIOR_FLOOR = 1e-10
 
+DEFAULT_ALIGNMENT_TOLERANCE = 0.02
+
 # Band-envelope intelligibility analysis constants, fixed to the standard
 # published parameterization.
 _STOI_RATE = 10000
@@ -40,7 +42,6 @@ _STOI_FIRST_CENTER_HZ = 150.0
 _STOI_SEGMENT = 30
 _STOI_DYN_RANGE_DB = 40.0
 _STOI_CLIP_DB = -15.0
-_STOI_LENGTH_TOL = 0.02
 _EPS = 1e-20
 
 
@@ -87,6 +88,17 @@ def entropy_confidence(p_degraded: PosteriorMatrix) -> MeasureScore:
     """Mean self-entropy of the degraded posteriors (no clean reference needed)."""
     score = age(p_degraded, p_degraded)
     return MeasureScore("entropy", score.value, score.n_frames_used)
+
+
+def aligned_length(n_clean: int, n_degraded: int, tolerance: float, unit: str) -> int:
+    """Common clean/degraded length; AlignmentError beyond a relative difference of tolerance."""
+    rel = abs(n_clean - n_degraded) / max(n_clean, n_degraded)
+    if rel > tolerance:
+        raise AlignmentError(
+            f"{unit} counts {n_clean} vs {n_degraded} differ by {rel:.1%}, "
+            f"beyond the {tolerance:.1%} tolerance"
+        )
+    return min(n_clean, n_degraded)
 
 
 def _stoi_window() -> np.ndarray:
@@ -176,22 +188,22 @@ def _stoi_score(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     return float(np.mean(segment_means)), n_frames
 
 
-def stoi(clean: Waveform, degraded: Waveform) -> MeasureScore:
+def stoi(
+    clean: Waveform, degraded: Waveform, *, tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE
+) -> MeasureScore:
     """Short-time band-envelope correlation between clean and degraded speech.
 
     Both signals are resampled to 10 kHz, silent frames are removed using the
     clean signal's energy profile, and normalized band envelopes are compared
     over 30-frame segments with per-band level alignment and SDR clipping at
     -15 dB. Values near 1 mean the degraded envelope tracks the clean one.
+    The longer signal is truncated, within the aligned_length tolerance.
     """
     if clean.sample_rate_hz != degraded.sample_rate_hz:
         raise SampleRateMismatchError(
             f"clean is {clean.sample_rate_hz} Hz but degraded is {degraded.sample_rate_hz} Hz"
         )
-    la, lb = clean.samples.size, degraded.samples.size
-    if abs(la - lb) / max(la, lb) > _STOI_LENGTH_TOL:
-        raise AlignmentError(f"length mismatch beyond {_STOI_LENGTH_TOL:.0%}: {la} vs {lb} samples")
-    n = min(la, lb)
+    n = aligned_length(clean.samples.size, degraded.samples.size, tolerance, "sample")
     x = clean.samples[:n]
     y = degraded.samples[:n]
     if float(np.mean(x**2)) == 0.0 or float(np.mean(y**2)) == 0.0:

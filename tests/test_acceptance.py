@@ -40,7 +40,7 @@ def pipeline(tmp_path_factory):
         "cfg": cfg,
         "rows": rows,
         "skipped": skipped,
-        "reports": reports["all"],
+        "reports": reports["all"].correlations,
         "elapsed": elapsed,
     }
 

@@ -113,9 +113,9 @@ def test_forward_splices_context_internally():
     a = am.forward(model, feats)
     b = am.forward(flat, spliced)
     assert np.array_equal(a.values, b.values)
-    # a context model also accepts features that were spliced upstream
-    c = am.forward(model, spliced)
-    assert np.array_equal(a.values, c.values)
+    # a context model takes raw features only, not ones spliced upstream
+    with pytest.raises(ShapeMismatchError):
+        am.forward(model, spliced)
 
 
 def test_forward_with_zero_final_layer_is_uniform():
@@ -224,6 +224,14 @@ def test_cross_entropy_matches_forward_probabilities():
     assert_allclose(am.cross_entropy_loss(model, feats, labels), expected, rtol=1e-12)
 
 
+def test_cross_entropy_loss_rejects_wrong_dimension():
+    rng = np.random.default_rng(10)
+    model = random_model(rng)
+    spliced = dsp.FeatureMatrix(rng.normal(0, 1, (6, 15)), "spliced", 10.0)
+    with pytest.raises(ShapeMismatchError):
+        am.cross_entropy_loss(model, spliced, [0] * 6)
+
+
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, (12, 6))
@@ -282,16 +290,16 @@ def cluster_data(seed=11, n=120, dim=5):
 
 def test_train_toy_separates_two_clusters():
     feats, labels = cluster_data()
-    model = am.train_toy(feats, labels, hidden_dims=(8,), learning_rate=0.5,
+    model = am.train_toy([feats], [labels], hidden_dims=(8,), learning_rate=0.5,
                          epochs=150, seed=0)
     assert am.frame_error_rate(model, feats, labels) < 5.0
 
 
 def test_train_toy_is_deterministic_per_seed():
     feats, labels = cluster_data()
-    a = am.train_toy(feats, labels, epochs=20, seed=3)
-    b = am.train_toy(feats, labels, epochs=20, seed=3)
-    c = am.train_toy(feats, labels, epochs=20, seed=4)
+    a = am.train_toy([feats], [labels], epochs=20, seed=3)
+    b = am.train_toy([feats], [labels], epochs=20, seed=3)
+    c = am.train_toy([feats], [labels], epochs=20, seed=4)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.weight, lb.weight)
         assert np.array_equal(la.bias, lb.bias)
@@ -305,7 +313,7 @@ def test_train_toy_returns_the_lowest_loss_iterate():
     feats, labels = cluster_data(seed=12, n=40)
     seen = []
     model = am.train_toy(
-        feats, labels, hidden_dims=(6,), learning_rate=2.5, epochs=40, seed=1,
+        [feats], [labels], hidden_dims=(6,), learning_rate=2.5, epochs=40, seed=1,
         on_epoch=lambda step, loss: seen.append(loss),
     )
     assert len(seen) == 41  # initial loss plus one per epoch
@@ -315,20 +323,45 @@ def test_train_toy_returns_the_lowest_loss_iterate():
 
 def test_train_toy_with_zero_epochs_returns_the_seeded_init():
     feats, labels = cluster_data(seed=13, n=30)
-    a = am.train_toy(feats, labels, epochs=0, seed=9)
-    b = am.train_toy(feats, labels, epochs=0, seed=9)
+    a = am.train_toy([feats], [labels], epochs=0, seed=9)
+    b = am.train_toy([feats], [labels], epochs=0, seed=9)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.weight, lb.weight)
         assert np.all(la.bias == 0.0)
 
 
+def test_train_toy_splices_each_utterance_on_its_own():
+    feats, labels = cluster_data(seed=14, n=20)
+    first = dsp.FeatureMatrix(feats.values[::2], "fbank", 10.0)
+    second = dsp.FeatureMatrix(feats.values[1::2], "fbank", 10.0)
+    split = [labels[::2], labels[1::2]]
+    kwargs = dict(hidden_dims=(4,), learning_rate=0.5, epochs=15, seed=2)
+    per_utt = am.train_toy([first, second], split, left_context=1, right_context=1, **kwargs)
+    stacked = dsp.FeatureMatrix(
+        np.vstack([dsp.splice_array(f.values, 1, 1) for f in (first, second)]), "spliced", 10.0
+    )
+    flat = am.train_toy([stacked], [np.concatenate(split)], **kwargs)
+    for lp, lf in zip(per_utt.layers, flat.layers):
+        assert np.array_equal(lp.weight, lf.weight)
+        assert np.array_equal(lp.bias, lf.bias)
+    assert per_utt.input_dim == 5 and per_utt.left_context == per_utt.right_context == 1
+    # splicing the concatenation instead would mix frames across the boundary
+    joined = dsp.FeatureMatrix(np.vstack([first.values, second.values]), "fbank", 10.0)
+    crossing = am.train_toy(
+        [joined], [np.concatenate(split)], left_context=1, right_context=1, **kwargs
+    )
+    assert not np.array_equal(crossing.layers[0].weight, per_utt.layers[0].weight)
+
+
 def test_train_toy_label_validation():
     feats = dsp.FeatureMatrix(np.random.default_rng(0).normal(0, 1, (6, 3)), "fbank", 10.0)
     with pytest.raises(EmptyInputError):
-        am.train_toy(feats, [])
+        am.train_toy([feats], [[]])
     with pytest.raises(ShapeMismatchError):
-        am.train_toy(feats, [0, 1])
+        am.train_toy([feats], [[0, 1]])
     with pytest.raises(LabelError):
-        am.train_toy(feats, [0, 1, 2, 3, 9, 1], n_classes=4)
+        am.train_toy([feats], [[0, 1, 2, 3, 9, 1]], n_classes=4)
     with pytest.raises(LabelError):
-        am.train_toy(feats, [0, 1, -1, 0, 1, 0], n_classes=2)
+        am.train_toy([feats], [[0, 1, -1, 0, 1, 0]], n_classes=2)
+    with pytest.raises(ShapeMismatchError):
+        am.train_toy([feats, feats], [[0, 1, 0, 1, 0, 1]])

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
-from ageval import dsp
+from ageval import dsp, harness
 from ageval.cli import main
 
 
@@ -104,8 +105,6 @@ def test_fixture_command_generates_a_scorable_corpus(tmp_path):
 
 
 def test_score_returns_two_when_rows_are_skipped(tmp_path, mini_corpus, capsys):
-    from ageval import harness
-
     corpus = mini_corpus.parent
     entries = harness.load_manifest(mini_corpus)
     manifest = tmp_path / "broken.csv"
@@ -167,3 +166,73 @@ def test_train_toy_command_round_trips(tmp_path):
 
     model = am.load_model(tmp_path / "model.json")
     assert am.frame_error_rate(model, feats, [0] * 80 + [1] * 80) < 5.0
+
+
+def write_manifest(path, rows):
+    with open(path, "w") as fh:
+        fh.write("utt_id,clean_path,degraded_path\n")
+        for utt_id, clean, degraded in rows:
+            fh.write(f"{utt_id},{clean},{degraded}\n")
+
+
+def read_rows(path):
+    with open(path) as fh:
+        return {line.split(",")[0]: line for line in fh.read().splitlines()[1:]}
+
+
+def test_tolerance_flag_also_governs_stoi(tmp_path, mini_corpus):
+    corpus = mini_corpus.parent
+    entry = harness.load_manifest(mini_corpus)[0]
+    clean = dsp.load_wav(entry.clean_path)
+    shorter = dsp.Waveform(clean.samples[: int(clean.samples.size * 0.97)], clean.sample_rate_hz)
+    dsp.save_wav(shorter, tmp_path / "short.wav")
+    write_manifest(tmp_path / "m.csv", [("short", entry.clean_path, tmp_path / "short.wav")])
+    argv = ["score", "--manifest", str(tmp_path / "m.csv"), "--model", str(corpus / "model.json")]
+    assert main(argv + ["--tolerance", "0.05", "--out", str(tmp_path / "wide")]) == 0
+    (row,) = harness.load_scores_csv(tmp_path / "wide" / "scores.csv")
+    assert sorted(row.values) == ["age", "entropy", "stoi"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 2
+    assert "short" in read_rows(tmp_path / "default" / "skipped.csv")
+
+
+def test_a_nan_sample_skips_only_its_row(tmp_path, mini_corpus):
+    corpus = mini_corpus.parent
+    entry = harness.load_manifest(mini_corpus)[0]
+    samples = dsp.load_wav(entry.degraded_path).samples.astype(np.float32)
+    samples[samples.size // 2] = np.nan
+    wavfile.write(tmp_path / "nan.wav", 16000, samples)
+    write_manifest(
+        tmp_path / "m.csv",
+        [("good", entry.clean_path, entry.degraded_path), ("nan", entry.clean_path, tmp_path / "nan.wav")],
+    )
+    for measures in ("age,entropy,stoi", "stoi"):
+        out = tmp_path / measures.replace(",", "_")
+        assert main([
+            "score", "--manifest", str(tmp_path / "m.csv"), "--model", str(corpus / "model.json"),
+            "--measures", measures, "--out", str(out),
+        ]) == 2
+        assert list(read_rows(out / "scores.csv")) == ["good"]
+        assert "FormatError" in read_rows(out / "skipped.csv")["nan"]
+
+
+@pytest.mark.parametrize(
+    "row, detail", [("u2,20.0,abc", "age"), ("u2,20.0,nan", "age"), ("u2,20.0,inf", "age"),
+                    ("u2,20.0", "fewer fields")],
+)
+def test_correlate_rejects_bad_measure_cells(tmp_path, capsys, row, detail):
+    lines = ["utt_id,wer,age"] + [f"u{i},{10.0 * i},{0.5 * i}" for i in range(5)]
+    lines[3] = row
+    (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+    assert main(["correlate", "--scores", str(tmp_path / "scores.csv"), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scores.csv:4" in err and detail in err
+
+
+def test_os_errors_exit_with_code_one(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("utt_id,wer,age\n" + "".join(f"u{i},{10.0 * i},{0.5 * i}\n" for i in range(5)))
+    assert main(["correlate", "--scores", str(scores), "--out", str(scores / "sub")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["score", "--manifest", str(tmp_path), "--measures", "stoi",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err

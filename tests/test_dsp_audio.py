@@ -63,6 +63,14 @@ def test_load_wav_accepts_float32(tmp_path):
     )
 
 
+def test_load_wav_rejects_non_finite_samples(tmp_path):
+    for bad in (np.nan, np.inf):
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, 16000, np.array([0.1, bad, -0.2], dtype=np.float32))
+        with pytest.raises(FormatError):
+            dsp.load_wav(path)
+
+
 def test_load_wav_selects_channel(tmp_path):
     path = tmp_path / "stereo.wav"
     left = (np.arange(10) * 100).astype(np.int16)

@@ -201,9 +201,9 @@ def test_grouping_by_tag_builds_one_report_per_group():
     reports, skipped = harness.correlate_by_group(synthetic_rows(), "algo")
     assert sorted(reports) == ["x", "y", "z"]
     assert skipped == {}
-    assert sorted(reports["x"]) == ["age", "stoi"]
-    assert reports["x"]["age"].n_points == 5
-    assert reports["x"]["age"].rho_magnitude == pytest.approx(1.0, abs=1e-6)
+    assert sorted(reports["x"].correlations) == ["age", "stoi"]
+    assert reports["x"].correlations["age"].n_points == 5
+    assert reports["x"].correlations["age"].rho_magnitude == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rows_without_the_tag_fall_into_a_missing_group():
@@ -217,14 +217,14 @@ def test_rows_without_the_tag_fall_into_a_missing_group():
 def test_all_rows_form_one_group_without_a_key():
     reports, skipped = harness.correlate_by_group(synthetic_rows())
     assert list(reports) == ["all"]
-    assert reports["all"]["age"].n_points == 15
+    assert reports["all"].correlations["age"].n_points == 15
 
 
 def test_only_shared_measures_are_reported():
     rows = synthetic_rows()
     rows[0].values.pop("stoi")
     reports, _ = harness.correlate_by_group(rows)
-    assert sorted(reports["all"]) == ["age"]
+    assert sorted(reports["all"].correlations) == ["age"]
 
 
 def test_groups_without_enough_wer_rows_are_skipped():
@@ -245,6 +245,41 @@ def test_nothing_reportable_raises():
     rows = synthetic_rows()[:2]
     with pytest.raises(EmptyReportError):
         harness.correlate_by_group(rows, "algo")
+
+
+def test_report_groups_equal_a_brute_force_recomputation(tmp_path):
+    rows = synthetic_rows()
+    rows[1] = dataclasses.replace(rows[1], wer_percent=None)
+    rows[7].values["entropy"] = 2.5
+    for i, (m, wer) in enumerate(((0.3, 5.0), (1.9, 30.0), (2.6, None), (3.1, 70.0))):
+        rows.append(harness.ScoreRow(f"odd{i}", {"age": m, "stoi": 0.9 - 0.1 * m}, wer, {}))
+    reports, skipped = harness.correlate_by_group(rows, "algo")
+    path = harness.emit_report(rows, reports, tmp_path, skipped=skipped, group_key="algo")
+    doc = json.loads(path.read_text())
+    assert sorted(doc["groups"]) == ["_missing", "x", "y", "z"]
+    for name, entry in doc["groups"].items():
+        members = [r for r in rows if r.tags.get("algo", "_missing") == name]
+        with_wer = [r for r in members if r.wer_percent is not None]
+        names = sorted({m for r in members for m in r.values})
+        means = {m: float(np.mean([r.values[m] for r in members if m in r.values])) for m in names}
+        means["wer"] = float(np.mean([r.wer_percent for r in with_wer]))
+        shared = set.intersection(*(set(r.values) for r in with_wer))
+        correlations = {}
+        for m in sorted(shared):
+            rep = stats.evaluate_measure([(r.values[m], r.wer_percent) for r in with_wer], m)
+            correlations[m] = {
+                "measure": m, "n_points": rep.n_points, "a": rep.params.a, "b": rep.params.b,
+                "rho_magnitude": rep.rho_magnitude, "rho_signed": rep.rho_signed,
+                "spearman": rep.spearman, "rmse_mapped": rep.rmse_mapped,
+            }
+        assert entry == {
+            "n_rows": len(members),
+            "n_with_wer": len(with_wer),
+            "means": means,
+            "correlations": correlations,
+        }
+    assert doc["groups"]["_missing"]["n_rows"] == 4
+    assert doc["groups"]["y"]["means"]["entropy"] == 2.5
 
 
 def test_scores_csv_round_trip(tmp_path):

@@ -91,6 +91,14 @@ def test_large_length_mismatch_rejected():
         measures.stoi(clean, shorter)
 
 
+def test_length_tolerance_is_a_parameter():
+    clean = speechlike()
+    shorter = dsp.Waveform(clean.samples[:29100], 10000)  # 3% shorter
+    with pytest.raises(AlignmentError):
+        measures.stoi(clean, shorter)
+    assert measures.stoi(clean, shorter, tolerance=0.05).value >= 0.999
+
+
 def test_sample_rate_mismatch_rejected():
     clean = speechlike()
     with pytest.raises(SampleRateMismatchError):
