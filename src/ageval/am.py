@@ -155,11 +155,15 @@ def save_model(model: AcousticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> AcousticModel:
-    """Read a JSON model file written by save_model."""
+    """Read a JSON model file written by save_model.
+
+    Undecodable text, invalid JSON and malformed or out-of-range fields raise
+    FormatError naming the path.
+    """
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: not valid JSON text ({exc})") from exc
     try:
         raw_layers = payload["layers"]
         input_dim = int(payload["input_dim"])
@@ -180,7 +184,7 @@ def load_model(path: str | Path) -> AcousticModel:
             layers.append(
                 LayerSpec(weight.reshape(out_dim, in_dim), np.asarray(raw["bias"]), raw["activation"])
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
     return AcousticModel(
         layers=tuple(layers),

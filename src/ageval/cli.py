@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import am, dsp, fixture, harness
-from .errors import AgevalError
+from .errors import AgevalError, ConfigError, FormatError
 from .measures import DEFAULT_ALIGNMENT_TOLERANCE
 
 
@@ -111,8 +112,15 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _numbers(pieces: Iterable[str], convert: Callable[[str], float], flag: str) -> tuple:
+    try:
+        return tuple(convert(p) for p in pieces)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    snr_grid = tuple(float(s) for s in args.snrs.split(","))
+    snr_grid = _numbers(args.snrs.split(","), float, "--snrs")
     manifest = fixture.make_fixture_corpus(
         args.out, seed=args.seed, snr_grid=snr_grid, n_utts=args.utts
     )
@@ -122,8 +130,11 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 def _cmd_train_toy(args: argparse.Namespace) -> int:
     feats = dsp.load_features(args.features)
-    labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+    try:
+        labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{args.labels}: not one integer class index per line ({exc})") from exc
+    hidden = _numbers([h for h in args.hidden.split(",") if h], int, "--hidden")
     model = am.train_toy(
         [feats],
         [labels],

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateSignalError,
     EmptyInputError,
     FormatError,
-    NumericError,
     SampleRateMismatchError,
     TooShortError,
     ValidationError,
@@ -42,7 +41,7 @@ _CONST_COLUMN_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Waveform:
-    """A mono audio signal with its sample rate."""
+    """A mono audio signal with its sample rate; every sample is finite."""
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -53,6 +52,8 @@ class Waveform:
             raise ValidationError(f"waveform samples must be 1-D, got shape {samples.shape}")
         if samples.size == 0:
             raise ValidationError("waveform must contain at least one sample")
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("waveform samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "samples", samples)
@@ -181,10 +182,7 @@ def load_wav(path: str | Path, channel: int = 0) -> Waveform:
 
 def save_wav(waveform: Waveform, path: str | Path) -> None:
     """Write a Waveform as mono PCM16 little-endian, clipping to [-1, 1]."""
-    x = waveform.samples
-    if not np.all(np.isfinite(x)):
-        raise NumericError("cannot write non-finite samples")
-    q = np.round(np.clip(x, -1.0, 1.0) * INT16_FULL_SCALE)
+    q = np.round(np.clip(waveform.samples, -1.0, 1.0) * INT16_FULL_SCALE)
     q = np.clip(q, -32768, 32767).astype(np.int16)
     scipy.io.wavfile.write(str(path), waveform.sample_rate_hz, q)
 

@@ -23,18 +23,14 @@ import numpy as np
 from .am import AcousticModel, PosteriorMatrix, forward
 from .dsp import FeatureMatrix, FrameSpec, MelSpec, Waveform, fbank, load_wav, mfcc, mvn
 from .errors import (
-    AlignmentError,
+    AgevalError,
     ConfigError,
-    DegenerateSignalError,
     EmptyInputError,
     EmptyReportError,
     FormatError,
     ManifestError,
     SampleRateMismatchError,
-    TooFewPointsError,
-    TooShortError,
-    UndefinedCorrelationError,
-    DegenerateFitError,
+    ShapeMismatchError,
 )
 from .measures import (
     DEFAULT_ALIGNMENT_TOLERANCE, MEASURE_NAMES, age, aligned_length, entropy_confidence, stoi
@@ -43,17 +39,6 @@ from .stats import CorrelationReport, evaluate_measure, fit_logistic, map_logist
 
 _MANIFEST_REQUIRED = ("utt_id", "clean_path", "degraded_path")
 _POSTERIOR_MEASURES = ("age", "entropy")
-
-# Per-row failures of these kinds are logged and skipped; anything else aborts.
-_SKIPPABLE_ERRORS = (
-    AlignmentError,
-    DegenerateSignalError,
-    EmptyInputError,
-    FormatError,
-    SampleRateMismatchError,
-    TooShortError,
-    OSError,
-)
 
 
 @dataclass(frozen=True)
@@ -111,7 +96,9 @@ class RunConfig:
         return any(m in _POSTERIOR_MEASURES for m in self.measures)
 
 
-def _parse_wer(raw: object, where: str) -> float | None:
+def _parse_wer(
+    raw: object, where: str, error: type[FormatError] = ManifestError
+) -> float | None:
     if raw is None:
         return None
     text = str(raw).strip()
@@ -120,9 +107,9 @@ def _parse_wer(raw: object, where: str) -> float | None:
     try:
         value = float(text)
     except ValueError as exc:
-        raise ManifestError(f"{where}: wer {text!r} is not a number") from exc
+        raise error(f"{where}: wer {text!r} is not a number") from exc
     if not np.isfinite(value) or value < 0.0:
-        raise ManifestError(f"{where}: wer must be a finite nonnegative number, got {value}")
+        raise error(f"{where}: wer must be a finite nonnegative number, got {value}")
     return value
 
 
@@ -157,11 +144,15 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
 
     Relative audio paths are resolved against the manifest's directory.
     Duplicate utt_ids and malformed rows raise ManifestError with the line
-    number.
+    number; so do undecodable text and CSV-level faults such as an overlong
+    field.
     """
     path = Path(path)
     base_dir = path.parent
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: undecodable text ({exc})") from exc
     stripped = text.lstrip()
     if not stripped:
         raise EmptyInputError(f"{path}: manifest is empty")
@@ -172,22 +163,25 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise ManifestError(f"{path}:{lineno}: expected a JSON object per line")
             entries.append(_entry_from_record(record, f"{path}:{lineno}", base_dir))
     else:
         reader = csv.DictReader(text.splitlines())
-        if reader.fieldnames is None:
-            raise ManifestError(f"{path}: missing CSV header")
-        missing = [c for c in _MANIFEST_REQUIRED if c not in reader.fieldnames]
-        if missing:
-            raise ManifestError(f"{path}: header lacks required columns {missing}")
-        for lineno, record in enumerate(reader, start=2):
-            if record.get(None) is not None:
-                raise ManifestError(f"{path}:{lineno}: more fields than header columns")
-            entries.append(_entry_from_record(record, f"{path}:{lineno}", base_dir))
+        try:
+            if reader.fieldnames is None:
+                raise ManifestError(f"{path}: missing CSV header")
+            missing = [c for c in _MANIFEST_REQUIRED if c not in reader.fieldnames]
+            if missing:
+                raise ManifestError(f"{path}: header lacks required columns {missing}")
+            for lineno, record in enumerate(reader, start=2):
+                if record.get(None) is not None:
+                    raise ManifestError(f"{path}:{lineno}: more fields than header columns")
+                entries.append(_entry_from_record(record, f"{path}:{lineno}", base_dir))
+        except csv.Error as exc:
+            raise ManifestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
     if not entries:
         raise EmptyInputError(f"{path}: manifest has no rows")
     seen: set[str] = set()
@@ -196,6 +190,23 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             raise ManifestError(f"{path}: duplicate utt_id {entry.utt_id!r}")
         seen.add(entry.utt_id)
     return entries
+
+
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _check_model(model: AcousticModel | None, cfg: RunConfig) -> None:
+    """The run-level checks: fatal, and made before any row is read."""
+    if not cfg.needs_model:
+        return
+    if model is None:
+        raise ConfigError("posterior measures requested but no model given")
+    width = cfg.mel_spec.n_filters if cfg.feature_kind == "fbank" else cfg.mel_spec.n_cepstra
+    if model.input_dim != width:
+        raise ShapeMismatchError(
+            f"model expects {model.input_dim}-dim features, {cfg.feature_kind} gives {width}"
+        )
 
 
 def _features(waveform: Waveform, cfg: RunConfig) -> FeatureMatrix:
@@ -217,8 +228,7 @@ def score_utterance(
     entry: ManifestEntry, model: AcousticModel | None, cfg: RunConfig
 ) -> ScoreRow:
     """Compute every configured measure for one manifest entry."""
-    if cfg.needs_model and model is None:
-        raise ConfigError("posterior measures requested but no model given")
+    _check_model(model, cfg)
     clean = load_wav(entry.clean_path, cfg.channel)
     degraded = load_wav(entry.degraded_path, cfg.channel)
     if clean.sample_rate_hz != degraded.sample_rate_hz:
@@ -246,11 +256,11 @@ def score_utterance(
 
 def _score_one(
     entry: ManifestEntry, model: AcousticModel | None, cfg: RunConfig
-) -> tuple[str, object]:
+) -> ScoreRow | tuple[str, str]:
     try:
-        return ("row", score_utterance(entry, model, cfg))
-    except _SKIPPABLE_ERRORS as exc:
-        return ("skip", (entry.utt_id, f"{type(exc).__name__}: {exc}"))
+        return score_utterance(entry, model, cfg)
+    except (AgevalError, OSError) as exc:
+        return (entry.utt_id, _reason(exc))
 
 
 def score_manifest(
@@ -258,25 +268,21 @@ def score_manifest(
 ) -> tuple[list[ScoreRow], list[tuple[str, str]]]:
     """Score every manifest entry, in manifest order.
 
-    Returns (rows, skipped) where skipped holds (utt_id, reason) pairs for
-    rows that could not be scored. Worker count above one fans the rows out
-    to a process pool; results are identical to the single-process path.
+    The run-level checks come first and are fatal. After them, any AgevalError
+    or OSError while scoring one row skips that row only. Returns (rows,
+    skipped) where skipped holds (utt_id, reason) pairs, the reason starting
+    with the error type. Worker count above one fans the rows out to a
+    process pool; results are identical to the single-process path.
     """
-    if cfg.needs_model and model is None:
-        raise ConfigError("posterior measures requested but no model given")
+    _check_model(model, cfg)
     if cfg.workers == 1 or len(entries) <= 1:
         outcomes = [_score_one(entry, model, cfg) for entry in entries]
     else:
         scorer = partial(_score_one, model=model, cfg=cfg)
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(scorer, entries, chunksize=8))
-    rows: list[ScoreRow] = []
-    skipped: list[tuple[str, str]] = []
-    for kind, payload in outcomes:
-        if kind == "row":
-            rows.append(payload)  # type: ignore[arg-type]
-        else:
-            skipped.append(payload)  # type: ignore[arg-type]
+    rows = [o for o in outcomes if isinstance(o, ScoreRow)]
+    skipped = [o for o in outcomes if not isinstance(o, ScoreRow)]
     return rows, skipped
 
 
@@ -297,7 +303,7 @@ def correlate_by_group(
 
     With group_key=None all rows form one group named "all"; otherwise rows
     lacking the tag form the group "_missing". Groups with fewer than 3
-    WER-bearing rows, and group/measure combinations with degenerate data,
+    WER-bearing rows, and group/measure fits that raise any AgevalError,
     are reported in the skipped map. If nothing is reportable,
     EmptyReportError is raised.
     """
@@ -318,8 +324,8 @@ def correlate_by_group(
             pairs = [(r.values[measure], r.wer_percent) for r in with_wer]
             try:
                 correlations[measure] = evaluate_measure(pairs, measure)
-            except (DegenerateFitError, UndefinedCorrelationError, TooFewPointsError) as exc:
-                skipped[f"{name}/{measure}"] = f"{type(exc).__name__}: {exc}"
+            except AgevalError as exc:
+                skipped[f"{name}/{measure}"] = _reason(exc)
         if not correlations:
             skipped.setdefault(name, "no measure produced a report")
             continue
@@ -367,34 +373,40 @@ def _parse_measure(text: str, column: str, where: str) -> float:
 
 
 def load_scores_csv(path: str | Path) -> list[ScoreRow]:
-    """Read rows written by write_scores_csv."""
+    """Read rows written by write_scores_csv.
+
+    A malformed cell or row, undecodable text and CSV-level faults such as an
+    overlong field raise FormatError naming the path.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "utt_id" not in reader.fieldnames:
-            raise FormatError(f"{path}: not a scores file (missing utt_id column)")
-        measure_cols = [c for c in reader.fieldnames if c in MEASURE_NAMES]
-        tag_cols = [
-            c for c in reader.fieldnames if c not in MEASURE_NAMES and c not in ("utt_id", "wer")
-        ]
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if None in record.values():
-                raise FormatError(f"{where}: fewer fields than header columns")
-            values = {
-                m: _parse_measure(record[m], m, where) for m in measure_cols if record[m].strip()
-            }
-            if not values:
-                raise FormatError(f"{where}: row has no measure values")
-            rows.append(
-                ScoreRow(
-                    utt_id=record["utt_id"],
-                    values=values,
-                    wer_percent=_parse_wer(record.get("wer"), where),
-                    tags={t: record[t] for t in tag_cols if record.get(t, "").strip()},
+        try:
+            if reader.fieldnames is None or "utt_id" not in reader.fieldnames:
+                raise FormatError(f"{path}: not a scores file (missing utt_id column)")
+            measure_cols = [c for c in reader.fieldnames if c in MEASURE_NAMES]
+            tag_cols = [c for c in reader.fieldnames if c not in (*MEASURE_NAMES, "utt_id", "wer")]
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                where = f"{path}:{lineno}"
+                if None in record.values():
+                    raise FormatError(f"{where}: fewer fields than header columns")
+                values = {
+                    m: _parse_measure(record[m], m, where)
+                    for m in measure_cols if record[m].strip()
+                }
+                if not values:
+                    raise FormatError(f"{where}: row has no measure values")
+                rows.append(
+                    ScoreRow(
+                        utt_id=record["utt_id"],
+                        values=values,
+                        wer_percent=_parse_wer(record.get("wer"), where, FormatError),
+                        tags={t: record[t] for t in tag_cols if record.get(t, "").strip()},
+                    )
                 )
-            )
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from exc
     if not rows:
         raise EmptyInputError(f"{path}: no score rows")
     return rows
@@ -425,8 +437,8 @@ def emit_report(
 
     The report serializes the group reports from correlate_by_group. Scatter
     files hold (m, wer, f(m)) triples using a logistic fit over all
-    WER-bearing rows. Output is deterministic: identical inputs give
-    byte-identical files.
+    WER-bearing rows; a measure whose fit raises an AgevalError gets none.
+    Output is deterministic: identical inputs give byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -451,13 +463,11 @@ def emit_report(
     with_wer = [r for r in rows if r.wer_percent is not None]
     for measure in sorted({m for r in with_wer for m in r.values}):
         pairs = [(r.values[measure], r.wer_percent) for r in with_wer if measure in r.values]
-        if len(pairs) < 3:
-            continue
         m_values = np.asarray([p[0] for p in pairs])
         wer_values = np.asarray([p[1] for p in pairs])
         try:
             params = fit_logistic(m_values, wer_values)
-        except (DegenerateFitError, TooFewPointsError):
+        except AgevalError:
             continue
         mapped = np.asarray(map_logistic(params, m_values))
         with open(out / f"scatter_{measure}.csv", "w", newline="") as fh:

@@ -180,6 +180,45 @@ def read_rows(path):
         return {line.split(",")[0]: line for line in fh.read().splitlines()[1:]}
 
 
+def test_an_8khz_pair_skips_only_its_row(tmp_path, mini_corpus):
+    model = str(mini_corpus.parent / "model.json")
+    entries = harness.load_manifest(mini_corpus)[:2]
+    for side in ("clean", "degraded"):
+        wave = dsp.load_wav(getattr(entries[0], f"{side}_path"))
+        dsp.save_wav(dsp.resample(wave, 8000), tmp_path / f"{side}8k.wav")
+    good = [(e.utt_id, e.clean_path, e.degraded_path) for e in entries]
+    low = ("low", tmp_path / "clean8k.wav", tmp_path / "degraded8k.wav")
+    write_manifest(tmp_path / "m.csv", good + [low])
+    argv = ["score", "--manifest", str(tmp_path / "m.csv"), "--model", model]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert list(read_rows(tmp_path / "out" / "scores.csv")) == [e.utt_id for e in entries]
+    reason = read_rows(tmp_path / "out" / "skipped.csv")["low"].split(",", 1)[1]
+    assert reason.startswith("ConfigError: mel high edge 7800.0 Hz exceeds Nyquist")
+    # a feature flag that no row can satisfy skips every row with the same reason
+    write_manifest(tmp_path / "good.csv", good)
+    assert main(["score", "--manifest", str(tmp_path / "good.csv"), "--model", model,
+                 "--fft-size", "256", "--out", str(tmp_path / "fft")]) == 2
+    skipped = read_rows(tmp_path / "fft" / "skipped.csv")
+    assert sorted(skipped) == sorted(e.utt_id for e in entries)
+    assert {line.split(",", 1)[1] for line in skipped.values()} == {
+        "ConfigError: fft_size 256 is smaller than the 400-sample frame"
+    }
+
+
+def test_malformed_numbers_exit_with_code_one(tmp_path, capsys):
+    assert main(["fixture", "--out", str(tmp_path / "fx"), "--snrs=abc"]) == 1
+    assert capsys.readouterr().err.startswith("error: --snrs")
+    feats = dsp.FeatureMatrix(np.zeros((2, 3)), "fbank", 10.0)
+    dsp.save_features(feats, tmp_path / "f.csv")
+    (tmp_path / "labels.txt").write_text("x\n")
+    argv = ["train-toy", "--features", str(tmp_path / "f.csv"), "--out", str(tmp_path / "m.json")]
+    assert main(argv + ["--labels", str(tmp_path / "labels.txt")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'labels.txt'}")
+    (tmp_path / "labels.txt").write_text("0\n1\n")
+    assert main(argv + ["--labels", str(tmp_path / "labels.txt"), "--hidden", "4,x"]) == 1
+    assert capsys.readouterr().err.startswith("error: --hidden")
+
+
 def test_tolerance_flag_also_governs_stoi(tmp_path, mini_corpus):
     corpus = mini_corpus.parent
     entry = harness.load_manifest(mini_corpus)[0]

@@ -71,6 +71,12 @@ def test_load_wav_rejects_non_finite_samples(tmp_path):
             dsp.load_wav(path)
 
 
+def test_waveform_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            dsp.Waveform(np.array([0.1, bad, -0.2]), 16000)
+
+
 def test_load_wav_selects_channel(tmp_path):
     path = tmp_path / "stereo.wav"
     left = (np.arange(10) * 100).astype(np.int16)

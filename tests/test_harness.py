@@ -10,8 +10,11 @@ from ageval import am, harness, stats
 from ageval.errors import (
     ConfigError,
     EmptyReportError,
+    FormatError,
     ManifestError,
+    NumericError,
     ShapeMismatchError,
+    ValidationError,
 )
 
 CSV_TEXT = """utt_id,clean_path,degraded_path,wer,snr_db
@@ -159,12 +162,34 @@ def test_unscorable_rows_are_skipped_with_reasons(mini_corpus, tmp_path):
     assert "AlignmentError" in reasons["half"]
 
 
-def test_model_feature_mismatch_is_fatal(mini_corpus):
+def test_model_feature_mismatch_is_fatal(mini_corpus, tmp_path):
     entries = harness.load_manifest(mini_corpus)
     model = am.load_model(mini_corpus.parent / "model.json")
     cfg = harness.RunConfig(measures=("age",), feature_kind="mfcc")
     with pytest.raises(ShapeMismatchError):
         harness.score_manifest(entries[:1], model, cfg)
+    # a run-level check: it fails before any audio file is opened
+    gone = harness.ManifestEntry("gone", str(tmp_path / "a.wav"), str(tmp_path / "b.wav"))
+    with pytest.raises(ShapeMismatchError):
+        harness.score_manifest([gone], model, harness.RunConfig(feature_kind="mfcc"))
+
+
+@pytest.mark.parametrize("error", [NumericError, ValidationError])
+def test_an_error_inside_one_row_skips_only_that_row(mini_corpus, monkeypatch, error):
+    entries = harness.load_manifest(mini_corpus)
+    model = am.load_model(mini_corpus.parent / "model.json")
+    bad = dataclasses.replace(entries[1], utt_id="bad")
+    real_load_wav = harness.load_wav
+
+    def load_wav(path, channel=0):
+        if path == bad.degraded_path:
+            raise error("injected")
+        return real_load_wav(path, channel)
+
+    monkeypatch.setattr(harness, "load_wav", load_wav)
+    rows, skipped = harness.score_manifest([entries[0], bad], model, harness.RunConfig())
+    assert [r.utt_id for r in rows] == [entries[0].utt_id]
+    assert skipped == [("bad", f"{error.__name__}: injected")]
 
 
 def test_worker_pool_reproduces_the_serial_result(mini_corpus):
@@ -280,6 +305,8 @@ def test_report_groups_equal_a_brute_force_recomputation(tmp_path):
         }
     assert doc["groups"]["_missing"]["n_rows"] == 4
     assert doc["groups"]["y"]["means"]["entropy"] == 2.5
+    # one WER-bearing entropy value is too few for a fit, so no scatter file
+    assert not (tmp_path / "scatter_entropy.csv").exists()
 
 
 def test_scores_csv_round_trip(tmp_path):
@@ -288,6 +315,14 @@ def test_scores_csv_round_trip(tmp_path):
     path = tmp_path / "scores.csv"
     harness.write_scores_csv(rows, path)
     assert harness.load_scores_csv(path) == rows
+
+
+def test_a_bad_wer_cell_in_a_scores_file_is_a_format_error(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("utt_id,wer,age\nu1,10.0,0.5\nu2,ten,0.7\n")
+    with pytest.raises(FormatError, match=r"scores\.csv:3: wer") as info:
+        harness.load_scores_csv(path)
+    assert not isinstance(info.value, ManifestError)
 
 
 def test_emit_report_is_byte_deterministic(tmp_path):
