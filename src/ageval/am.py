@@ -48,6 +48,8 @@ class LayerSpec:
             raise ModelValidationError(
                 f"layer bias shape {bias.shape} does not match {weight.shape[0]} outputs"
             )
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+            raise ModelValidationError("layer weights and biases must be finite")
         if self.activation not in ACTIVATIONS:
             raise ModelValidationError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "weight", weight)

@@ -8,11 +8,15 @@ float64 in the nominal range [-1, 1].
 from __future__ import annotations
 
 import csv
+import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.io.wavfile
 import scipy.signal
 from scipy.fft import dct
@@ -227,9 +231,9 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
     source_hz = waveform.sample_rate_hz
     if target_hz == source_hz:
         return waveform
-    g = np.gcd(int(target_hz), int(source_hz))
-    up, down = target_hz // g, source_hz // g
-    y = scipy.signal.resample_poly(waveform.samples, up, down)
+    g = math.gcd(int(target_hz), source_hz)
+    up, down = int(target_hz) // g, source_hz // g
+    y = scipy.signal.resample_poly(waveform.samples, up, down, window=_resample_taps(up, down))
     target_len = int(round(waveform.samples.size * target_hz / source_hz))
     if target_len < 1:
         raise TooShortError("input too short to resample to the target rate")
@@ -240,6 +244,27 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
     return Waveform(y, int(target_hz))
 
 
+def _constant(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Build a spec-only array once per argument tuple; the shared array is read-only."""
+
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def cached(*args: object) -> np.ndarray:
+        out = build(*args)
+        out.flags.writeable = False
+        return out
+
+    return cached
+
+
+@_constant
+def _resample_taps(up: int, down: int) -> np.ndarray:
+    # The low-pass FIR filter scipy.signal.resample_poly designs by default.
+    max_rate = max(up, down)
+    return scipy.signal.firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+
+
+@_constant
 def _window(kind: str, length: int) -> np.ndarray:
     if kind == "hamming":
         return np.hamming(length)
@@ -267,9 +292,7 @@ def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:
         )
     if spec.preemphasis > 0.0:
         x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
-    n_frames = 1 + (x.size - frame_len) // frame_shift
-    idx = frame_shift * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
-    return x[idx] * _window(spec.window_kind, frame_len)
+    return sliding_window_view(x, frame_len)[::frame_shift] * _window(spec.window_kind, frame_len)
 
 
 def _hz_to_mel(f: np.ndarray | float) -> np.ndarray:
@@ -292,8 +315,14 @@ def mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.
     """Triangular mel filterbank matrix of shape (n_filters, fft_size // 2 + 1).
 
     Filters are triangular in the mel domain between adjacent mel-spaced
-    centers, evaluated at the FFT bin frequencies, with unit peak.
+    centers, evaluated at the FFT bin frequencies, with unit peak. The caller
+    owns the returned array.
     """
+    return _mel_filterbank(mel_spec, sample_rate_hz, fft_size).copy()
+
+
+@_constant
+def _mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.ndarray:
     edges = np.linspace(
         _hz_to_mel(mel_spec.low_freq_hz), _hz_to_mel(mel_spec.high_freq_hz), mel_spec.n_filters + 2
     )
@@ -328,7 +357,7 @@ def fbank(
     _check_feature_specs(fspec, mspec, sr)
     frames = frame_signal(waveform, fspec)
     power = np.abs(np.fft.rfft(frames, n=fspec.fft_size)) ** 2
-    filterbank = mel_filterbank(mspec, sr, fspec.fft_size)
+    filterbank = _mel_filterbank(mspec, sr, fspec.fft_size)
     out = np.log(np.maximum(power @ filterbank.T, LOG_FLOOR))
     return FeatureMatrix(out, "fbank", fspec.frame_shift_ms)
 

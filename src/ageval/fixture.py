@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import am, dsp
+from .errors import ConfigError
 
 SAMPLE_RATE = 16000
 DEFAULT_SNR_GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -123,6 +124,8 @@ def make_fixture_corpus(
     manifest.csv. The manifest has one row per (utterance, SNR) pair with the
     surrogate WER filled in and tags snr_db, noise_type, se_algo, condition.
     """
+    if len(snr_grid) == 0:
+        raise ConfigError("the SNR grid must hold at least one SNR")
     out = Path(out_dir)
     (out / "clean").mkdir(parents=True, exist_ok=True)
     (out / "degraded").mkdir(parents=True, exist_ok=True)

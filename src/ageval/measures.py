@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .am import PosteriorMatrix
-from .dsp import Waveform, resample
+from .dsp import Waveform, _constant, resample
 from .errors import (
     AlignmentError,
     DegenerateSignalError,
@@ -43,6 +44,8 @@ _STOI_SEGMENT = 30
 _STOI_DYN_RANGE_DB = 40.0
 _STOI_CLIP_DB = -15.0
 _EPS = 1e-20
+# Segments correlated per vectorized block; bounds peak memory on long inputs.
+_STOI_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,14 @@ def aligned_length(n_clean: int, n_degraded: int, tolerance: float, unit: str) -
     return min(n_clean, n_degraded)
 
 
+@_constant
 def _stoi_window() -> np.ndarray:
     # Endpoint-free Hann window, length _STOI_FRAME.
     return np.hanning(_STOI_FRAME + 2)[1:-1]
 
 
 def _stoi_frames(x: np.ndarray) -> np.ndarray:
-    starts = np.arange(0, x.size - _STOI_FRAME + 1, _STOI_HOP)
-    return x[starts[:, None] + np.arange(_STOI_FRAME)[None, :]]
+    return sliding_window_view(x, _STOI_FRAME)[::_STOI_HOP]
 
 
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,18 +127,19 @@ def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     keep = energy_db > energy_db.max() - _STOI_DYN_RANGE_DB
     if not np.any(keep):
         raise DegenerateSignalError("all analysis frames are silent")
-    fx = fx[keep]
-    fy = fy[keep]
-    out_len = _STOI_HOP * (fx.shape[0] - 1) + _STOI_FRAME
-    xs = np.zeros(out_len)
-    ys = np.zeros(out_len)
-    for j in range(fx.shape[0]):
-        s = j * _STOI_HOP
-        xs[s : s + _STOI_FRAME] += fx[j]
-        ys[s : s + _STOI_FRAME] += fy[j]
-    return xs, ys
+    return _overlap_add(fx[keep]), _overlap_add(fy[keep])
 
 
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    # A frame is two hops long: hop block b is the first half of frame b plus
+    # the second half of frame b - 1.
+    out = np.zeros((frames.shape[0] + 1, _STOI_HOP))
+    out[:-1] += frames[:, :_STOI_HOP]
+    out[1:] += frames[:, _STOI_HOP:]
+    return out.reshape(-1)
+
+
+@_constant
 def _third_octave_bands() -> np.ndarray:
     """Boolean matrix (bands x rfft bins) grouping bins into one-third-octave bands."""
     f = np.linspace(0.0, _STOI_RATE / 2.0, _STOI_FFT // 2 + 1)
@@ -151,41 +155,56 @@ def _third_octave_bands() -> np.ndarray:
     return matrix
 
 
-def _band_envelopes(x: np.ndarray, band_matrix: np.ndarray) -> np.ndarray:
+def _band_envelopes(x: np.ndarray) -> np.ndarray:
     """Square-root band energies per frame, shape (bands, frames)."""
     frames = _stoi_frames(x) * _stoi_window()
     power = np.abs(np.fft.rfft(frames, n=_STOI_FFT)) ** 2
-    return np.sqrt(band_matrix @ power.T)
+    return np.sqrt(_third_octave_bands() @ power.T)
+
+
+def _segment_correlations(seg_x: np.ndarray, seg_y: np.ndarray) -> np.ndarray:
+    """Mean band correlation of each segment; inputs are C-contiguous (segments, bands, 30).
+
+    Every reduction runs over a contiguous last axis, so each sum adds its
+    values in the same order as a reduction over one (bands, 30) segment.
+    """
+    clip_bound = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
+    alpha = np.sqrt(
+        (seg_x**2).sum(axis=-1, keepdims=True) / ((seg_y**2).sum(axis=-1, keepdims=True) + _EPS)
+    )
+    seg_y_norm = np.minimum(alpha * seg_y, seg_x * clip_bound)
+    cx = seg_x - seg_x.mean(axis=-1, keepdims=True)
+    cy = seg_y_norm - seg_y_norm.mean(axis=-1, keepdims=True)
+    cx = cx / (np.linalg.norm(cx, axis=-1, keepdims=True) + _EPS)
+    cy = cy / (np.linalg.norm(cy, axis=-1, keepdims=True) + _EPS)
+    return (cx * cy).reshape(cx.shape[0], -1).sum(axis=1) / _STOI_BANDS
 
 
 def _stoi_score(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     """Core computation on same-length 10 kHz signals; returns (value, frames used)."""
+    if x.size < _STOI_FRAME:
+        raise TooShortError(
+            f"signal of {x.size} samples at 10 kHz is shorter than one {_STOI_FRAME}-sample frame"
+        )
     xs, ys = _remove_silent_frames(x, y)
-    if xs.size < _STOI_FRAME:
-        raise TooShortError("too little non-silent signal for band analysis")
-    bands = _third_octave_bands()
-    env_x = _band_envelopes(xs, bands)
-    env_y = _band_envelopes(ys, bands)
+    env_x = _band_envelopes(xs)
+    env_y = _band_envelopes(ys)
     n_frames = env_x.shape[1]
     if n_frames < _STOI_SEGMENT:
         raise TooShortError(
             f"need at least {_STOI_SEGMENT} non-silent analysis frames, got {n_frames}"
         )
-    clip_bound = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
-    segment_means = []
-    for m in range(_STOI_SEGMENT, n_frames + 1):
-        seg_x = env_x[:, m - _STOI_SEGMENT : m]
-        seg_y = env_y[:, m - _STOI_SEGMENT : m]
-        alpha = np.sqrt(
-            (seg_x**2).sum(axis=1, keepdims=True) / ((seg_y**2).sum(axis=1, keepdims=True) + _EPS)
+    # (segments, bands, 30) views, materialized one block of segments at a time.
+    win_x = sliding_window_view(env_x, _STOI_SEGMENT, axis=1).transpose(1, 0, 2)
+    win_y = sliding_window_view(env_y, _STOI_SEGMENT, axis=1).transpose(1, 0, 2)
+    segment_means = [
+        _segment_correlations(
+            np.ascontiguousarray(win_x[s : s + _STOI_BLOCK]),
+            np.ascontiguousarray(win_y[s : s + _STOI_BLOCK]),
         )
-        seg_y_norm = np.minimum(alpha * seg_y, seg_x * clip_bound)
-        cx = seg_x - seg_x.mean(axis=1, keepdims=True)
-        cy = seg_y_norm - seg_y_norm.mean(axis=1, keepdims=True)
-        cx = cx / (np.linalg.norm(cx, axis=1, keepdims=True) + _EPS)
-        cy = cy / (np.linalg.norm(cy, axis=1, keepdims=True) + _EPS)
-        segment_means.append(float((cx * cy).sum() / _STOI_BANDS))
-    return float(np.mean(segment_means)), n_frames
+        for s in range(0, win_x.shape[0], _STOI_BLOCK)
+    ]
+    return float(np.mean(np.concatenate(segment_means))), n_frames
 
 
 def stoi(

@@ -16,6 +16,7 @@ from scipy.stats import rankdata
 
 from .errors import (
     DegenerateFitError,
+    NumericError,
     ShapeMismatchError,
     TooFewPointsError,
     UndefinedCorrelationError,
@@ -149,6 +150,8 @@ def fit_logistic(
         residual = wv - f
         dfdt = -f * (1.0 - f / 100.0)
         jac = np.column_stack((dfdt * mv, dfdt))
+        if not np.all(np.isfinite(jac)):
+            raise NumericError("measure values too large for the logistic fit")
         delta, *_ = np.linalg.lstsq(jac, residual, rcond=None)
         accepted = None
         step = delta

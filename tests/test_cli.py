@@ -275,3 +275,18 @@ def test_os_errors_exit_with_code_one(tmp_path, capsys):
     assert main(["score", "--manifest", str(tmp_path), "--measures", "stoi",
                  "--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("weight", float("nan")), ("bias", float("inf"))])
+def test_a_model_with_non_finite_weights_exits_with_code_one(
+    tmp_path, mini_corpus, capsys, field, value
+):
+    doc = json.loads((mini_corpus.parent / "model.json").read_text())
+    doc["layers"][0][field][0] = value
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert main([
+        "score", "--manifest", str(mini_corpus), "--model", str(tmp_path / "model.json"),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: layer weights and biases must be finite")
+    assert not (tmp_path / "out").exists()

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ageval import dsp
+from ageval import dsp, measures
 from ageval.errors import ConfigError, FormatError, TooShortError, ValidationError
 
 
@@ -64,6 +65,62 @@ def test_window_is_applied_per_frame():
     assert_allclose(frames[0], 0.5 * np.hamming(400), rtol=0, atol=0)
 
 
+def index_matrix_frames(waveform, spec):
+    """Frames gathered through an explicit (n_frames, frame_len) index matrix."""
+    sr = waveform.sample_rate_hz
+    frame_len = spec.frame_length_samples(sr)
+    frame_shift = spec.frame_shift_samples(sr)
+    x = waveform.samples
+    if spec.preemphasis > 0.0:
+        x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
+    n_frames = 1 + (x.size - frame_len) // frame_shift
+    idx = frame_shift * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
+    window = {"hamming": np.hamming, "hann": np.hanning, "rectangular": np.ones}[spec.window_kind]
+    return x[idx] * window(frame_len)
+
+
+@given(
+    n=st.integers(min_value=512, max_value=8000),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(-6.0, 1.0),
+    frame_ms=st.sampled_from([16.0, 25.0, 32.0]),
+    shift_ms=st.sampled_from([5.0, 10.0, 16.0]),
+    window_kind=st.sampled_from(dsp.WINDOW_KINDS),
+    preemphasis=st.sampled_from([0.0, 0.97]),
+)
+@settings(max_examples=80, deadline=None)
+def test_frame_signal_is_bit_identical_to_an_index_matrix_gather(
+    n, seed, level, frame_ms, shift_ms, window_kind, preemphasis
+):
+    spec = dsp.FrameSpec(frame_ms, min(shift_ms, frame_ms), window_kind, preemphasis, 1024)
+    wave = noise_wave(n, seed=seed, scale=10.0**level)
+    got = dsp.frame_signal(wave, spec)
+    want = index_matrix_frames(wave, spec)
+    assert got.shape == want.shape
+    assert got.tobytes().hex() == want.tobytes().hex()
+
+
+@given(
+    rates=st.sampled_from([(16000, 10000), (8000, 10000), (44100, 16000)]),
+    n=st.integers(min_value=1, max_value=6000),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(-6.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_resample_is_bit_identical_to_scipy_resample_poly(rates, n, seed, level):
+    # Fails when a scipy upgrade changes the filter resample_poly designs by default.
+    source, target = rates
+    wave = noise_wave(n, rate=source, seed=seed, scale=10.0**level)
+    g = np.gcd(source, target)
+    target_len = int(round(n * target / source))
+    if target_len < 1:
+        with pytest.raises(TooShortError):
+            dsp.resample(wave, target)
+        return
+    want = scipy.signal.resample_poly(wave.samples, target // g, source // g)[:target_len]
+    assert dsp.resample(wave, target).samples.tobytes().hex() == want.tobytes().hex()
+
+
 def test_frame_spec_validation():
     with pytest.raises(ValidationError):
         dsp.FrameSpec(fft_size=500)
@@ -110,6 +167,41 @@ def test_mel_filterbank_rows_are_bounded_triangles():
     assert np.all(fb >= 0.0)
     assert np.all(fb <= 1.0 + 1e-12)
     assert np.all(fb.max(axis=1) > 0.5)
+
+
+def test_cached_constants_are_read_only():
+    constants = [
+        dsp._window("hamming", 400),
+        dsp._resample_taps(5, 8),
+        dsp._mel_filterbank(dsp.MelSpec(), 16000, 512),
+        measures._stoi_window(),
+        measures._third_octave_bands(),
+    ]
+    for constant in constants:
+        with pytest.raises(ValueError):
+            constant[(0,) * constant.ndim] = 1.0
+
+
+def test_fbank_calls_with_equal_specs_share_one_filterbank():
+    spec = dsp.MelSpec(n_filters=23, high_freq_hz=6500.0)
+    before = dsp._mel_filterbank.cache_info()
+    wave = noise_wave(4000, seed=6)
+    first = dsp.fbank(wave, mel_spec=spec)
+    second = dsp.fbank(wave, mel_spec=dsp.MelSpec(n_filters=23, high_freq_hz=6500.0))
+    after = dsp._mel_filterbank.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert np.array_equal(first.values, second.values)
+    assert dsp._mel_filterbank(spec, 16000, 512) is dsp._mel_filterbank(
+        dsp.MelSpec(n_filters=23, high_freq_hz=6500.0), 16000, 512
+    )
+
+
+def test_mel_filterbank_returns_an_array_the_caller_owns():
+    fb = dsp.mel_filterbank(dsp.MelSpec(), 16000, 512)
+    assert fb.flags.writeable
+    fb[0, :] = 7.0
+    assert np.all(dsp.mel_filterbank(dsp.MelSpec(), 16000, 512) <= 1.0 + 1e-12)
+    assert np.all(dsp.fbank(noise_wave(4000, seed=8)).values < 7.0)
 
 
 def test_mfcc_is_the_orthonormal_dct_of_fbank_rows():

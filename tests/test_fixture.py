@@ -4,8 +4,10 @@ import filecmp
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ageval import am, dsp, harness
+from ageval.errors import ConfigError
 from ageval.fixture import make_fixture_corpus
 
 
@@ -76,3 +78,9 @@ def test_trained_model_loads_and_matches_feature_dims(mini_corpus):
     feats = dsp.mvn(dsp.fbank(dsp.load_wav(entries[0].clean_path)))
     post = am.forward(model, feats)
     assert post.values.shape == (feats.n_frames, 5)
+
+
+def test_an_empty_snr_grid_is_rejected_before_any_file_is_written(tmp_path):
+    with pytest.raises(ConfigError):
+        make_fixture_corpus(tmp_path / "corpus", snr_grid=[], n_utts=1, epochs=1)
+    assert not (tmp_path / "corpus").exists()

@@ -1,19 +1,24 @@
-"""The four file parsers on arbitrary input: only AgevalError or OSError may escape.
+"""The file parsers and the command line on arbitrary input.
 
-A malformed file must end as a typed error that the command line turns into
-exit 1 (or, for audio, a skipped row), never as a traceback.
+Only AgevalError or OSError may escape a parser. A malformed file must end as
+a typed error that the command line turns into exit 1 (or, for audio, a
+skipped row and exit 2), never as a traceback.
 """
 
 import json
 import math
 import re
 import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ageval import am, dsp, harness
+from ageval.cli import main
 from ageval.errors import AgevalError, FormatError
 
 fuzz = settings(
@@ -81,10 +86,10 @@ def test_the_model_document_to_mutate_is_valid(tmp_path):
 
 
 @st.composite
-def mutated_models(draw):
+def mutated_models(draw, document=MODEL_DOCUMENT):
     """A valid model document with one field replaced by an edge value or arbitrary JSON."""
-    doc = json.loads(json.dumps(MODEL_DOCUMENT))
-    target = doc if draw(st.booleans()) else doc["layers"][draw(st.integers(0, 1))]
+    doc = json.loads(json.dumps(document))
+    target = doc if draw(st.booleans()) else draw(st.sampled_from(doc["layers"]))
     edges = st.sampled_from([math.inf, -math.inf, math.nan, -1, 0, 2**64, 1.5, "2", []])
     target[draw(st.sampled_from(sorted(target)))] = draw(edges | json_leaves | json_values)
     return as_bytes(json.dumps(doc))
@@ -129,3 +134,81 @@ def test_unreadable_files_name_the_path(tmp_path):
         path.write_bytes(data)
         with pytest.raises(FormatError, match=re.escape(str(path))):
             parse(path)
+
+
+# the command line on arbitrary files -------------------------------------
+
+# One softmax layer over the default 40 fbank coefficients, so that a valid
+# document lets score reach every measure.
+SCORING_MODEL = {
+    "input_dim": 40,
+    "left_context": 0,
+    "right_context": 0,
+    "layers": [
+        {"activation": "softmax", "out_dim": 3, "in_dim": 40,
+         "weight": [0.01 * (i % 7) for i in range(120)], "bias": [0.0] * 3},
+    ],
+}
+AUDIO_FILES = ("clean.wav", "noisy.wav", "short.wav", "garbage.wav", "missing.wav")
+
+wer_cells = st.floats(0.0, 100.0).map(repr) | st.just("")
+
+
+def numbered_rows(header, cells):
+    """A CSV file: the header, then one row u<i>,<cells> per drawn tuple."""
+    return st.lists(st.tuples(*cells).map(",".join), max_size=8).map(
+        lambda rows: as_bytes(header + "\n" + "".join(f"u{i},{r}\n" for i, r in enumerate(rows)))
+    )
+
+
+audio_names = st.sampled_from(AUDIO_FILES)
+manifest_files = numbered_rows(
+    "utt_id,clean_path,degraded_path,wer", (audio_names, audio_names, wer_cells)
+)
+model_files = st.just(as_bytes(json.dumps(SCORING_MODEL))) | mutated_models(SCORING_MODEL)
+measure_cells = (st.floats(0.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+scores_files = numbered_rows(
+    "utt_id,wer,age,algo", (wer_cells, measure_cells, st.sampled_from(["a", "b", ""]))
+)
+
+
+@st.composite
+def mostly(draw, well_formed, arbitrary):
+    """Three draws in four from well_formed, so that the run gets past parsing."""
+    return draw(arbitrary if draw(st.integers(0, 3)) == 3 else well_formed)
+
+
+def write_audio(directory):
+    t = np.arange(8000) / 16000.0
+    clean = 0.3 * np.sin(2 * np.pi * 300 * t) * (0.5 + 0.5 * np.sin(2 * np.pi * 4 * t))
+    noise = np.random.default_rng(0).normal(0.0, 0.05, t.size)
+    dsp.save_wav(dsp.Waveform(clean, 16000), directory / "clean.wav")
+    dsp.save_wav(dsp.Waveform(clean + noise, 16000), directory / "noisy.wav")
+    dsp.save_wav(dsp.Waveform(clean[:300], 16000), directory / "short.wav")
+    (directory / "garbage.wav").write_bytes(b"RIFF\x00\x01garbage")
+
+
+@given(
+    manifest=mostly(manifest_files, raw_inputs | csv_text.map(as_bytes)),
+    model=mostly(model_files, raw_inputs),
+    scores=mostly(scores_files, raw_inputs | csv_text.map(lambda t: as_bytes("utt_id,wer\n" + t))),
+    group_by=st.sampled_from(["none", "algo", "snr_db"]),
+)
+@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_score_and_correlate_exit_with_zero_one_or_two(manifest, model, scores, group_by):
+    with tempfile.TemporaryDirectory() as name:
+        root = Path(name)
+        write_audio(root)
+        (root / "manifest.csv").write_bytes(manifest)
+        (root / "model.json").write_bytes(model)
+        (root / "scores.csv").write_bytes(scores)
+        out = root / "out"
+        code = main(["score", "--manifest", str(root / "manifest.csv"),
+                     "--model", str(root / "model.json"), "--out", str(out)])
+        assert code in (0, 1, 2)
+        for scores_path in (root / "scores.csv", out / "scores.csv"):
+            if scores_path.is_file():
+                code = main(["correlate", "--scores", str(scores_path), "--group-by", group_by,
+                             "--out", str(root / "report")])
+                assert code in (0, 1, 2)

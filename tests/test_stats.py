@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from ageval import stats
 from ageval.errors import (
     DegenerateFitError,
+    NumericError,
     ShapeMismatchError,
     TooFewPointsError,
     UndefinedCorrelationError,
@@ -184,6 +185,13 @@ def test_fit_degenerate_inputs():
         stats.fit_logistic([1.0, 2.0], [10.0, 20.0])
     with pytest.raises(DegenerateFitError):
         stats.fit_logistic([1.0, 1.0, 1.0, 1.0], [10.0, 20.0, 30.0, 40.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_on_measure_values_near_the_float_limit_is_a_numeric_error():
+    # The Gauss-Newton Jacobian overflows; least squares on it would raise LinAlgError.
+    with pytest.raises(NumericError):
+        stats.fit_logistic([2.1746152585921605e307, 0.7481367297569897, 0.0], [0.0, 1.0, 99.0])
 
 
 # evaluation reports --------------------------------------------------------

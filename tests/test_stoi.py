@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ageval import dsp, measures
 from ageval.errors import (
@@ -115,6 +117,124 @@ def test_silent_input_rejected():
 
 
 def test_too_short_signal_rejected():
-    w = dsp.Waveform(np.full(2000, 0.1), 10000)
-    with pytest.raises(TooShortError):
-        measures.stoi(w, w)
+    # 2000 samples give fewer than 30 frames; the rest are shorter than one
+    # 256-sample frame at 10 kHz.
+    for n, rate in [(2000, 10000), (1, 10000), (255, 10000), (400, 16000)]:
+        w = dsp.Waveform(np.full(n, 0.1), rate)
+        with pytest.raises(TooShortError):
+            measures.stoi(w, w)
+
+
+# bit identity against the per-segment loop formulation ----------------------
+
+FRAME, HOP, SEGMENT, BANDS = 256, 128, 30, 15
+
+
+def loop_frames(x):
+    starts = np.arange(0, x.size - FRAME + 1, HOP)
+    return x[starts[:, None] + np.arange(FRAME)[None, :]]
+
+
+def loop_remove_silent_frames(x, y):
+    w = np.hanning(FRAME + 2)[1:-1]
+    fx = loop_frames(x) * w
+    fy = loop_frames(y) * w
+    energy_db = 20.0 * np.log10(np.linalg.norm(fx, axis=1) / np.sqrt(FRAME) + 1e-20)
+    keep = energy_db > energy_db.max() - 40.0
+    if not np.any(keep):
+        raise DegenerateSignalError("all analysis frames are silent")
+    fx = fx[keep]
+    fy = fy[keep]
+    xs = np.zeros(HOP * (fx.shape[0] - 1) + FRAME)
+    ys = np.zeros(xs.size)
+    for j in range(fx.shape[0]):
+        xs[j * HOP : j * HOP + FRAME] += fx[j]
+        ys[j * HOP : j * HOP + FRAME] += fy[j]
+    return xs, ys
+
+
+def loop_stoi_score(x, y):
+    xs, ys = loop_remove_silent_frames(x, y)
+    if xs.size < FRAME:
+        raise TooShortError("too little non-silent signal")
+    w = np.hanning(FRAME + 2)[1:-1]
+    bands = measures._third_octave_bands()
+    env_x = np.sqrt(bands @ (np.abs(np.fft.rfft(loop_frames(xs) * w, n=512)) ** 2).T)
+    env_y = np.sqrt(bands @ (np.abs(np.fft.rfft(loop_frames(ys) * w, n=512)) ** 2).T)
+    n_frames = env_x.shape[1]
+    if n_frames < SEGMENT:
+        raise TooShortError("too few frames")
+    clip_bound = 1.0 + 10.0 ** (15.0 / 20.0)
+    segment_means = []
+    for m in range(SEGMENT, n_frames + 1):
+        seg_x = env_x[:, m - SEGMENT : m]
+        seg_y = env_y[:, m - SEGMENT : m]
+        alpha = np.sqrt(
+            (seg_x**2).sum(axis=1, keepdims=True) / ((seg_y**2).sum(axis=1, keepdims=True) + 1e-20)
+        )
+        seg_y_norm = np.minimum(alpha * seg_y, seg_x * clip_bound)
+        cx = seg_x - seg_x.mean(axis=1, keepdims=True)
+        cy = seg_y_norm - seg_y_norm.mean(axis=1, keepdims=True)
+        cx = cx / (np.linalg.norm(cx, axis=1, keepdims=True) + 1e-20)
+        cy = cy / (np.linalg.norm(cy, axis=1, keepdims=True) + 1e-20)
+        segment_means.append(float((cx * cy).sum() / BANDS))
+    return float(np.mean(segment_means)), n_frames
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes().hex()
+
+
+@st.composite
+def signal_pairs(draw):
+    """A 10 kHz clean/degraded pair of any length and level, often with a quiet stretch."""
+    n = draw(st.integers(min_value=FRAME, max_value=60000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = 10.0 ** draw(st.floats(-4.0, 1.0))
+    t = np.arange(n) / 10000.0
+    x = level * np.sin(2 * np.pi * 300 * t) * (0.5 + 0.5 * np.sin(2 * np.pi * 4 * t))
+    x = x + level * draw(st.floats(0.0, 1.0)) * rng.normal(size=n)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        stop = start + draw(st.integers(0, n // 2))
+        x[start:stop] *= draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1]))
+    y = x + level * 10.0 ** draw(st.floats(-4.0, 1.0)) * rng.normal(size=n)
+    return x, y
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateSignalError, TooShortError) as exc:
+        return type(exc)
+
+
+@given(pair=signal_pairs())
+@settings(max_examples=80, deadline=None)
+def test_remove_silent_frames_is_bit_identical_to_the_loop(pair):
+    got = outcome(measures._remove_silent_frames, *pair)
+    want = outcome(loop_remove_silent_frames, *pair)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert [bits(a) for a in got] == [bits(a) for a in want]
+
+
+@given(pair=signal_pairs())
+@settings(max_examples=80, deadline=None)
+def test_stoi_score_is_bit_identical_to_the_loop(pair):
+    got = outcome(measures._stoi_score, *pair)
+    want = outcome(loop_stoi_score, *pair)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+
+def test_a_score_over_several_segment_blocks_matches_the_loop():
+    x = speechlike(n=60000).samples
+    y = x + 0.3 * np.random.default_rng(3).normal(size=x.size)
+    value, frames = measures._stoi_score(x, y)
+    assert frames - SEGMENT + 1 > 3 * measures._STOI_BLOCK
+    want_value, want_frames = loop_stoi_score(x, y)
+    assert (value.hex(), frames) == (want_value.hex(), want_frames)
