@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +35,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import (
-    DEFAULT_ALIGNMENT_TOLERANCE, MEASURE_NAMES, age, aligned_length, entropy_confidence, stoi
+    DEFAULT_ALIGNMENT_TOLERANCE,
+    MEASURE_NAMES,
+    StoiReference,
+    age,
+    aligned_length,
+    entropy_confidence,
+    stoi,
 )
 from .stats import CorrelationReport, evaluate_measure, fit_logistic, map_logistic
 
@@ -214,38 +222,88 @@ def _features(waveform: Waveform, cfg: RunConfig) -> FeatureMatrix:
     return extract(waveform, cfg.frame_spec, cfg.mel_spec)
 
 
-def _aligned_posteriors(
-    clean: Waveform, degraded: Waveform, model: AcousticModel, cfg: RunConfig
-) -> tuple[PosteriorMatrix, PosteriorMatrix]:
-    """Features for both sides, frame counts reconciled, normalized, then forward."""
-    feats = (_features(clean, cfg), _features(degraded, cfg))
-    n = aligned_length(feats[0].n_frames, feats[1].n_frames, cfg.alignment_tolerance, "frame")
-    feats = tuple(f if f.n_frames == n else replace(f, values=f.values[:n]) for f in feats)
-    return forward(model, mvn(feats[0])), forward(model, mvn(feats[1]))
+def _first_frames(features: FeatureMatrix, n: int) -> FeatureMatrix:
+    return features if features.n_frames == n else replace(features, values=features.values[:n])
+
+
+class CleanReference:
+    """The clean side of scoring, shared by the rows that name one clean file.
+
+    score_manifest builds one per run of consecutive entries with the same
+    clean_path and hands it to score_utterance for each entry of the run.
+    The waveform and its features are computed on first use, the posteriors
+    once per aligned frame count and STOI's clean side once per aligned
+    sample count. A step that raises keeps nothing, so every row of the run
+    meets the same error. The state lives as long as the object.
+    """
+
+    def __init__(self, path: str, model: AcousticModel | None, cfg: RunConfig) -> None:
+        self.path = path
+        self.model = model
+        self.cfg = cfg
+        self._posteriors: dict[int, PosteriorMatrix] = {}
+
+    @cached_property
+    def waveform(self) -> Waveform:
+        return load_wav(self.path, self.cfg.channel)
+
+    @cached_property
+    def features(self) -> FeatureMatrix:
+        return _features(self.waveform, self.cfg)
+
+    @cached_property
+    def stoi_reference(self) -> StoiReference:
+        return StoiReference(self.waveform)
+
+    def posteriors(self, n_frames: int) -> PosteriorMatrix:
+        """Posteriors of the first n_frames feature frames, normalized over those frames."""
+        if n_frames not in self._posteriors:
+            features = mvn(_first_frames(self.features, n_frames))
+            self._posteriors[n_frames] = forward(self.model, features)
+        return self._posteriors[n_frames]
 
 
 def score_utterance(
-    entry: ManifestEntry, model: AcousticModel | None, cfg: RunConfig
+    entry: ManifestEntry,
+    model: AcousticModel | None,
+    cfg: RunConfig,
+    clean: CleanReference | None = None,
 ) -> ScoreRow:
-    """Compute every configured measure for one manifest entry."""
+    """Compute every configured measure for one manifest entry.
+
+    clean is the entry's clean side when it is shared with other rows (see
+    score_manifest); by default one is built for this row alone. It must be
+    built for entry.clean_path with the same model and cfg.
+    """
     _check_model(model, cfg)
-    clean = load_wav(entry.clean_path, cfg.channel)
+    if clean is None:
+        clean = CleanReference(entry.clean_path, model, cfg)
+    elif (clean.path, clean.cfg) != (entry.clean_path, cfg) or clean.model is not model:
+        raise ConfigError(
+            f"{entry.utt_id}: clean reference built for another file, model or config"
+        )
+    waveform = clean.waveform
     degraded = load_wav(entry.degraded_path, cfg.channel)
-    if clean.sample_rate_hz != degraded.sample_rate_hz:
+    if waveform.sample_rate_hz != degraded.sample_rate_hz:
         raise SampleRateMismatchError(
-            f"{entry.utt_id}: clean is {clean.sample_rate_hz} Hz "
+            f"{entry.utt_id}: clean is {waveform.sample_rate_hz} Hz "
             f"but degraded is {degraded.sample_rate_hz} Hz"
         )
     values: dict[str, float] = {}
     if cfg.needs_model:
         assert model is not None
-        p_clean, p_degraded = _aligned_posteriors(clean, degraded, model, cfg)
+        n_clean = clean.features.n_frames  # first, so the clean side's errors come first
+        features = _features(degraded, cfg)
+        n = aligned_length(n_clean, features.n_frames, cfg.alignment_tolerance, "frame")
+        p_clean = clean.posteriors(n)
+        p_degraded = forward(model, mvn(_first_frames(features, n)))
         if "age" in cfg.measures:
             values["age"] = age(p_clean, p_degraded).value
         if "entropy" in cfg.measures:
             values["entropy"] = entropy_confidence(p_degraded).value
     if "stoi" in cfg.measures:
-        values["stoi"] = stoi(clean, degraded, tolerance=cfg.alignment_tolerance).value
+        reference = clean.stoi_reference
+        values["stoi"] = stoi(reference, degraded, tolerance=cfg.alignment_tolerance).value
     return ScoreRow(
         utt_id=entry.utt_id,
         values=values,
@@ -254,13 +312,17 @@ def score_utterance(
     )
 
 
-def _score_one(
-    entry: ManifestEntry, model: AcousticModel | None, cfg: RunConfig
-) -> ScoreRow | tuple[str, str]:
-    try:
-        return score_utterance(entry, model, cfg)
-    except (AgevalError, OSError) as exc:
-        return (entry.utt_id, _reason(exc))
+def _score_run(
+    run: Sequence[ManifestEntry], model: AcousticModel | None, cfg: RunConfig
+) -> list[ScoreRow | tuple[str, str]]:
+    clean = CleanReference(run[0].clean_path, model, cfg)
+    outcomes: list[ScoreRow | tuple[str, str]] = []
+    for entry in run:
+        try:
+            outcomes.append(score_utterance(entry, model, cfg, clean))
+        except (AgevalError, OSError) as exc:
+            outcomes.append((entry.utt_id, _reason(exc)))
+    return outcomes
 
 
 def score_manifest(
@@ -271,16 +333,22 @@ def score_manifest(
     The run-level checks come first and are fatal. After them, any AgevalError
     or OSError while scoring one row skips that row only. Returns (rows,
     skipped) where skipped holds (utt_id, reason) pairs, the reason starting
-    with the error type. Worker count above one fans the rows out to a
-    process pool; results are identical to the single-process path.
+    with the error type. Consecutive entries with the same clean_path form a
+    run that loads the clean file and computes its clean side once, so a
+    manifest sorted by clean_path scores fastest. Worker count above one fans
+    whole runs out to a process pool; results are identical to the
+    single-process path.
     """
     _check_model(model, cfg)
-    if cfg.workers == 1 or len(entries) <= 1:
-        outcomes = [_score_one(entry, model, cfg) for entry in entries]
+    runs = [list(run) for _, run in itertools.groupby(entries, key=attrgetter("clean_path"))]
+    if cfg.workers == 1 or len(runs) <= 1:
+        outcomes = [o for run in runs for o in _score_run(run, model, cfg)]
     else:
-        scorer = partial(_score_one, model=model, cfg=cfg)
+        scorer = partial(_score_run, model=model, cfg=cfg)
+        # About 8 rows per task; 8 runs when every run is one row.
+        chunksize = max(1, 8 * len(runs) // len(entries))
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(scorer, entries, chunksize=8))
+            outcomes = [o for run in pool.map(scorer, runs, chunksize=chunksize) for o in run]
     rows = [o for o in outcomes if isinstance(o, ScoreRow)]
     skipped = [o for o in outcomes if not isinstance(o, ScoreRow)]
     return rows, skipped

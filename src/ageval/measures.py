@@ -110,24 +110,17 @@ def _stoi_window() -> np.ndarray:
     return np.hanning(_STOI_FRAME + 2)[1:-1]
 
 
-def _stoi_frames(x: np.ndarray) -> np.ndarray:
-    return sliding_window_view(x, _STOI_FRAME)[::_STOI_HOP]
+def _windowed_frames(x: np.ndarray) -> np.ndarray:
+    return sliding_window_view(x, _STOI_FRAME)[::_STOI_HOP] * _stoi_window()
 
 
-def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop frames more than 40 dB below the loudest clean frame, from both signals.
-
-    The mask comes from the clean signal only. Kept frames are windowed and
-    overlap-added back into compacted signals.
-    """
-    w = _stoi_window()
-    fx = _stoi_frames(x) * w
-    fy = _stoi_frames(y) * w
+def _loud_frames(fx: np.ndarray) -> np.ndarray:
+    """Keep-mask of the clean frames within 40 dB of the loudest one."""
     energy_db = 20.0 * np.log10(np.linalg.norm(fx, axis=1) / np.sqrt(_STOI_FRAME) + _EPS)
     keep = energy_db > energy_db.max() - _STOI_DYN_RANGE_DB
     if not np.any(keep):
         raise DegenerateSignalError("all analysis frames are silent")
-    return _overlap_add(fx[keep]), _overlap_add(fy[keep])
+    return keep
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:
@@ -157,8 +150,7 @@ def _third_octave_bands() -> np.ndarray:
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
     """Square-root band energies per frame, shape (bands, frames)."""
-    frames = _stoi_frames(x) * _stoi_window()
-    power = np.abs(np.fft.rfft(frames, n=_STOI_FFT)) ** 2
+    power = np.abs(np.fft.rfft(_windowed_frames(x), n=_STOI_FFT)) ** 2
     return np.sqrt(_third_octave_bands() @ power.T)
 
 
@@ -180,20 +172,30 @@ def _segment_correlations(seg_x: np.ndarray, seg_y: np.ndarray) -> np.ndarray:
     return (cx * cy).reshape(cx.shape[0], -1).sum(axis=1) / _STOI_BANDS
 
 
-def _stoi_score(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
-    """Core computation on same-length 10 kHz signals; returns (value, frames used)."""
+def _stoi_clean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clean side of the STOI core on a 10 kHz signal: (keep-mask, band envelopes).
+
+    Silence removal keeps the frames within 40 dB of the loudest clean frame;
+    the kept frames are windowed and overlap-added back into a compacted
+    signal, whose band envelopes are returned.
+    """
     if x.size < _STOI_FRAME:
         raise TooShortError(
             f"signal of {x.size} samples at 10 kHz is shorter than one {_STOI_FRAME}-sample frame"
         )
-    xs, ys = _remove_silent_frames(x, y)
-    env_x = _band_envelopes(xs)
-    env_y = _band_envelopes(ys)
-    n_frames = env_x.shape[1]
-    if n_frames < _STOI_SEGMENT:
+    fx = _windowed_frames(x)
+    keep = _loud_frames(fx)
+    env_x = _band_envelopes(_overlap_add(fx[keep]))
+    if env_x.shape[1] < _STOI_SEGMENT:
         raise TooShortError(
-            f"need at least {_STOI_SEGMENT} non-silent analysis frames, got {n_frames}"
+            f"need at least {_STOI_SEGMENT} non-silent analysis frames, got {env_x.shape[1]}"
         )
+    return keep, env_x
+
+
+def _stoi_degraded(keep: np.ndarray, env_x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
+    """Degraded side of the STOI core: (value, frames used) for a 10 kHz y of the clean length."""
+    env_y = _band_envelopes(_overlap_add(_windowed_frames(y)[keep]))
     # (segments, bands, 30) views, materialized one block of segments at a time.
     win_x = sliding_window_view(env_x, _STOI_SEGMENT, axis=1).transpose(1, 0, 2)
     win_y = sliding_window_view(env_y, _STOI_SEGMENT, axis=1).transpose(1, 0, 2)
@@ -204,11 +206,42 @@ def _stoi_score(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
         )
         for s in range(0, win_x.shape[0], _STOI_BLOCK)
     ]
-    return float(np.mean(np.concatenate(segment_means))), n_frames
+    return float(np.mean(np.concatenate(segment_means))), env_x.shape[1]
+
+
+class StoiReference:
+    """STOI's clean side of one clean waveform, built once per aligned sample count.
+
+    For each length n it holds the 10 kHz clean signal's keep-mask from
+    silence removal and its band envelopes. Passing one reference as the
+    clean argument of stoi for several degraded versions of the same clean
+    signal does that work once; the scores equal stoi(reference.clean, ...)
+    bit for bit.
+    """
+
+    def __init__(self, clean: Waveform) -> None:
+        self.clean = clean
+        self._sides: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def side(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(keep-mask, band envelopes) of the first n clean samples."""
+        if n not in self._sides:
+            x = _at_stoi_rate(self.clean.samples[:n], self.clean.sample_rate_hz)
+            self._sides[n] = _stoi_clean(x)
+        return self._sides[n]
+
+
+def _at_stoi_rate(samples: np.ndarray, rate: int) -> np.ndarray:
+    if rate == _STOI_RATE:
+        return samples
+    return resample(Waveform(samples, rate), _STOI_RATE).samples
 
 
 def stoi(
-    clean: Waveform, degraded: Waveform, *, tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE
+    clean: Waveform | StoiReference,
+    degraded: Waveform,
+    *,
+    tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE,
 ) -> MeasureScore:
     """Short-time band-envelope correlation between clean and degraded speech.
 
@@ -217,19 +250,18 @@ def stoi(
     over 30-frame segments with per-band level alignment and SDR clipping at
     -15 dB. Values near 1 mean the degraded envelope tracks the clean one.
     The longer signal is truncated, within the aligned_length tolerance.
+    A StoiReference as clean reuses its clean side across calls.
     """
+    reference = clean if isinstance(clean, StoiReference) else StoiReference(clean)
+    clean = reference.clean
     if clean.sample_rate_hz != degraded.sample_rate_hz:
         raise SampleRateMismatchError(
             f"clean is {clean.sample_rate_hz} Hz but degraded is {degraded.sample_rate_hz} Hz"
         )
     n = aligned_length(clean.samples.size, degraded.samples.size, tolerance, "sample")
-    x = clean.samples[:n]
     y = degraded.samples[:n]
-    if float(np.mean(x**2)) == 0.0 or float(np.mean(y**2)) == 0.0:
+    if float(np.mean(clean.samples[:n] ** 2)) == 0.0 or float(np.mean(y**2)) == 0.0:
         raise DegenerateSignalError("cannot score a silent signal")
-    rate = clean.sample_rate_hz
-    if rate != _STOI_RATE:
-        x = resample(Waveform(x, rate), _STOI_RATE).samples
-        y = resample(Waveform(y, rate), _STOI_RATE).samples
-    value, frames = _stoi_score(x, y)
+    keep, env_x = reference.side(n)
+    value, frames = _stoi_degraded(keep, env_x, _at_stoi_rate(y, degraded.sample_rate_hz))
     return MeasureScore("stoi", value, frames)

@@ -126,6 +126,8 @@ def fit_logistic(
     refinement of the squared loss on the original scale. Steps that increase
     the loss are halved, so the returned fit is never worse than the
     initialization. WER values above 100 are clamped to 100 before fitting.
+    Measure values whose start or Jacobian overflows float64 raise
+    NumericError, without a numpy warning.
     """
     mv = _as_float_vector(m, "m")
     wv = _as_float_vector(wer, "wer")
@@ -133,15 +135,21 @@ def fit_logistic(
         raise ShapeMismatchError(f"length mismatch: {mv.shape[0]} vs {wv.shape[0]}")
     if mv.shape[0] < 3:
         raise TooFewPointsError("logistic fit needs at least 3 points")
-    if np.ptp(mv) == 0.0:
+    if mv.min() == mv.max():
         raise DegenerateFitError("measure values are all identical")
     wv = np.clip(wv, 0.0, 100.0)
 
     clamped = np.clip(wv, *_WER_LOGIT_CLAMP)
     z = np.log(100.0 / clamped - 1.0)
-    m_center = mv - mv.mean()
-    a = float(np.sum(m_center * (z - z.mean())) / np.sum(m_center**2))
-    b = float(z.mean() - a * mv.mean())
+    with np.errstate(all="ignore"):
+        # Overflow here leaves a sum, slope or offset non-finite: checked below.
+        m_center = mv - mv.mean()
+        covariance = np.sum(m_center * (z - z.mean()))
+        variance = np.sum(m_center**2)
+        a = float(covariance / variance)
+        b = float(z.mean() - a * mv.mean())
+    if not np.all(np.isfinite([covariance, variance, a, b])):
+        raise NumericError("measure values out of range for the logistic fit's start")
     params = LogisticParams(a, b)
     loss = _squared_loss(params, mv, wv)
 

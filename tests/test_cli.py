@@ -1,6 +1,7 @@
 """Command line entry points, exercised through main()."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_correlate_rejects_bad_measure_cells(tmp_path, capsys, row, detail):
     assert main(["correlate", "--scores", str(tmp_path / "scores.csv"), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "scores.csv:4" in err and detail in err
+
+
+def test_a_logistic_fit_out_of_float_range_is_skipped_without_a_warning(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "utt_id,wer,age,stoi\nu0,0.0,2.17e307,0.9\nu1,1.0,0.75,0.5\nu2,99.0,0.0,0.1\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["correlate", "--scores", str(scores), "--out", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sorted(report["groups"]["all"]["correlations"]) == ["stoi"]
+    reason = report["skipped"]["all/age"]
+    assert reason.startswith("NumericError:")
+    # the skip line is all that reaches stderr
+    assert capsys.readouterr().err == f"skipped group all/age: {reason}\n"
+    assert not (tmp_path / "out" / "scatter_age.csv").exists()
 
 
 def test_os_errors_exit_with_code_one(tmp_path, capsys):

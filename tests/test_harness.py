@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ageval import am, harness, stats
+from ageval import am, dsp, harness, measures, stats
 from ageval.errors import (
     ConfigError,
     EmptyReportError,
@@ -192,14 +192,139 @@ def test_an_error_inside_one_row_skips_only_that_row(mini_corpus, monkeypatch, e
     assert skipped == [("bad", f"{error.__name__}: injected")]
 
 
-def test_worker_pool_reproduces_the_serial_result(mini_corpus):
+
+
+# runs of rows sharing a clean file -------------------------------------------
+
+@pytest.fixture
+def shuffled_entries(mini_corpus, tmp_path):
+    """Manifest rows out of clean-file order, plus one degraded file 1% short.
+
+    Runs by clean file: [0, cut] [2] [1] [4] [3] [6, 7] [5]; the first run
+    holds two aligned lengths, and utt000, utt001 and utt002 each come back
+    in a later run.
+    """
+    entries = harness.load_manifest(mini_corpus)
+    degraded = dsp.load_wav(entries[0].degraded_path)
+    cut = dsp.Waveform(degraded.samples[: int(0.99 * degraded.samples.size)], 16000)
+    dsp.save_wav(cut, tmp_path / "cut.wav")
+    cut_entry = dataclasses.replace(
+        entries[0], utt_id="cut", degraded_path=str(tmp_path / "cut.wav")
+    )
+    order = [0, None, 2, 1, 4, 3, 6, 7, 5]
+    return [cut_entry if i is None else entries[i] for i in order]
+
+
+def value_bits(rows):
+    return [(r.utt_id, {m: v.hex() for m, v in r.values.items()}) for r in rows]
+
+
+def test_runs_score_each_row_as_score_utterance_does(mini_corpus, shuffled_entries):
+    model = am.load_model(mini_corpus.parent / "model.json")
+    cfg = harness.RunConfig()
+    rows, skipped = harness.score_manifest(shuffled_entries, model, cfg)
+    assert skipped == []
+    single = [harness.score_utterance(e, model, cfg) for e in shuffled_entries]
+    assert value_bits(rows) == value_bits(single)
+    assert rows == single
+
+
+def test_the_clean_side_is_computed_once_per_run(mini_corpus, shuffled_entries, monkeypatch):
+    model = am.load_model(mini_corpus.parent / "model.json")
+    calls = {"fbank": 0, "forward": 0, "resample": 0, "load_wav": 0, "score_utterance": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((harness, "fbank"), (harness, "forward"), (measures, "resample"),
+                         (harness, "load_wav"), (harness, "score_utterance")):
+        counted(module, name)
+    rows, _ = harness.score_manifest(shuffled_entries, model, harness.RunConfig())
+    n_rows, n_runs = len(rows), 7
+    assert n_rows == 9
+    # the clean side once per run; posteriors and the STOI clean side once
+    # more for the run's second aligned length
+    assert calls == {
+        "fbank": n_rows + n_runs,
+        "forward": n_rows + n_runs + 1,
+        "resample": n_rows + n_runs + 1,
+        "load_wav": n_rows + n_runs,
+        "score_utterance": n_rows,
+    }
+
+
+def test_a_clean_reference_serves_only_its_own_file_model_and_config(mini_corpus):
     entries = harness.load_manifest(mini_corpus)
     model = am.load_model(mini_corpus.parent / "model.json")
-    serial, _ = harness.score_manifest(entries, model, harness.RunConfig())
-    pooled, _ = harness.score_manifest(
-        entries, model, harness.RunConfig(workers=2)
+    cfg = harness.RunConfig()
+    clean = harness.CleanReference(entries[0].clean_path, model, cfg)
+    assert harness.score_utterance(entries[1], model, cfg, clean) == harness.score_utterance(
+        entries[1], model, cfg
     )
-    assert serial == pooled
+    other_model = am.load_model(mini_corpus.parent / "model.json")
+    for entry, row_model, row_cfg in (
+        (entries[2], model, cfg),
+        (entries[0], other_model, cfg),
+        (entries[0], model, harness.RunConfig(measures=("age",))),
+    ):
+        with pytest.raises(ConfigError, match="clean reference"):
+            harness.score_utterance(entry, row_model, row_cfg, clean)
+
+
+@pytest.mark.parametrize("fault", ["missing", "garbage"])
+def test_an_unreadable_clean_file_skips_its_run_only(mini_corpus, tmp_path, fault):
+    entries = harness.load_manifest(mini_corpus)
+    model = am.load_model(mini_corpus.parent / "model.json")
+    cfg = harness.RunConfig()
+    clean = tmp_path / "clean.wav"
+    if fault == "garbage":
+        clean.write_bytes(b"RIFF not really a wave file")
+    bad_run = [
+        dataclasses.replace(e, utt_id=f"bad{i}", clean_path=str(clean))
+        for i, e in enumerate(entries[:2])
+    ]
+    rows, skipped = harness.score_manifest([*bad_run, *entries[2:4]], model, cfg)
+    assert [r.utt_id for r in rows] == [e.utt_id for e in entries[2:4]]
+    reasons = []
+    for entry in bad_run:
+        with pytest.raises((FormatError, FileNotFoundError)) as info:
+            harness.score_utterance(entry, model, cfg)
+        reasons.append((entry.utt_id, harness._reason(info.value)))
+    assert skipped == reasons
+    assert reasons[0][1].startswith("FormatError" if fault == "garbage" else "FileNotFoundError")
+
+
+def test_a_clean_file_rewritten_between_calls_is_read_again(mini_corpus, tmp_path):
+    entries = harness.load_manifest(mini_corpus)
+    model = am.load_model(mini_corpus.parent / "model.json")
+    cfg = harness.RunConfig()
+    clean = tmp_path / "clean.wav"
+    clean.write_bytes(open(entries[0].clean_path, "rb").read())
+    run = [dataclasses.replace(e, clean_path=str(clean)) for e in entries[:2]]
+    before, _ = harness.score_manifest(run, model, cfg)
+    # the other SNR's degraded file: same length, different content
+    clean.write_bytes(open(entries[1].degraded_path, "rb").read())
+    after, _ = harness.score_manifest(run, model, cfg)
+    assert after == [harness.score_utterance(e, model, cfg) for e in run]
+    assert all(a.values["age"] != b.values["age"] for a, b in zip(after, before))
+
+
+def test_worker_pool_reproduces_the_serial_result(mini_corpus, shuffled_entries, tmp_path):
+    model = am.load_model(mini_corpus.parent / "model.json")
+    gone = dataclasses.replace(shuffled_entries[2], utt_id="gone",
+                               clean_path=str(tmp_path / "gone.wav"))
+    entries = [*shuffled_entries, gone]
+    serial = harness.score_manifest(entries, model, harness.RunConfig())
+    pooled = harness.score_manifest(entries, model, harness.RunConfig(workers=2))
+    assert value_bits(pooled[0]) == value_bits(serial[0])
+    assert pooled == serial
+    assert [utt_id for utt_id, _ in serial[1]] == ["gone"]
 
 
 # grouping and reports ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Correlation statistics and the logistic WER mapping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,21 @@ def test_fit_on_measure_values_near_the_float_limit_is_a_numeric_error():
     # The Gauss-Newton Jacobian overflows; least squares on it would raise LinAlgError.
     with pytest.raises(NumericError):
         stats.fit_logistic([2.1746152585921605e307, 0.7481367297569897, 0.0], [0.0, 1.0, 99.0])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [2.17e307, 0.75, 0.0],  # the sum of squares overflows: slope ~0 before
+        [1.5e308, 1.5e308, 0.0],  # the mean overflows
+        [0.0, 1e-200, 2e-200],  # the sum of squares underflows to 0
+    ],
+)
+def test_a_logistic_start_out_of_float_range_is_a_numeric_error(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="start"):
+            stats.fit_logistic(m, [0.0, 1.0, 99.0])
 
 
 # evaluation reports --------------------------------------------------------

@@ -128,6 +128,7 @@ def test_too_short_signal_rejected():
 # bit identity against the per-segment loop formulation ----------------------
 
 FRAME, HOP, SEGMENT, BANDS = 256, 128, 30, 15
+DEFAULT_TOLERANCE = measures.DEFAULT_ALIGNMENT_TOLERANCE
 
 
 def loop_frames(x):
@@ -181,6 +182,33 @@ def loop_stoi_score(x, y):
     return float(np.mean(segment_means)), n_frames
 
 
+def split_stoi_score(x, y):
+    """The STOI core on same-length 10 kHz signals: the clean side, then the degraded side."""
+    return measures._stoi_degraded(*measures._stoi_clean(x), y)
+
+
+def split_remove_silent_frames(x, y):
+    """Silence removal as the clean and degraded sides compose it."""
+    fx = measures._windowed_frames(x)
+    keep = measures._loud_frames(fx)
+    fy = measures._windowed_frames(y)
+    return measures._overlap_add(fx[keep]), measures._overlap_add(fy[keep])
+
+
+def loop_stoi(clean, degraded):
+    """The public stoi on aligned waveforms, with the loop formulation at its core."""
+    n = min(clean.samples.size, degraded.samples.size)
+    x, y = clean.samples[:n], degraded.samples[:n]
+    if np.mean(x**2) == 0.0 or np.mean(y**2) == 0.0:
+        raise DegenerateSignalError("cannot score a silent signal")
+    if clean.sample_rate_hz != 10000:
+        x = dsp.resample(dsp.Waveform(x, clean.sample_rate_hz), 10000).samples
+        y = dsp.resample(dsp.Waveform(y, clean.sample_rate_hz), 10000).samples
+    if x.size < FRAME:
+        raise TooShortError("shorter than one frame")
+    return loop_stoi_score(x, y)
+
+
 def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes().hex()
 
@@ -212,7 +240,7 @@ def outcome(fn, *args):
 @given(pair=signal_pairs())
 @settings(max_examples=80, deadline=None)
 def test_remove_silent_frames_is_bit_identical_to_the_loop(pair):
-    got = outcome(measures._remove_silent_frames, *pair)
+    got = outcome(split_remove_silent_frames, *pair)
     want = outcome(loop_remove_silent_frames, *pair)
     if isinstance(want, type):
         assert got is want
@@ -223,7 +251,7 @@ def test_remove_silent_frames_is_bit_identical_to_the_loop(pair):
 @given(pair=signal_pairs())
 @settings(max_examples=80, deadline=None)
 def test_stoi_score_is_bit_identical_to_the_loop(pair):
-    got = outcome(measures._stoi_score, *pair)
+    got = outcome(split_stoi_score, *pair)
     want = outcome(loop_stoi_score, *pair)
     if isinstance(want, type):
         assert got is want
@@ -231,10 +259,46 @@ def test_stoi_score_is_bit_identical_to_the_loop(pair):
         assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
 
+@given(
+    pair=signal_pairs(),
+    rate=st.sampled_from([10000, 16000]),
+    cuts=st.lists(st.floats(0.0, DEFAULT_TOLERANCE), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_shared_clean_reference_is_bit_identical_to_the_loop(pair, rate, cuts):
+    """One reference serves degraded versions of several aligned lengths, in any order."""
+    x, y = pair
+    reference = measures.StoiReference(dsp.Waveform(x, rate))
+    shorter = [y[: y.size - int(cut * y.size)] for cut in cuts]
+    versions = [y, *shorter, 0.5 * y, x, np.zeros(y.size), shorter[0]]
+    for samples in versions:
+        degraded = dsp.Waveform(samples, rate)
+        got = outcome(measures.stoi, reference, degraded)
+        want = outcome(loop_stoi, reference.clean, degraded)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert (got.value.hex(), got.n_frames_used) == (want[0].hex(), want[1])
+
+
+def test_a_reference_resamples_each_aligned_prefix_of_the_clean_signal():
+    # 29901 samples at 16 kHz become 18688 = 256 + 144 * 128 at 10 kHz, so the
+    # last analysis frame reaches the end, where resampling the prefix differs
+    # from truncating a resample of the whole clean signal.
+    clean = speechlike(n=30000, rate=16000)
+    noisy = clean.samples + 0.2 * np.random.default_rng(4).normal(size=clean.samples.size)
+    reference = measures.StoiReference(clean)
+    for n in (30000, 29901, 30000):
+        degraded = dsp.Waveform(noisy[:n], 16000)
+        got = measures.stoi(reference, degraded)
+        want_value, want_frames = loop_stoi(clean, degraded)
+        assert (got.value.hex(), got.n_frames_used) == (want_value.hex(), want_frames)
+
+
 def test_a_score_over_several_segment_blocks_matches_the_loop():
     x = speechlike(n=60000).samples
     y = x + 0.3 * np.random.default_rng(3).normal(size=x.size)
-    value, frames = measures._stoi_score(x, y)
+    value, frames = split_stoi_score(x, y)
     assert frames - SEGMENT + 1 > 3 * measures._STOI_BLOCK
     want_value, want_frames = loop_stoi_score(x, y)
     assert (value.hex(), frames) == (want_value.hex(), want_frames)
