@@ -7,7 +7,10 @@ hand over plain feature matrices.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -29,6 +32,14 @@ from .errors import (
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh", "softmax")
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
+
+# The OpenBLAS copies that the numpy and scipy wheels bundle: the package, the
+# file pattern in the "<package>.libs" directory next to it, and the suffix of
+# its symbols scipy_openblas_{set,get}_num_threads<suffix>.
+_OPENBLAS_COPIES = (
+    ("numpy", "libscipy_openblas64_-*.so", "64_"),
+    ("scipy", "libscipy_openblas-*.so", ""),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +311,53 @@ def frame_error_rate(model: AcousticModel, features: FeatureMatrix, labels: Sequ
     return float(100.0 * np.mean(predicted != y))
 
 
+_ThreadControl = tuple[Callable[[int], None], Callable[[], int]]
+
+
+def _openblas_thread_controls() -> list[_ThreadControl]:
+    """(setter, getter) of the thread count of each bundled OpenBLAS copy already loaded.
+
+    A package not imported, a copy not loaded (dlopen with RTLD_NOLOAD loads
+    nothing) and a copy without both symbols are passed over.
+    """
+    no_load = getattr(os, "RTLD_NOLOAD", None)
+    if no_load is None:
+        return []
+    controls = []
+    for package, pattern, suffix in _OPENBLAS_COPIES:
+        module = sys.modules.get(package)
+        if getattr(module, "__file__", None) is None:
+            continue
+        libs_dir = Path(module.__file__).parent.parent / f"{package}.libs"
+        for path in sorted(libs_dir.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=no_load)
+            except OSError:
+                continue
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is None or getter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            controls.append((setter, getter))
+    return controls
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set every loaded OpenBLAS copy to n threads and return the first one's old count.
+
+    Returns None, changing nothing, when no known copy is loaded. Never
+    raises, so it can serve as a process pool's worker initializer.
+    """
+    previous = None
+    for setter, getter in _openblas_thread_controls():
+        if previous is None:
+            previous = getter()
+        setter(n)
+    return previous
+
+
 def _checked_labels(labels: Sequence[int], n_frames: int, n_classes: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != n_frames:
@@ -370,20 +428,27 @@ def train_toy(
     weights, biases = _init_layers(rng, dims)
     acts = [activation] * (len(dims) - 2) + ["softmax"]
 
-    # Each pass yields the loss of the current iterate and the gradient for
-    # the next step, so epochs steps cost epochs + 1 passes.
-    loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
-    best_loss, best_w, best_b = loss, weights, biases
-    if on_epoch is not None:
-        on_epoch(0, loss)
-    for step in range(epochs):
-        weights = [w - learning_rate * g for w, g in zip(weights, grads_w)]
-        biases = [b - learning_rate * g for b, g in zip(biases, grads_b)]
+    # One BLAS thread: the sums inside the matrix products, and so the model's
+    # bytes, would otherwise depend on the thread count.
+    previous_threads = _set_blas_threads(1)
+    try:
+        # Each pass yields the loss of the current iterate and the gradient for
+        # the next step, so epochs steps cost epochs + 1 passes.
         loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
+        best_loss, best_w, best_b = loss, weights, biases
         if on_epoch is not None:
-            on_epoch(step + 1, loss)
-        if loss < best_loss:
-            best_loss, best_w, best_b = loss, weights, biases
+            on_epoch(0, loss)
+        for step in range(epochs):
+            weights = [w - learning_rate * g for w, g in zip(weights, grads_w)]
+            biases = [b - learning_rate * g for b, g in zip(biases, grads_b)]
+            loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
+            if on_epoch is not None:
+                on_epoch(step + 1, loss)
+            if loss < best_loss:
+                best_loss, best_w, best_b = loss, weights, biases
+    finally:
+        if previous_threads is not None:
+            _set_blas_threads(previous_threads)
 
     layers = tuple(
         LayerSpec(w, b, act) for w, b, act in zip(best_w, best_b, acts)

@@ -1,13 +1,14 @@
 """Command-line interface: mix, features, score, correlate, fixture, train-toy.
 
-Exit codes: 0 on success, 1 on a fatal configuration or format error, 2 when
-a scoring run completed but had to skip rows.
+Exit codes: 0 on success, 1 on a fatal configuration or format error or a
+dead pool worker, 2 when a scoring run completed but had to skip rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -219,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AgevalError, OSError) as exc:
+    # BrokenExecutor: a pool worker died, e.g. killed for lack of memory.
+    except (AgevalError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

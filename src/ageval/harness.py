@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel, PosteriorMatrix, forward
+from .am import AcousticModel, PosteriorMatrix, _set_blas_threads, forward
 from .dsp import FeatureMatrix, FrameSpec, MelSpec, Waveform, fbank, load_wav, mfcc, mvn
 from .errors import (
     AgevalError,
@@ -31,6 +31,7 @@ from .errors import (
     EmptyReportError,
     FormatError,
     ManifestError,
+    NumericError,
     SampleRateMismatchError,
     ShapeMismatchError,
 )
@@ -336,8 +337,9 @@ def score_manifest(
     with the error type. Consecutive entries with the same clean_path form a
     run that loads the clean file and computes its clean side once, so a
     manifest sorted by clean_path scores fastest. Worker count above one fans
-    whole runs out to a process pool; results are identical to the
-    single-process path.
+    whole runs out to a process pool whose workers each use one BLAS thread,
+    so workers x BLAS threads do not oversubscribe the cores; results are
+    identical to the single-process path.
     """
     _check_model(model, cfg)
     runs = [list(run) for _, run in itertools.groupby(entries, key=attrgetter("clean_path"))]
@@ -347,7 +349,9 @@ def score_manifest(
         scorer = partial(_score_run, model=model, cfg=cfg)
         # About 8 rows per task; 8 runs when every run is one row.
         chunksize = max(1, 8 * len(runs) // len(entries))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_set_blas_threads, initargs=(1,)
+        ) as pool:
             outcomes = [o for run in pool.map(scorer, runs, chunksize=chunksize) for o in run]
     rows = [o for o in outcomes if isinstance(o, ScoreRow)]
     skipped = [o for o in outcomes if not isinstance(o, ScoreRow)]
@@ -364,6 +368,14 @@ class GroupReport:
     correlations: dict[str, CorrelationReport]
 
 
+def _finite_mean(values: Sequence[float], column: str) -> float:
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        raise NumericError(f"the mean of {column} leaves the float64 range")
+    return mean
+
+
 def correlate_by_group(
     rows: Sequence[ScoreRow], group_key: str | None = None
 ) -> tuple[dict[str, GroupReport], dict[str, str]]:
@@ -371,8 +383,9 @@ def correlate_by_group(
 
     With group_key=None all rows form one group named "all"; otherwise rows
     lacking the tag form the group "_missing". Groups with fewer than 3
-    WER-bearing rows, and group/measure fits that raise any AgevalError,
-    are reported in the skipped map. If nothing is reportable,
+    WER-bearing rows, group/measure fits that raise any AgevalError, and
+    group/column means that leave the float64 range (the measure then gets
+    no fit) are reported in the skipped map. If nothing is reportable,
     EmptyReportError is raised.
     """
     groups: dict[str, list[ScoreRow]] = {}
@@ -386,9 +399,20 @@ def correlate_by_group(
         if len(with_wer) < 3:
             skipped[name] = f"only {len(with_wer)} rows with wer, need 3"
             continue
-        measure_names = sorted(set.intersection(*(set(r.values) for r in with_wer)))
+        columns = {
+            measure: [r.values[measure] for r in members if measure in r.values]
+            for measure in sorted({m for r in members for m in r.values})
+        }
+        columns["wer"] = [r.wer_percent for r in with_wer]
+        means: dict[str, float] = {}
+        for column, values in columns.items():
+            try:
+                means[column] = _finite_mean(values, column)
+            except NumericError as exc:
+                skipped[f"{name}/{column}"] = _reason(exc)
+        shared = set.intersection(*(set(r.values) for r in with_wer))
         correlations: dict[str, CorrelationReport] = {}
-        for measure in measure_names:
+        for measure in sorted(shared & means.keys()):
             pairs = [(r.values[measure], r.wer_percent) for r in with_wer]
             try:
                 correlations[measure] = evaluate_measure(pairs, measure)
@@ -397,11 +421,6 @@ def correlate_by_group(
         if not correlations:
             skipped.setdefault(name, "no measure produced a report")
             continue
-        means = {
-            measure: float(np.mean([r.values[measure] for r in members if measure in r.values]))
-            for measure in sorted({m for r in members for m in r.values})
-        }
-        means["wer"] = float(np.mean([r.wer_percent for r in with_wer]))
         reports[name] = GroupReport(len(members), len(with_wer), means, correlations)
     if not reports:
         raise EmptyReportError("no group had enough usable data")
@@ -526,7 +545,7 @@ def emit_report(
         "skipped": dict(skipped or {}),
     }
     report_path = out / report_name
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     with_wer = [r for r in rows if r.wer_percent is not None]
     for measure in sorted({m for r in with_wer for m in r.values}):

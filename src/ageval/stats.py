@@ -72,19 +72,26 @@ def _as_float_vector(values: Sequence[float] | np.ndarray, name: str) -> np.ndar
 
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation coefficient of two equal-length sequences."""
+    """Pearson correlation coefficient of two equal-length sequences.
+
+    Values whose centered sums of squares or products leave the float64 range
+    (overflow, or underflow to 0) raise NumericError.
+    """
     xv = _as_float_vector(x, "x")
     yv = _as_float_vector(y, "y")
     if xv.shape[0] != yv.shape[0]:
         raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     if xv.shape[0] < 2:
         raise TooFewPointsError("correlation needs at least 2 points")
-    if np.ptp(xv) == 0.0 or np.ptp(yv) == 0.0:
+    if xv.min() == xv.max() or yv.min() == yv.max():
         raise UndefinedCorrelationError("correlation is undefined for a constant sequence")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    denom = np.sqrt(float(np.sum(xc**2))) * np.sqrt(float(np.sum(yc**2)))
-    return float(np.sum(xc * yc) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xv - xv.mean()
+        yc = yv - yv.mean()
+        sxx, syy, sxy = np.sum(xc**2), np.sum(yc**2), np.sum(xc * yc)
+    if not (np.isfinite(sxy) and 0.0 < sxx < np.inf and 0.0 < syy < np.inf):
+        raise NumericError("values too large or too close together for a correlation")
+    return float(sxy / (np.sqrt(sxx) * np.sqrt(syy)))
 
 
 def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
@@ -188,7 +195,8 @@ def evaluate_measure(
     rho_signed is the Pearson correlation between the mapped values f(m) and
     WER; rho_magnitude is its absolute value. Spearman is computed on the raw
     pairs. Degenerate inputs (constant m or constant WER) raise the same
-    errors as the underlying fit and correlation.
+    errors as the underlying fit and correlation, and WER values so large
+    that a sum leaves the float64 range raise NumericError.
     """
     pts = list(scores)
     if len(pts) < 3:
@@ -198,7 +206,10 @@ def evaluate_measure(
     params = fit_logistic(m, wer)
     mapped = np.asarray(map_logistic(params, m))
     rho_signed = pearson(mapped, wer)
-    rmse = float(np.sqrt(np.mean((wer - mapped) ** 2)))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean((wer - mapped) ** 2)))
+    if not np.isfinite(rmse):
+        raise NumericError("wer values too large for the mapped RMSE")
     return CorrelationReport(
         measure_name=measure_name,
         n_points=len(pts),

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +368,72 @@ def test_train_toy_label_validation():
         am.train_toy([feats], [[0, 1, -1, 0, 1, 0]], n_classes=2)
     with pytest.raises(ShapeMismatchError):
         am.train_toy([feats, feats], [[0, 1, 0, 1, 0, 1]])
+
+
+# BLAS threads ------------------------------------------------------------
+
+def blas_thread_counts():
+    return [getter() for _, getter in am._openblas_thread_controls()]
+
+
+def test_each_bundled_openblas_copy_is_found():
+    import scipy.linalg  # noqa: F401  (loads scipy's copy)
+
+    bundled = [
+        path
+        for package, pattern, _ in am._OPENBLAS_COPIES
+        for path in (Path(sys.modules[package].__file__).parent.parent
+                     / f"{package}.libs").glob(pattern)
+    ]
+    assert len(blas_thread_counts()) == len(bundled)
+
+
+def test_train_toy_uses_one_blas_thread_and_restores_the_callers_count():
+    feats, labels = cluster_data()
+    original = am._set_blas_threads(2)
+    try:
+        found = len(blas_thread_counts())
+        seen = []
+        am.train_toy([feats], [labels], epochs=2,
+                     on_epoch=lambda step, loss: seen.append(blas_thread_counts()))
+        assert seen == [[1] * found] * 3
+        assert blas_thread_counts() == [2] * found
+
+        def fail(step, loss):
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            am.train_toy([feats], [labels], epochs=2, on_epoch=fail)
+        assert blas_thread_counts() == [2] * found
+    finally:
+        if original is not None:
+            am._set_blas_threads(original)
+
+
+@pytest.mark.parametrize(
+    "copies",
+    [
+        (),
+        (("numpy", "no-such-library-*.so", "64_"),),
+        (("no_such_package", "*.so", ""), ("sys", "*.so", "")),
+        # each copy's symbols looked up under the other copy's suffix
+        (("numpy", "libscipy_openblas64_-*.so", ""), ("scipy", "libscipy_openblas-*.so", "64_")),
+    ],
+)
+def test_set_blas_threads_without_a_known_copy_changes_nothing(monkeypatch, copies):
+    original = am._set_blas_threads(2)
+    try:
+        before = blas_thread_counts()
+        with monkeypatch.context() as patch:
+            patch.setattr(am, "_OPENBLAS_COPIES", copies)
+            assert am._set_blas_threads(1) is None
+        assert blas_thread_counts() == before
+    finally:
+        if original is not None:
+            am._set_blas_threads(original)
+
+
+def test_set_blas_threads_without_rtld_noload_changes_nothing(monkeypatch):
+    monkeypatch.delattr(os, "RTLD_NOLOAD")
+    assert am._openblas_thread_controls() == []
+    assert am._set_blas_threads(1) is None

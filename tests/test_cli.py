@@ -1,6 +1,8 @@
 """Command line entry points, exercised through main()."""
 
 import json
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -284,6 +286,42 @@ def test_a_logistic_fit_out_of_float_range_is_skipped_without_a_warning(tmp_path
     # the skip line is all that reaches stderr
     assert capsys.readouterr().err == f"skipped group all/age: {reason}\n"
     assert not (tmp_path / "out" / "scatter_age.csv").exists()
+
+
+def test_a_group_mean_out_of_float_range_is_skipped_without_a_warning(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "utt_id,wer,age,stoi\nu0,0.0,1.5e308,0.9\nu1,1.0,1.5e308,0.5\nu2,99.0,0.0,0.1\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["correlate", "--scores", str(scores), "--out", str(tmp_path / "out")])
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in report.json")
+
+    report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
+    reason = report["skipped"]["all/age"]
+    assert reason == "NumericError: the mean of age leaves the float64 range"
+    assert sorted(report["groups"]["all"]["means"]) == ["stoi", "wer"]
+    assert sorted(report["groups"]["all"]["correlations"]) == ["stoi"]
+    assert capsys.readouterr().err == f"skipped group all/age: {reason}\n"
+
+
+def kill_this_process(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_dead_pool_worker_exits_with_code_one(tmp_path, mini_corpus, monkeypatch, capfd):
+    monkeypatch.setattr(harness, "_score_run", kill_this_process)
+    code = main(["score", "--manifest", str(mini_corpus), "--model",
+                 str(mini_corpus.parent / "model.json"), "--workers", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and "terminated abruptly" in err
+    assert "Traceback" not in err
 
 
 def test_os_errors_exit_with_code_one(tmp_path, capsys):

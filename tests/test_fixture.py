@@ -1,11 +1,15 @@
 """Synthetic corpus generator."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ageval
 from ageval import am, dsp, harness
 from ageval.errors import ConfigError
 from ageval.fixture import make_fixture_corpus
@@ -60,6 +64,21 @@ def test_generation_is_byte_deterministic(tmp_path):
     assert rel_one == rel_two
     for rel in rel_one:
         assert filecmp.cmp(first.parent / rel, second.parent / rel, shallow=False), rel
+
+
+def test_the_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Four utterances are the fewest whose unpinned training differed with 1 and 2 threads.
+    src = str(Path(ageval.__file__).parent.parent)
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "ageval.cli", "fixture", "--out", str(out),
+                        "--utts", "4", "--snrs", "0"], env=env, check=True,
+                       capture_output=True, timeout=300)
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
 
 
 def test_different_seeds_give_different_audio(tmp_path):

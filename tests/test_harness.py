@@ -327,6 +327,29 @@ def test_worker_pool_reproduces_the_serial_result(mini_corpus, shuffled_entries,
     assert [utt_id for utt_id, _ in serial[1]] == ["gone"]
 
 
+def blas_threads_of_each_row(run, model, cfg):
+    """Stands in for harness._score_run: the pool worker's BLAS thread counts per row."""
+    counts = [getter() for _, getter in am._openblas_thread_controls()]
+    return [(entry.utt_id, counts) for entry in run]
+
+
+def test_pool_workers_use_one_blas_thread(monkeypatch):
+    entries = [harness.ManifestEntry(f"u{i}", f"c{i}.wav", f"d{i}.wav") for i in range(4)]
+    monkeypatch.setattr(harness, "_score_run", blas_threads_of_each_row)
+    original = am._set_blas_threads(2)  # what a forked worker would inherit
+    try:
+        rows, skipped = harness.score_manifest(
+            entries, None, harness.RunConfig(measures=("stoi",), workers=2)
+        )
+        found = len(am._openblas_thread_controls())
+        assert rows == []
+        assert skipped == [(e.utt_id, [1] * found) for e in entries]
+        assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found
+    finally:
+        if original is not None:
+            am._set_blas_threads(original)
+
+
 # grouping and reports ------------------------------------------------------
 
 def synthetic_rows():
@@ -389,6 +412,33 @@ def test_groups_without_enough_wer_rows_are_skipped():
     ]
     reports, skipped = harness.correlate_by_group(rows, "algo")
     assert "w" in skipped and "need 3" in skipped["w"]
+
+
+def test_a_group_mean_out_of_float_range_skips_its_item():
+    rows = synthetic_rows()
+    for i in (0, 1):  # group x: the sum of age overflows
+        rows[i].values["age"] = 1.5e308
+    for i in (5, 6):  # group y: the sum of wer overflows, and with it every fit's correlation
+        rows[i] = dataclasses.replace(rows[i], wer_percent=1.5e308)
+    with np.errstate(all="raise"):
+        reports, skipped = harness.correlate_by_group(rows, "algo")
+    assert skipped["x/age"] == "NumericError: the mean of age leaves the float64 range"
+    assert skipped["y/wer"] == "NumericError: the mean of wer leaves the float64 range"
+    assert skipped["y/age"].startswith("NumericError:")
+    assert skipped["y/stoi"].startswith("NumericError:")
+    assert sorted(skipped) == ["x/age", "y", "y/age", "y/stoi", "y/wer"]
+    assert sorted(reports) == ["x", "z"]
+    assert sorted(reports["x"].means) == ["stoi", "wer"]
+    assert sorted(reports["x"].correlations) == ["stoi"]
+    assert reports["z"] == harness.correlate_by_group(synthetic_rows(), "algo")[0]["z"]
+
+
+def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
+    rows = synthetic_rows()
+    reports, _ = harness.correlate_by_group(rows)
+    reports["all"].means["age"] = float("inf")
+    with pytest.raises(ValueError, match="JSON compliant"):
+        harness.emit_report(rows, reports, tmp_path)
 
 
 def test_nothing_reportable_raises():

@@ -195,7 +195,6 @@ def write_audio(directory):
     group_by=st.sampled_from(["none", "algo", "snr_db"]),
 )
 @settings(max_examples=100, deadline=None)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_score_and_correlate_exit_with_zero_one_or_two(manifest, model, scores, group_by):
     with tempfile.TemporaryDirectory() as name:
         root = Path(name)

@@ -58,6 +58,23 @@ def test_pearson_degenerate_inputs():
         stats.pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        [-1.5e308, 0.0, 1.5e308],  # the spread overflows
+        [1e200, 2e200, 4e200],  # the sum of squares overflows
+        [0.0, 1e-200, 3e-200],  # the sum of squares underflows to 0
+    ],
+)
+def test_pearson_out_of_float_range_is_a_numeric_error(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="correlation"):
+            stats.pearson(x, [1.0, 3.0, 2.0])
+        with pytest.raises(NumericError, match="correlation"):
+            stats.pearson([1.0, 3.0, 2.0], x)
+
+
 def test_spearman_hand_case():
     assert stats.spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
 
@@ -189,7 +206,6 @@ def test_fit_degenerate_inputs():
         stats.fit_logistic([1.0, 1.0, 1.0, 1.0], [10.0, 20.0, 30.0, 40.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_on_measure_values_near_the_float_limit_is_a_numeric_error():
     # The Gauss-Newton Jacobian overflows; least squares on it would raise LinAlgError.
     with pytest.raises(NumericError):
