@@ -7,6 +7,7 @@ dead pool worker, 2 when a scoring run completed but had to skip rows.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -216,8 +217,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# mallopt parameter numbers from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages in the process instead of returning them after each row.
+
+    glibc gives the top of the heap back to the kernel whenever more than its
+    trim threshold is free there. Scoring frees one row's arrays just before
+    the next row allocates the same sizes, so when those arrays sit at the top
+    of the heap, which depends on where longer-lived objects happened to land,
+    every row faults the same pages in again. A 600-row run then took about
+    200,000 page faults and 0.4 s more system time in some processes and a
+    few thousand faults in others. Fixed thresholds end that: blocks up to
+    32 MiB (the largest glibc's own sliding threshold reaches) come from the
+    heap, and up to 64 MiB free at its top is kept. Pool workers inherit the
+    setting. Does nothing where the C library has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         return args.func(args)
     # BrokenExecutor: a pool worker died, e.g. killed for lack of memory.

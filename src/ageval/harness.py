@@ -347,8 +347,11 @@ def score_manifest(
         outcomes = [o for run in runs for o in _score_run(run, model, cfg)]
     else:
         scorer = partial(_score_run, model=model, cfg=cfg)
-        # About 8 rows per task; 8 runs when every run is one row.
-        chunksize = max(1, 8 * len(runs) // len(entries))
+        # About 16 tasks per worker, so that the last tasks even out the
+        # workers' loads. For 64 long one-row runs on 2 workers, the rows/s
+        # of repeated runs spread 9% (IQR/median) with 8 runs per task and
+        # 3.5% with 2.
+        chunksize = max(1, len(runs) // (16 * cfg.workers))
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=cfg.workers, initializer=_set_blas_threads, initargs=(1,)
         ) as pool:

@@ -3,13 +3,17 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from ageval import dsp, harness
+import ageval
+from ageval import cli, dsp, harness
 from ageval.cli import main
 
 
@@ -322,6 +326,37 @@ def test_a_dead_pool_worker_exits_with_code_one(tmp_path, mini_corpus, monkeypat
     err = capfd.readouterr().err
     assert err.startswith("error: ") and "terminated abruptly" in err
     assert "Traceback" not in err
+
+
+# Calls the helper that main() calls, frees a 16 MiB block, allocates it again
+# and prints the page faults the second allocation took.
+_REUSE_PROBE = """
+import resource
+import numpy as np
+from ageval import cli
+cli._keep_freed_heap()
+block = np.ones(2 << 20)
+del block
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+block = np.ones(2 << 20)
+del block
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(cli.ctypes.CDLL(None), "mallopt"), reason="C library without mallopt")
+def test_a_freed_block_is_reused_without_page_faults():
+    src = str(Path(ageval.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _REUSE_PROBE], env={**os.environ, "PYTHONPATH": path},
+                          check=True, capture_output=True, text=True, timeout=120)
+    # glibc's defaults map such a block afresh, which took about 400 faults.
+    assert int(done.stdout) < 100
+
+
+def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._keep_freed_heap()
 
 
 def test_os_errors_exit_with_code_one(tmp_path, capsys):
