@@ -11,9 +11,10 @@ import ctypes
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -358,6 +359,22 @@ def _set_blas_threads(n: int) -> int | None:
     return previous
 
 
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with every loaded OpenBLAS copy at one thread, then restore.
+
+    The count is process-wide, so the block holds any other BLAS work in the
+    process to one thread too, and two threads that enter it at once can
+    leave the process at one thread.
+    """
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
 def _checked_labels(labels: Sequence[int], n_frames: int, n_classes: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != n_frames:
@@ -402,6 +419,8 @@ def train_toy(
     Training is deterministic given the seed. With epochs=0 the seeded initial
     model is returned untouched. on_epoch, when given, is called with
     (steps_taken, loss_after_those_steps) for every epoch including the last.
+    While it trains, the process's OpenBLAS thread count is 1 (see
+    _one_blas_thread), so it is not safe to call from two threads at once.
     """
     if activation not in HIDDEN_ACTIVATIONS:
         raise ModelValidationError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
@@ -430,8 +449,7 @@ def train_toy(
 
     # One BLAS thread: the sums inside the matrix products, and so the model's
     # bytes, would otherwise depend on the thread count.
-    previous_threads = _set_blas_threads(1)
-    try:
+    with _one_blas_thread():
         # Each pass yields the loss of the current iterate and the gradient for
         # the next step, so epochs steps cost epochs + 1 passes.
         loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
@@ -446,9 +464,6 @@ def train_toy(
                 on_epoch(step + 1, loss)
             if loss < best_loss:
                 best_loss, best_w, best_b = loss, weights, biases
-    finally:
-        if previous_threads is not None:
-            _set_blas_threads(previous_threads)
 
     layers = tuple(
         LayerSpec(w, b, act) for w, b, act in zip(best_w, best_b, acts)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel, PosteriorMatrix, _set_blas_threads, forward
+from .am import AcousticModel, PosteriorMatrix, _one_blas_thread, _set_blas_threads, forward
 from .dsp import FeatureMatrix, FrameSpec, MelSpec, Waveform, fbank, load_wav, mfcc, mvn
 from .errors import (
     AgevalError,
@@ -117,7 +117,7 @@ def _parse_wer(
         value = float(text)
     except ValueError as exc:
         raise error(f"{where}: wer {text!r} is not a number") from exc
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise error(f"{where}: wer must be a finite nonnegative number, got {value}")
     return value
 
@@ -339,12 +339,17 @@ def score_manifest(
     manifest sorted by clean_path scores fastest. Worker count above one fans
     whole runs out to a process pool whose workers each use one BLAS thread,
     so workers x BLAS threads do not oversubscribe the cores; results are
-    identical to the single-process path.
+    identical to the single-process path. The single-process path sets the
+    process's OpenBLAS thread count to 1 while it scores and then restores
+    it, so it holds other BLAS work in the process to one thread meanwhile,
+    and it is not safe to call from two threads at once.
     """
     _check_model(model, cfg)
     runs = [list(run) for _, run in itertools.groupby(entries, key=attrgetter("clean_path"))]
     if cfg.workers == 1 or len(runs) <= 1:
-        outcomes = [o for run in runs for o in _score_run(run, model, cfg)]
+        # One BLAS thread, as in the pool's workers: a second one only spins.
+        with _one_blas_thread():
+            outcomes = [o for run in runs for o in _score_run(run, model, cfg)]
     else:
         scorer = partial(_score_run, model=model, cfg=cfg)
         # About 16 tasks per worker, so that the last tasks even out the
@@ -465,38 +470,60 @@ def _parse_measure(text: str, column: str, where: str) -> float:
 def load_scores_csv(path: str | Path) -> list[ScoreRow]:
     """Read rows written by write_scores_csv.
 
-    A malformed cell or row, undecodable text and CSV-level faults such as an
-    overlong field raise FormatError naming the path.
+    Blank records are skipped, and of two header columns with one name the
+    last wins, as csv.DictReader has it. A malformed cell or row, undecodable
+    text and CSV-level faults such as an overlong field raise FormatError
+    naming the path.
     """
     path = Path(path)
+    # The line an unreadable-CSV error names, as csv.DictReader counts it: the
+    # last line of the last non-blank record read, or of the first blank
+    # record after it.
+    line_num = 0
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None or "utt_id" not in reader.fieldnames:
+            header = next(reader, None)
+            line_num = reader.line_num
+            if header is None or "utt_id" not in header:
                 raise FormatError(f"{path}: not a scores file (missing utt_id column)")
-            measure_cols = [c for c in reader.fieldnames if c in MEASURE_NAMES]
-            tag_cols = [c for c in reader.fieldnames if c not in (*MEASURE_NAMES, "utt_id", "wer")]
+            column = {name: i for i, name in enumerate(header)}
+            measure_cols = [(c, column[c]) for c in header if c in MEASURE_NAMES]
+            tag_cols = [
+                (c, column[c]) for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")
+            ]
+            utt_col, wer_col = column["utt_id"], column.get("wer")
             rows = []
-            for lineno, record in enumerate(reader, start=2):
+            lineno = 1  # counts non-blank records, the header being 1
+            after_blank = False
+            for record in reader:
+                if record or not after_blank:
+                    line_num = reader.line_num
+                after_blank = not record
+                if after_blank:
+                    continue
+                lineno += 1
                 where = f"{path}:{lineno}"
-                if None in record.values():
+                if len(record) < len(header):
                     raise FormatError(f"{where}: fewer fields than header columns")
                 values = {
-                    m: _parse_measure(record[m], m, where)
-                    for m in measure_cols if record[m].strip()
+                    m: _parse_measure(record[i], m, where)
+                    for m, i in measure_cols if record[i].strip()
                 }
                 if not values:
                     raise FormatError(f"{where}: row has no measure values")
                 rows.append(
                     ScoreRow(
-                        utt_id=record["utt_id"],
+                        utt_id=record[utt_col],
                         values=values,
-                        wer_percent=_parse_wer(record.get("wer"), where, FormatError),
-                        tags={t: record[t] for t in tag_cols if record.get(t, "").strip()},
+                        wer_percent=_parse_wer(
+                            None if wer_col is None else record[wer_col], where, FormatError
+                        ),
+                        tags={t: record[i] for t, i in tag_cols if record[i].strip()},
                     )
                 )
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from exc
+            raise FormatError(f"{path}:{line_num}: unreadable CSV ({exc})") from exc
     if not rows:
         raise EmptyInputError(f"{path}: no score rows")
     return rows
@@ -552,19 +579,22 @@ def emit_report(
 
     with_wer = [r for r in rows if r.wer_percent is not None]
     for measure in sorted({m for r in with_wer for m in r.values}):
-        pairs = [(r.values[measure], r.wer_percent) for r in with_wer if measure in r.values]
-        m_values = np.asarray([p[0] for p in pairs])
-        wer_values = np.asarray([p[1] for p in pairs])
+        carriers = [r for r in with_wer if measure in r.values]
+        m_values = np.asarray([r.values[measure] for r in carriers], dtype=np.float64)
+        wer_values = np.asarray([r.wer_percent for r in carriers], dtype=np.float64)
         try:
             params = fit_logistic(m_values, wer_values)
         except AgevalError:
             continue
         mapped = np.asarray(map_logistic(params, m_values))
         with open(out / f"scatter_{measure}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "wer", "f(m)"])
-            for mv, wv, fv in zip(m_values, wer_values, mapped):
-                writer.writerow([repr(float(mv)), repr(float(wv)), repr(float(fv))])
+            # The bytes csv.writer writes for repr(float) cells, none of
+            # which needs quoting.
+            fh.write("m,wer,f(m)\r\n")
+            fh.writelines(
+                f"{m!r},{w!r},{f!r}\r\n"
+                for m, w, f in zip(m_values.tolist(), wer_values.tolist(), mapped.tolist())
+            )
     return report_path
 
 

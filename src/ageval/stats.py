@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateFitError,
@@ -94,13 +93,31 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
     return float(sxy / (np.sqrt(sxx) * np.sqrt(syy)))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n in ascending order, tied values sharing the mean of their ranks.
+
+    Equals scipy.stats.rankdata(values, method="average") exactly: a tie group
+    occupying ranks i+1..j gets (i + 1 + j) / 2, an exact half-integer. Any
+    NaN makes every rank NaN, as rankdata does.
+    """
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Spearman rank correlation: Pearson on fractional ranks, ties averaged."""
     xv = _as_float_vector(x, "x")
     yv = _as_float_vector(y, "y")
     if xv.shape[0] != yv.shape[0]:
         raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    return pearson(rankdata(xv, method="average"), rankdata(yv, method="average"))
+    return pearson(_average_ranks(xv), _average_ranks(yv))
 
 
 def map_logistic(params: LogisticParams, m: float | np.ndarray) -> float | np.ndarray:

@@ -1,14 +1,21 @@
 """Manifest parsing, batch scoring, grouping and report emission."""
 
+import csv
 import dataclasses
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ageval import am, dsp, harness, measures, stats
 from ageval.errors import (
+    AgevalError,
     ConfigError,
+    EmptyInputError,
     EmptyReportError,
     FormatError,
     ManifestError,
@@ -350,6 +357,32 @@ def test_pool_workers_use_one_blas_thread(monkeypatch):
             am._set_blas_threads(original)
 
 
+def test_serial_scoring_uses_one_blas_thread_and_restores_the_callers_count(monkeypatch):
+    cfg = harness.RunConfig(measures=("stoi",))
+    several_runs = [harness.ManifestEntry(f"u{i}", f"c{i}.wav", f"d{i}.wav") for i in range(3)]
+    one_run = [harness.ManifestEntry(f"v{i}", "c.wav", f"d{i}.wav") for i in range(3)]
+    monkeypatch.setattr(harness, "_score_run", blas_threads_of_each_row)
+    original = am._set_blas_threads(2)  # the caller's count
+    try:
+        found = len(am._openblas_thread_controls())
+        for entries, workers in ((several_runs, 1), (one_run, 2)):
+            rows, skipped = harness.score_manifest(entries, None, dataclasses.replace(cfg, workers=workers))
+            assert rows == []
+            assert skipped == [(e.utt_id, [1] * found) for e in entries]
+            assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found
+
+        def fail(run, model, cfg):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(harness, "_score_run", fail)
+        with pytest.raises(RuntimeError):
+            harness.score_manifest(several_runs, None, cfg)
+        assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found
+    finally:
+        if original is not None:
+            am._set_blas_threads(original)
+
+
 # grouping and reports ------------------------------------------------------
 
 def synthetic_rows():
@@ -525,3 +558,182 @@ def test_report_json_contents(tmp_path):
     entry = group["correlations"]["age"]
     assert set(entry) >= {"a", "b", "rho_magnitude", "spearman", "rmse_mapped"}
     assert entry["rho_magnitude"] == pytest.approx(1.0, abs=1e-6)
+
+
+# scatter files against csv.writer ----------------------------------------
+
+def csv_writer_scatter(rows, measure):
+    """A scatter file as emit_report wrote it through csv.writer: the reference bytes, or None."""
+    pairs = [(r.values[measure], r.wer_percent) for r in rows
+             if r.wer_percent is not None and measure in r.values]
+    m_values = np.asarray([p[0] for p in pairs])
+    wer_values = np.asarray([p[1] for p in pairs])
+    try:
+        params = stats.fit_logistic(m_values, wer_values)
+    except AgevalError:
+        return None
+    mapped = np.asarray(stats.map_logistic(params, m_values))
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["m", "wer", "f(m)"])
+    for mv, wv, fv in zip(m_values, wer_values, mapped):
+        writer.writerow([repr(float(mv)), repr(float(wv)), repr(float(fv))])
+    return fh.getvalue().encode()
+
+
+def assert_scatter_files_match_csv_writer(rows, out):
+    for measure in ("age", "entropy", "stoi"):
+        path = out / f"scatter_{measure}.csv"
+        expected = csv_writer_scatter(rows, measure)
+        assert (path.read_bytes() if path.exists() else None) == expected
+        assert expected is None or b"np." not in expected
+
+
+def test_scatter_files_equal_the_csv_writer_bytes(tmp_path):
+    rows = synthetic_rows()
+    odd = [  # awkward floats, and numpy scalars as a library caller may pass them
+        (-0.0, 1e300, np.float64(0.25)),
+        (1e-300, 0.0, 1.0),
+        (np.float64(2.0), np.float64(37.5), -0.0),
+        (3.0, 100.0, np.float64(5e-324)),
+        (np.float64(-7.125), 1e-300, 2.0),
+    ]
+    for i, (age, wer, stoi) in enumerate(odd):
+        rows.append(harness.ScoreRow(f"odd{i}", {"age": age, "stoi": stoi}, wer, {"algo": "odd"}))
+    rows.append(harness.ScoreRow("nower", {"age": 4.0, "entropy": 1.5}, None, {"algo": "odd"}))
+    reports, skipped = harness.correlate_by_group(rows, "algo")
+    assert "odd" in skipped  # the 1e300 WER leaves no correlation in its group
+    harness.emit_report(rows, reports, tmp_path, skipped=skipped, group_key="algo")
+    assert (tmp_path / "scatter_age.csv").exists() and (tmp_path / "scatter_stoi.csv").exists()
+    assert_scatter_files_match_csv_writer(rows, tmp_path)
+    text = (tmp_path / "scatter_age.csv").read_text()
+    assert "\n-0.0,1e+300," in text and "\n1e-300,0.0," in text and "\n2.0,37.5," in text
+
+
+def rows_with_one_stoi_missing():
+    rows = synthetic_rows()
+    rows[3] = dataclasses.replace(rows[3], wer_percent=None)
+    rows[8] = dataclasses.replace(rows[8], values={"age": rows[8].values["age"]})
+    return rows
+
+
+@pytest.mark.parametrize("rows", [synthetic_rows(), rows_with_one_stoi_missing()],
+                         ids=["all rows", "one stoi missing"])
+def test_ungrouped_scatter_files_equal_the_csv_writer_bytes(tmp_path, rows):
+    reports, skipped = harness.correlate_by_group(rows)
+    harness.emit_report(rows, reports, tmp_path, skipped=skipped)
+    assert_scatter_files_match_csv_writer(rows, tmp_path)
+
+
+# the scores.csv parser against csv.DictReader -----------------------------
+
+def dictreader_load_scores_csv(path):
+    """load_scores_csv as it read through csv.DictReader: the reference parser."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None or "utt_id" not in reader.fieldnames:
+                raise FormatError(f"{path}: not a scores file (missing utt_id column)")
+            measure_cols = [c for c in reader.fieldnames if c in measures.MEASURE_NAMES]
+            tag_cols = [c for c in reader.fieldnames
+                        if c not in (*measures.MEASURE_NAMES, "utt_id", "wer")]
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                where = f"{path}:{lineno}"
+                if None in record.values():
+                    raise FormatError(f"{where}: fewer fields than header columns")
+                values = {
+                    m: harness._parse_measure(record[m], m, where)
+                    for m in measure_cols if record[m].strip()
+                }
+                if not values:
+                    raise FormatError(f"{where}: row has no measure values")
+                rows.append(
+                    harness.ScoreRow(
+                        utt_id=record["utt_id"],
+                        values=values,
+                        wer_percent=harness._parse_wer(record.get("wer"), where, FormatError),
+                        tags={t: record[t] for t in tag_cols if record.get(t, "").strip()},
+                    )
+                )
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from exc
+    if not rows:
+        raise EmptyInputError(f"{path}: no score rows")
+    return rows
+
+
+def parse_outcome(parse, path):
+    """Each row with its dicts' key order, or the error's type and message."""
+    try:
+        rows = parse(path)
+    except AgevalError as exc:
+        return type(exc), str(exc)
+    return [(r.utt_id, list(r.values.items()), r.wer_percent, list(r.tags.items())) for r in rows]
+
+
+OVERLONG = b"9" * (csv.field_size_limit() + 1)  # csv.Error: field larger than field limit
+SCORES_FILES = {
+    "quoted tags": b'utt_id,wer,age,note\r\nu1,10.0,0.5,"a,b"\r\nu2,20.0,0.7,"one\ntwo"\r\nu3,,0.9,""\r\n',
+    "blank lines": b"utt_id,wer,age\n\nu1,1.0,0.5\n\n\nu2,2.0,0.6\n\n",
+    "bad cell after blank lines": b"utt_id,wer,age\n\nu1,1.0,0.5\n\n\nu2,x,0.6\n",
+    "duplicate columns": b"utt_id,wer,age,age,snr,snr\nu1,1.0,0.5,0.6,a,b\nu2,2.0,,0.7,c,\n",
+    "bad first duplicate": b"utt_id,wer,age,age\nu1,1.0,bad,0.5\n",
+    "empty last duplicate": b"utt_id,wer,age,age\nu1,1.0,0.5,\n",
+    "short row": b"utt_id,wer,age,stoi\nu1,1.0,0.5,0.2\nu2,1.0,0.5\n",
+    "long row": b"utt_id,wer,age\nu1,1.0,0.5,extra\n",
+    "blank cells": b"utt_id,wer,age,stoi\nu1, ,0.5,  \n",
+    "no measure value": b"utt_id,wer,age\nu1,1.0,0.5\nu2,1.0,\n",
+    "infinite measure": b"utt_id,wer,age\nu1,1.0,inf\n",
+    "negative wer": b"utt_id,wer,age\nu1,-1.0,0.5\n",
+    "no wer column": b"utt_id,age,tag\nu1,0.5,x\n",
+    "header only": b"utt_id,wer,age\n",
+    "empty": b"",
+    "blank header": b"\nutt_id,wer,age\nu1,1.0,0.5\n",
+    "no utt_id": b"id,wer,age\nu1,1.0,0.5\n",
+    "NUL cell": b"utt_id,wer,age\nu1,\0,0.5\n",
+    "overlong field after blank lines": b"utt_id,wer,age\nu1,1.0,0.5\n\n\nu2," + OVERLONG + b",0.6\n",
+    "overlong field after a blank line and a row": b"utt_id,wer,age\n\nu1,1.0,0.5\nu2," + OVERLONG + b"\n",
+    "overlong header": b"utt_id," + OVERLONG + b"\nu1,1.0\n",
+    "undecodable": b"utt_id,wer,age\nu1,1.0,0.5\n\xff\n",
+}
+
+
+@pytest.mark.parametrize("data", SCORES_FILES.values(), ids=SCORES_FILES.keys())
+def test_the_scores_parser_matches_csv_dictreader(tmp_path, data):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    assert parse_outcome(harness.load_scores_csv, path) == parse_outcome(dictreader_load_scores_csv, path)
+
+
+def test_unreadable_csv_errors_keep_the_dictreader_line_numbers(tmp_path):
+    path = tmp_path / "scores.csv"
+    for key, line in (("overlong header", 0), ("overlong field after blank lines", 3),
+                      ("overlong field after a blank line and a row", 3), ("undecodable", 0)):
+        path.write_bytes(SCORES_FILES[key])
+        with pytest.raises(FormatError, match=rf"scores\.csv:{line}: unreadable CSV"):
+            harness.load_scores_csv(path)
+    path.write_bytes(SCORES_FILES["bad cell after blank lines"])
+    with pytest.raises(FormatError, match=r"scores\.csv:3: wer 'x' is not a number"):
+        harness.load_scores_csv(path)
+
+
+score_cells = st.one_of(
+    st.sampled_from(["", " ", "0.5", "-0.0", "1e300", "inf", "nan", "12", "x", '"', '"a,b"', '"a\nb"', "\0",
+                     "\udcff", OVERLONG.decode()]),  # an undecodable byte, a csv.Error
+    st.floats().map(repr),
+)
+
+
+@given(
+    header=st.lists(st.sampled_from(["utt_id", "wer", "age", "entropy", "stoi", "snr", ""]),
+                    min_size=1, max_size=6),
+    records=st.lists(st.lists(score_cells, max_size=7).map(",".join), max_size=6),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_scores_parser_matches_csv_dictreader_on_arbitrary_files(tmp_path, header, records, end):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(end.join([",".join(header), *records]).encode("utf-8", "surrogateescape"))
+    assert parse_outcome(harness.load_scores_csv, path) == parse_outcome(dictreader_load_scores_csv, path)

@@ -1,12 +1,14 @@
 """Correlation statistics and the logistic WER mapping."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import rankdata
 
 from ageval import stats
 from ageval.errors import (
@@ -90,6 +92,39 @@ def test_spearman_sees_only_the_ordering():
 
 def test_spearman_averages_tied_ranks():
     assert stats.spearman([1.0, 1.0, 2.0], [3.0, 3.0, 5.0]) == pytest.approx(1.0)
+
+
+rank_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan,
+                     1e300, -1e300, 1.7976931348623157e308, 1e-300, -1e-300, 5e-324]),
+    st.floats(),
+)
+
+
+@given(st.lists(rank_values, max_size=30))
+@settings(max_examples=400, deadline=None)
+def test_ranks_equal_scipy_rankdata_exactly(values):
+    x = np.asarray(values, dtype=np.float64)
+    ranks = stats._average_ranks(x)
+    expected = rankdata(x, method="average")
+    assert ranks.dtype == expected.dtype
+    assert_array_equal(ranks, expected)  # exact; NaN only where rankdata has NaN
+
+
+def test_ranks_of_ties_signed_zeros_and_infinities():
+    x = np.array([math.inf, 0.0, -0.0, -math.inf, 1e-300, 0.0, math.inf])
+    assert stats._average_ranks(x).tolist() == [6.5, 3.0, 3.0, 1.0, 5.0, 3.0, 6.5]
+    assert stats._average_ranks(np.array([7.0])).tolist() == [1.0]
+
+
+def test_spearman_ranks_infinity_as_the_largest_value_and_rejects_nan():
+    assert stats.spearman([1.0, 2.0, math.inf], [10.0, 20.0, 30.0]) == pytest.approx(1.0)
+    assert stats.spearman([-math.inf, 2.0, 1.0], [10.0, 30.0, 20.0]) == pytest.approx(1.0)
+    assert stats.spearman([math.inf, 2.0, 1.0], [10.0, 30.0, 20.0]) == pytest.approx(-0.5)
+    with pytest.raises(NumericError):
+        stats.spearman([1.0, math.nan, 3.0], [10.0, 20.0, 30.0])
+    with pytest.raises(NumericError):
+        stats.spearman([1.0, 2.0, 3.0], [math.nan] * 3)
 
 
 # logistic mapping --------------------------------------------------------
