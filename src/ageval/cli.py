@@ -21,16 +21,19 @@ from .measures import DEFAULT_ALIGNMENT_TOLERANCE
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
+    frame, mel = dsp.FrameSpec, dsp.MelSpec  # the class attributes hold the defaults
     group = parser.add_argument_group("feature extraction")
-    group.add_argument("--frame-ms", type=float, default=25.0, help="frame length in ms")
-    group.add_argument("--shift-ms", type=float, default=10.0, help="frame shift in ms")
-    group.add_argument("--window", choices=dsp.WINDOW_KINDS, default="hamming")
-    group.add_argument("--preemphasis", type=float, default=0.97)
-    group.add_argument("--fft-size", type=int, default=512)
-    group.add_argument("--n-filters", type=int, default=40, help="mel filterbank size")
-    group.add_argument("--low-freq", type=float, default=20.0, help="mel low edge in Hz")
-    group.add_argument("--high-freq", type=float, default=7800.0, help="mel high edge in Hz")
-    group.add_argument("--n-cepstra", type=int, default=13)
+    group.add_argument("--frame-ms", type=float, default=frame.frame_length_ms,
+                       help="frame length in ms")
+    group.add_argument("--shift-ms", type=float, default=frame.frame_shift_ms, help="frame shift in ms")
+    group.add_argument("--window", choices=dsp.WINDOW_KINDS, default=frame.window_kind)
+    group.add_argument("--preemphasis", type=float, default=frame.preemphasis)
+    group.add_argument("--fft-size", type=int, default=frame.fft_size)
+    group.add_argument("--n-filters", type=int, default=mel.n_filters, help="mel filterbank size")
+    group.add_argument("--low-freq", type=float, default=mel.low_freq_hz, help="mel low edge in Hz")
+    group.add_argument("--high-freq", type=float, default=mel.high_freq_hz,
+                       help="mel high edge in Hz")
+    group.add_argument("--n-cepstra", type=int, default=mel.n_cepstra)
 
 
 def _specs_from_args(args: argparse.Namespace) -> tuple[dsp.FrameSpec, dsp.MelSpec]:
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score every utterance pair in a manifest")
     p_score.add_argument("--manifest", required=True)
     p_score.add_argument("--model", default=None, help="model JSON (needed for age/entropy)")
-    p_score.add_argument("--measures", default="age,entropy,stoi")
+    p_score.add_argument("--measures", default=",".join(harness.RunConfig.measures))
     p_score.add_argument("--feature-kind", choices=("fbank", "mfcc"), default="fbank")
     p_score.add_argument("--tolerance", type=float, default=DEFAULT_ALIGNMENT_TOLERANCE,
                          help="relative clean/degraded length difference allowed")
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser("fixture", help="generate a synthetic scoring corpus")
     p_fix.add_argument("--out", required=True)
     p_fix.add_argument("--seed", type=int, default=0)
-    p_fix.add_argument("--snrs", default="-5,0,5,10,15,20")
+    p_fix.add_argument("--snrs", default=",".join(f"{s:g}" for s in fixture.DEFAULT_SNR_GRID))
     p_fix.add_argument("--utts", type=int, default=20)
     p_fix.set_defaults(func=_cmd_fixture)
 

@@ -303,12 +303,15 @@ def _mel_to_hz(m: np.ndarray | float) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edges(mel_spec: MelSpec) -> np.ndarray:
+    """The n_filters + 2 equally spaced mel points: each filter's lower edge, center, upper edge."""
+    low, high = _hz_to_mel(mel_spec.low_freq_hz), _hz_to_mel(mel_spec.high_freq_hz)
+    return np.linspace(low, high, mel_spec.n_filters + 2)
+
+
 def mel_center_frequencies_hz(mel_spec: MelSpec) -> np.ndarray:
     """Center frequency in Hz of each triangular mel filter."""
-    edges = np.linspace(
-        _hz_to_mel(mel_spec.low_freq_hz), _hz_to_mel(mel_spec.high_freq_hz), mel_spec.n_filters + 2
-    )
-    return _mel_to_hz(edges[1:-1])
+    return _mel_to_hz(_mel_edges(mel_spec)[1:-1])
 
 
 def mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.ndarray:
@@ -323,9 +326,7 @@ def mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.
 
 @_constant
 def _mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.ndarray:
-    edges = np.linspace(
-        _hz_to_mel(mel_spec.low_freq_hz), _hz_to_mel(mel_spec.high_freq_hz), mel_spec.n_filters + 2
-    )
+    edges = _mel_edges(mel_spec)
     bin_mel = _hz_to_mel(np.fft.rfftfreq(fft_size, 1.0 / sample_rate_hz))
     lower = edges[:-2, None]
     center = edges[1:-1, None]

@@ -111,11 +111,6 @@ def make_fixture_corpus(
     seed: int = 0,
     snr_grid: Sequence[float] = DEFAULT_SNR_GRID,
     n_utts: int = 20,
-    frame_spec: dsp.FrameSpec | None = None,
-    mel_spec: dsp.MelSpec | None = None,
-    hidden_dims: Sequence[int] = (32,),
-    context: int = 2,
-    learning_rate: float = 1.0,
     epochs: int = 400,
 ) -> Path:
     """Generate a scoring corpus under out_dir and return the manifest path.
@@ -130,8 +125,7 @@ def make_fixture_corpus(
     (out / "clean").mkdir(parents=True, exist_ok=True)
     (out / "degraded").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)
-    fspec = frame_spec if frame_spec is not None else dsp.FrameSpec()
-    mspec = mel_spec if mel_spec is not None else dsp.MelSpec()
+    fspec, mspec = dsp.FrameSpec(), dsp.MelSpec()
     rng = np.random.default_rng(seed)
 
     clean_waves: list[dsp.Waveform] = []
@@ -152,14 +146,14 @@ def make_fixture_corpus(
     model = am.train_toy(
         clean_features,
         labels,
-        hidden_dims=hidden_dims,
+        hidden_dims=(32,),
         activation="sigmoid",
-        learning_rate=learning_rate,
+        learning_rate=1.0,
         epochs=epochs,
         seed=seed + 1,
         n_classes=N_TONE_CLASSES + 1,
-        left_context=context,
-        right_context=context,
+        left_context=2,
+        right_context=2,
     )
     am.save_model(model, out / "model.json")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import io
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,7 +85,6 @@ class RunConfig:
     frame_spec: FrameSpec = field(default_factory=FrameSpec)
     mel_spec: MelSpec = field(default_factory=MelSpec)
     alignment_tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE
-    channel: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -148,18 +148,43 @@ def _entry_from_record(
     )
 
 
+def _csv_records(
+    lines: Iterable[str], path: Path, error: type[FormatError], fault: str
+) -> Iterator:
+    """Yield the header, then (where, record) for each non-blank record after it.
+
+    The header is the first record, or None; where is "path:N", N the physical line the
+    record ends on. Extra fields, undecodable text and csv.Error raise error naming N.
+    """
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        yield header
+        width = len(header)
+        for record in reader:
+            if not record:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(record) > width:
+                raise error(f"{where}: more fields than header columns")
+            yield where, record
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"{path}:{reader.line_num}: {fault} ({exc})") from exc
+
+
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a manifest: CSV with a header row, or JSON-lines with the same keys.
 
     Relative audio paths are resolved against the manifest's directory.
     Duplicate utt_ids and malformed rows raise ManifestError with the line
     number; so do undecodable text and CSV-level faults such as an overlong
-    field.
+    field. A CSV row shorter than the header lacks its last columns.
     """
     path = Path(path)
     base_dir = path.parent
     try:
-        text = path.read_text()
+        with open(path, newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: undecodable text ({exc})") from exc
     stripped = text.lstrip()
@@ -167,7 +192,8 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
         raise EmptyInputError(f"{path}: manifest is empty")
     entries: list[ManifestEntry] = []
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json") or stripped.startswith("{"):
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # Lines end at \n, \r or \r\n only, so a JSON string may hold U+2028.
+        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
             if not line.strip():
                 continue
             try:
@@ -178,19 +204,14 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 raise ManifestError(f"{path}:{lineno}: expected a JSON object per line")
             entries.append(_entry_from_record(record, f"{path}:{lineno}", base_dir))
     else:
-        reader = csv.DictReader(text.splitlines())
-        try:
-            if reader.fieldnames is None:
-                raise ManifestError(f"{path}: missing CSV header")
-            missing = [c for c in _MANIFEST_REQUIRED if c not in reader.fieldnames]
-            if missing:
-                raise ManifestError(f"{path}: header lacks required columns {missing}")
-            for lineno, record in enumerate(reader, start=2):
-                if record.get(None) is not None:
-                    raise ManifestError(f"{path}:{lineno}: more fields than header columns")
-                entries.append(_entry_from_record(record, f"{path}:{lineno}", base_dir))
-        except csv.Error as exc:
-            raise ManifestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
+        records = _csv_records(io.StringIO(text, newline=""), path, ManifestError, "malformed CSV")
+        header = next(records)  # not None: the text holds a non-blank character
+        missing = [c for c in _MANIFEST_REQUIRED if c not in header]
+        if missing:
+            raise ManifestError(f"{path}: header lacks required columns {missing}")
+        for where, record in records:
+            fields = dict(itertools.zip_longest(header, record))
+            entries.append(_entry_from_record(fields, where, base_dir))
     if not entries:
         raise EmptyInputError(f"{path}: manifest has no rows")
     seen: set[str] = set()
@@ -246,7 +267,7 @@ class CleanReference:
 
     @cached_property
     def waveform(self) -> Waveform:
-        return load_wav(self.path, self.cfg.channel)
+        return load_wav(self.path)
 
     @cached_property
     def features(self) -> FeatureMatrix:
@@ -284,7 +305,7 @@ def score_utterance(
             f"{entry.utt_id}: clean reference built for another file, model or config"
         )
     waveform = clean.waveform
-    degraded = load_wav(entry.degraded_path, cfg.channel)
+    degraded = load_wav(entry.degraded_path)
     if waveform.sample_rate_hz != degraded.sample_rate_hz:
         raise SampleRateMismatchError(
             f"{entry.utt_id}: clean is {waveform.sample_rate_hz} Hz "
@@ -471,59 +492,39 @@ def load_scores_csv(path: str | Path) -> list[ScoreRow]:
     """Read rows written by write_scores_csv.
 
     Blank records are skipped, and of two header columns with one name the
-    last wins, as csv.DictReader has it. A malformed cell or row, undecodable
-    text and CSV-level faults such as an overlong field raise FormatError
-    naming the path.
+    last wins. A malformed cell, a row shorter or longer than the header,
+    undecodable text and CSV-level faults such as an overlong field raise
+    FormatError naming the path and the line.
     """
     path = Path(path)
-    # The line an unreadable-CSV error names, as csv.DictReader counts it: the
-    # last line of the last non-blank record read, or of the first blank
-    # record after it.
-    line_num = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            line_num = reader.line_num
-            if header is None or "utt_id" not in header:
-                raise FormatError(f"{path}: not a scores file (missing utt_id column)")
-            column = {name: i for i, name in enumerate(header)}
-            measure_cols = [(c, column[c]) for c in header if c in MEASURE_NAMES]
-            tag_cols = [
-                (c, column[c]) for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")
-            ]
-            utt_col, wer_col = column["utt_id"], column.get("wer")
-            rows = []
-            lineno = 1  # counts non-blank records, the header being 1
-            after_blank = False
-            for record in reader:
-                if record or not after_blank:
-                    line_num = reader.line_num
-                after_blank = not record
-                if after_blank:
-                    continue
-                lineno += 1
-                where = f"{path}:{lineno}"
-                if len(record) < len(header):
-                    raise FormatError(f"{where}: fewer fields than header columns")
-                values = {
-                    m: _parse_measure(record[i], m, where)
-                    for m, i in measure_cols if record[i].strip()
-                }
-                if not values:
-                    raise FormatError(f"{where}: row has no measure values")
-                rows.append(
-                    ScoreRow(
-                        utt_id=record[utt_col],
-                        values=values,
-                        wer_percent=_parse_wer(
-                            None if wer_col is None else record[wer_col], where, FormatError
-                        ),
-                        tags={t: record[i] for t, i in tag_cols if record[i].strip()},
-                    )
+        records = _csv_records(fh, path, FormatError, "unreadable CSV")
+        header = next(records)
+        if header is None or "utt_id" not in header:
+            raise FormatError(f"{path}: not a scores file (missing utt_id column)")
+        column = {name: i for i, name in enumerate(header)}
+        measure_cols = [(c, column[c]) for c in header if c in MEASURE_NAMES]
+        tag_cols = [(c, column[c]) for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")]
+        utt_col, wer_col = column["utt_id"], column.get("wer")
+        rows = []
+        for where, record in records:
+            if len(record) < len(header):
+                raise FormatError(f"{where}: fewer fields than header columns")
+            values = {
+                m: _parse_measure(record[i], m, where) for m, i in measure_cols if record[i].strip()
+            }
+            if not values:
+                raise FormatError(f"{where}: row has no measure values")
+            rows.append(
+                ScoreRow(
+                    utt_id=record[utt_col],
+                    values=values,
+                    wer_percent=_parse_wer(
+                        None if wer_col is None else record[wer_col], where, FormatError
+                    ),
+                    tags={t: record[i] for t, i in tag_cols if record[i].strip()},
                 )
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}:{line_num}: unreadable CSV ({exc})") from exc
+            )
     if not rows:
         raise EmptyInputError(f"{path}: no score rows")
     return rows

@@ -13,8 +13,17 @@ import pytest
 from scipy.io import wavfile
 
 import ageval
-from ageval import cli, dsp, harness
+from ageval import cli, dsp, fixture, harness
 from ageval.cli import main
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    score = parser.parse_args(["score", "--manifest", "m.csv", "--out", "out"])
+    assert cli._specs_from_args(score) == (dsp.FrameSpec(), dsp.MelSpec())
+    assert tuple(score.measures.split(",")) == harness.RunConfig().measures
+    fixture_args = parser.parse_args(["fixture", "--out", "out"])
+    assert tuple(map(float, fixture_args.snrs.split(","))) == fixture.DEFAULT_SNR_GRID
 
 
 def test_mix_command_writes_the_requested_snr(tmp_path):

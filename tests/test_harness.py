@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ageval import am, dsp, harness, measures, stats
+from ageval.cli import main
 from ageval.errors import (
     AgevalError,
     ConfigError,
@@ -87,6 +88,46 @@ def test_manifest_reports_the_offending_line(tmp_path):
     (tmp_path / "m.jsonl").write_text('{"utt_id": "u1"\n')
     with pytest.raises(ManifestError, match=r"m\.jsonl:1"):
         harness.load_manifest(tmp_path / "m.jsonl")
+
+
+ODD_TAGS = {"sep": "a\u2028b", "feed": "a\fb", "crlf": "a\r\nb", "comma": "a,b"}
+
+
+def test_manifest_tags_survive_scoring_and_the_scores_file(mini_corpus, tmp_path):
+    first = harness.load_manifest(mini_corpus)[0]
+    with open(tmp_path / "m.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["utt_id", "clean_path", "degraded_path", "wer", *ODD_TAGS])
+        writer.writerow(["u1", first.clean_path, first.degraded_path, "10.0", *ODD_TAGS.values()])
+    assert [e.tags for e in harness.load_manifest(tmp_path / "m.csv")] == [ODD_TAGS]
+    assert main(["score", "--manifest", str(tmp_path / "m.csv"), "--measures", "stoi",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [r.tags for r in harness.load_scores_csv(tmp_path / "out" / "scores.csv")] == [ODD_TAGS]
+
+
+def test_a_jsonl_string_may_hold_a_line_separator(tmp_path):
+    record = {"utt_id": "u1", "clean_path": "c.wav", "degraded_path": "d.wav", "note": "a\u2028b"}
+    (tmp_path / "m.jsonl").write_text(json.dumps(record, ensure_ascii=False) + "\r\n")
+    assert "\u2028" in (tmp_path / "m.jsonl").read_text()
+    assert [e.tags for e in harness.load_manifest(tmp_path / "m.jsonl")] == [{"note": "a\u2028b"}]
+
+
+OVERLONG = b"9" * (csv.field_size_limit() + 1)  # csv.Error: field larger than field limit
+MANIFEST_HEADER = b"utt_id,clean_path,degraded_path,wer,note\n"
+
+
+@pytest.mark.parametrize("data, where", [
+    (MANIFEST_HEADER + b"\nu1,c,d,1,\n\n\nu2,c,d,x,\n", r"m\.csv:6: wer 'x'"),
+    (MANIFEST_HEADER + b'u1,c,d,1,"one\ntwo"\nu2,c,d,x,\n', r"m\.csv:4: wer 'x'"),
+    (MANIFEST_HEADER + b"u1,c,d,1,\n\nu2,c,d," + OVERLONG + b"\n", r"m\.csv:4: malformed CSV"),
+    (b"utt_id," + OVERLONG + b"\nu1,c\n", r"m\.csv:1: malformed CSV"),
+    (MANIFEST_HEADER + b"\nu1,c,d,1,x,extra\n", r"m\.csv:3: more fields than header columns"),
+], ids=["bad cell after blank lines", "bad cell after a multi-line record", "overlong field",
+        "overlong header", "long row"])
+def test_manifest_errors_name_the_physical_line(tmp_path, data, where):
+    (tmp_path / "m.csv").write_bytes(data)
+    with pytest.raises(ManifestError, match=where):
+        harness.load_manifest(tmp_path / "m.csv")
 
 
 def test_run_config_validation():
@@ -628,7 +669,7 @@ def test_ungrouped_scatter_files_equal_the_csv_writer_bytes(tmp_path, rows):
 # the scores.csv parser against csv.DictReader -----------------------------
 
 def dictreader_load_scores_csv(path):
-    """load_scores_csv as it read through csv.DictReader: the reference parser."""
+    """load_scores_csv through csv.DictReader, naming physical lines: the reference parser."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -639,8 +680,10 @@ def dictreader_load_scores_csv(path):
             tag_cols = [c for c in reader.fieldnames
                         if c not in (*measures.MEASURE_NAMES, "utt_id", "wer")]
             rows = []
-            for lineno, record in enumerate(reader, start=2):
-                where = f"{path}:{lineno}"
+            for record in reader:
+                where = f"{path}:{reader.reader.line_num}"
+                if None in record:
+                    raise FormatError(f"{where}: more fields than header columns")
                 if None in record.values():
                     raise FormatError(f"{where}: fewer fields than header columns")
                 values = {
@@ -658,7 +701,7 @@ def dictreader_load_scores_csv(path):
                     )
                 )
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from exc
+            raise FormatError(f"{path}:{reader.reader.line_num}: unreadable CSV ({exc})") from exc
     if not rows:
         raise EmptyInputError(f"{path}: no score rows")
     return rows
@@ -673,7 +716,6 @@ def parse_outcome(parse, path):
     return [(r.utt_id, list(r.values.items()), r.wer_percent, list(r.tags.items())) for r in rows]
 
 
-OVERLONG = b"9" * (csv.field_size_limit() + 1)  # csv.Error: field larger than field limit
 SCORES_FILES = {
     "quoted tags": b'utt_id,wer,age,note\r\nu1,10.0,0.5,"a,b"\r\nu2,20.0,0.7,"one\ntwo"\r\nu3,,0.9,""\r\n',
     "blank lines": b"utt_id,wer,age\n\nu1,1.0,0.5\n\n\nu2,2.0,0.6\n\n",
@@ -707,15 +749,26 @@ def test_the_scores_parser_matches_csv_dictreader(tmp_path, data):
     assert parse_outcome(harness.load_scores_csv, path) == parse_outcome(dictreader_load_scores_csv, path)
 
 
-def test_unreadable_csv_errors_keep_the_dictreader_line_numbers(tmp_path):
+def test_scores_errors_name_the_physical_line(tmp_path):
     path = tmp_path / "scores.csv"
-    for key, line in (("overlong header", 0), ("overlong field after blank lines", 3),
-                      ("overlong field after a blank line and a row", 3), ("undecodable", 0)):
+    for key, line in (("overlong header", 1), ("overlong field after blank lines", 5),
+                      ("overlong field after a blank line and a row", 4), ("undecodable", 0)):
         path.write_bytes(SCORES_FILES[key])
         with pytest.raises(FormatError, match=rf"scores\.csv:{line}: unreadable CSV"):
             harness.load_scores_csv(path)
     path.write_bytes(SCORES_FILES["bad cell after blank lines"])
-    with pytest.raises(FormatError, match=r"scores\.csv:3: wer 'x' is not a number"):
+    with pytest.raises(FormatError, match=r"scores\.csv:6: wer 'x' is not a number"):
+        harness.load_scores_csv(path)
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"utt_id,wer,age\nu1,1.0,0.5\n\nu2,1.0,0.5,extra\n", r"scores\.csv:4: more fields than"),
+    (b'utt_id,wer,age,note\nu1,1.0,0.5,"one\ntwo"\nu2,x,0.6,\n', r"scores\.csv:4: wer 'x'"),
+], ids=["long row", "bad cell after a multi-line record"])
+def test_scores_row_errors_name_the_physical_line(tmp_path, data, where):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=where):
         harness.load_scores_csv(path)
 
 
