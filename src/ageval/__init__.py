@@ -42,6 +42,7 @@ from .harness import (
     ManifestEntry,
     RunConfig,
     ScoreRow,
+    ScoreTable,
     correlate_by_group,
     emit_report,
     load_manifest,
@@ -78,6 +79,7 @@ __all__ = [
     "PosteriorMatrix",
     "RunConfig",
     "ScoreRow",
+    "ScoreTable",
     "Waveform",
     "age",
     "correlate_by_group",

@@ -88,7 +88,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     rows, skipped = harness.score_manifest(entries, model, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.write_scores_csv(rows, out / "scores.csv")
+    harness.write_scores_csv(harness.ScoreTable.from_rows(rows), out / "scores.csv")
     harness.write_skip_log(skipped, out / "skipped.csv")
     print(f"scored {len(rows)} of {len(entries)} utterances -> {out / 'scores.csv'}")
     if skipped:
@@ -99,12 +99,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    rows = harness.load_scores_csv(args.scores)
+    table = harness.load_scores_csv(args.scores)
     group_key = None if args.group_by in ("none", "") else args.group_by
-    reports, skipped = harness.correlate_by_group(rows, group_key)
+    reports, skipped = harness.correlate_by_group(table, group_key)
     out_path = Path(args.out)
     report_path = harness.emit_report(
-        rows,
+        table,
         reports,
         out_path.parent if out_path.suffix else out_path,
         skipped=skipped,
@@ -183,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--manifest", required=True)
     p_score.add_argument("--model", default=None, help="model JSON (needed for age/entropy)")
     p_score.add_argument("--measures", default=",".join(harness.RunConfig.measures))
-    p_score.add_argument("--feature-kind", choices=("fbank", "mfcc"), default="fbank")
+    p_score.add_argument("--feature-kind", choices=("fbank", "mfcc"),
+                         default=harness.RunConfig.feature_kind)
     p_score.add_argument("--tolerance", type=float, default=DEFAULT_ALIGNMENT_TOLERANCE,
                          help="relative clean/degraded length difference allowed")
-    p_score.add_argument("--workers", type=int, default=1)
+    p_score.add_argument("--workers", type=int, default=harness.RunConfig.workers)
     p_score.add_argument("--out", required=True, help="output directory")
     _add_feature_flags(p_score)
     p_score.set_defaults(func=_cmd_score)
@@ -199,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fix = sub.add_parser("fixture", help="generate a synthetic scoring corpus")
     p_fix.add_argument("--out", required=True)
-    p_fix.add_argument("--seed", type=int, default=0)
+    p_fix.add_argument("--seed", type=int, default=fixture.DEFAULT_SEED)
     p_fix.add_argument("--snrs", default=",".join(f"{s:g}" for s in fixture.DEFAULT_SNR_GRID))
-    p_fix.add_argument("--utts", type=int, default=20)
+    p_fix.add_argument("--utts", type=int, default=fixture.DEFAULT_N_UTTS)
     p_fix.set_defaults(func=_cmd_fixture)
 
     p_train = sub.add_parser("train-toy", help="train a small model on features + labels")

@@ -449,5 +449,7 @@ def load_features(
     expected = header + 4 * n * d
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes for {n}x{d} features, got {len(raw)}")
-    values = np.frombuffer(raw[header:], dtype="<f4").reshape(n, d).astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        # a signalling NaN warns when cast; FeatureMatrix rejects every NaN
+        values = np.frombuffer(raw[header:], dtype="<f4").reshape(n, d).astype(np.float64)
     return FeatureMatrix(values, feature_kind, frame_shift_ms)

@@ -21,7 +21,9 @@ from . import am, dsp
 from .errors import ConfigError
 
 SAMPLE_RATE = 16000
+DEFAULT_SEED = 0
 DEFAULT_SNR_GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+DEFAULT_N_UTTS = 20
 
 N_TONE_CLASSES = 4
 SILENCE_CLASS = 0
@@ -108,9 +110,9 @@ def _snr_name(snr_db: float) -> str:
 
 def make_fixture_corpus(
     out_dir: str | Path,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     snr_grid: Sequence[float] = DEFAULT_SNR_GRID,
-    n_utts: int = 20,
+    n_utts: int = DEFAULT_N_UTTS,
     epochs: int = 400,
 ) -> Path:
     """Generate a scoring corpus under out_dir and return the manifest path.

@@ -3,8 +3,9 @@
 A manifest lists utterance pairs (clean and degraded paths) with optional WER
 and free-form tag columns. Scoring produces one ScoreRow per usable pair;
 rows that cannot be scored are skipped with a reason rather than aborting the
-run. Reports are written deterministically so identical inputs give
-byte-identical output files.
+run. Loading, grouping and writing scores work on a ScoreTable, the same rows
+held as columns. Reports are written deterministically so identical inputs
+give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from operator import attrgetter
@@ -74,6 +76,68 @@ class ScoreRow:
     def __post_init__(self) -> None:
         if not self.values:
             raise ConfigError("a score row must carry at least one measure value")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Score rows as columns: the form correlate reads, groups and writes.
+
+    wer and each measure are float64 arrays with NaN where a row has no
+    value, and a tag is "" where a row lacks it. NaN cannot stand for a
+    value: the parsers and from_rows reject non-finite ones. Only columns
+    holding at least one value are kept. Tables are equal when their rows()
+    are.
+    """
+
+    utt_ids: list[str]
+    wer: np.ndarray
+    measures: dict[str, np.ndarray]
+    tags: dict[str, list[str]]
+
+    def __post_init__(self) -> None:
+        n = len(self.utt_ids)
+        if any(len(c) != n for c in (self.wer, *self.measures.values(), *self.tags.values())):
+            raise ConfigError(f"every score column must hold {n} rows")
+
+    def __len__(self) -> int:
+        return len(self.utt_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return list(self.rows()) == list(other.rows())
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[ScoreRow]) -> ScoreTable:
+        """Stack rows into columns, measures and tags in sorted name order.
+
+        A non-finite value or WER raises NumericError, and a tag of "" counts
+        as absent.
+        """
+        for row in rows:
+            for name, value in (*row.values.items(), ("wer", row.wer_percent)):
+                if value is not None and not math.isfinite(value):
+                    raise NumericError(f"{row.utt_id}: {name} value {value} is not finite")
+        nan = math.nan
+        wer = np.array([nan if r.wer_percent is None else r.wer_percent for r in rows], np.float64)
+        measures = {
+            m: np.array([r.values.get(m, nan) for r in rows], np.float64)
+            for m in sorted({m for r in rows for m in r.values})
+        }
+        tags = {t: [r.tags.get(t, "") for r in rows] for t in sorted({t for r in rows for t in r.tags})}
+        return cls([r.utt_id for r in rows], wer, measures, {t: c for t, c in tags.items() if any(c)})
+
+    def rows(self) -> Iterator[ScoreRow]:
+        """One ScoreRow per row, in table order; dict keys follow column order."""
+        wer = self.wer.tolist()
+        measures = {m: c.tolist() for m, c in self.measures.items()}
+        for i, utt_id in enumerate(self.utt_ids):
+            yield ScoreRow(
+                utt_id=utt_id,
+                values={m: c[i] for m, c in measures.items() if not math.isnan(c[i])},
+                wer_percent=None if math.isnan(wer[i]) else wer[i],
+                tags={t: c[i] for t, c in self.tags.items() if c[i]},
+            )
 
 
 @dataclass(frozen=True)
@@ -397,7 +461,7 @@ class GroupReport:
     correlations: dict[str, CorrelationReport]
 
 
-def _finite_mean(values: Sequence[float], column: str) -> float:
+def _finite_mean(values: np.ndarray, column: str) -> float:
     with np.errstate(over="ignore"):
         mean = float(np.mean(values))
     if not math.isfinite(mean):
@@ -405,8 +469,18 @@ def _finite_mean(values: Sequence[float], column: str) -> float:
     return mean
 
 
+def _groups(table: ScoreTable, group_key: str | None) -> dict[str, np.ndarray]:
+    """Row indices per group name, groups and rows in first-seen order."""
+    if group_key is None:
+        return {"all": np.arange(len(table))}
+    members: dict[str, list[int]] = {}
+    for i, tag in enumerate(table.tags.get(group_key, [""] * len(table))):
+        members.setdefault(tag or "_missing", []).append(i)
+    return {name: np.array(rows) for name, rows in members.items()}
+
+
 def correlate_by_group(
-    rows: Sequence[ScoreRow], group_key: str | None = None
+    table: ScoreTable, group_key: str | None = None
 ) -> tuple[dict[str, GroupReport], dict[str, str]]:
     """Fit and correlate each measure against WER within each tag group.
 
@@ -414,68 +488,74 @@ def correlate_by_group(
     lacking the tag form the group "_missing". Groups with fewer than 3
     WER-bearing rows, group/measure fits that raise any AgevalError, and
     group/column means that leave the float64 range (the measure then gets
-    no fit) are reported in the skipped map. If nothing is reportable,
-    EmptyReportError is raised.
+    no fit) are reported in the skipped map. A measure is fitted in a group
+    when every WER-bearing row of the group carries it. If nothing is
+    reportable, EmptyReportError is raised.
     """
-    groups: dict[str, list[ScoreRow]] = {}
-    for row in rows:
-        name = "all" if group_key is None else row.tags.get(group_key, "_missing")
-        groups.setdefault(name, []).append(row)
     reports: dict[str, GroupReport] = {}
     skipped: dict[str, str] = {}
-    for name, members in groups.items():
-        with_wer = [r for r in members if r.wer_percent is not None]
-        if len(with_wer) < 3:
-            skipped[name] = f"only {len(with_wer)} rows with wer, need 3"
+    for name, members in _groups(table, group_key).items():
+        wer = table.wer[members]
+        has_wer = ~np.isnan(wer)
+        n_with_wer = int(np.count_nonzero(has_wer))
+        if n_with_wer < 3:
+            skipped[name] = f"only {n_with_wer} rows with wer, need 3"
             continue
-        columns = {
-            measure: [r.values[measure] for r in members if measure in r.values]
-            for measure in sorted({m for r in members for m in r.values})
-        }
-        columns["wer"] = [r.wer_percent for r in with_wer]
+        columns = {m: table.measures[m][members] for m in sorted(table.measures)}
+        columns = {m: values for m, values in columns.items() if not np.isnan(values).all()}
         means: dict[str, float] = {}
-        for column, values in columns.items():
+        for column, values in (*columns.items(), ("wer", wer)):
             try:
-                means[column] = _finite_mean(values, column)
+                means[column] = _finite_mean(values[~np.isnan(values)], column)
             except NumericError as exc:
                 skipped[f"{name}/{column}"] = _reason(exc)
-        shared = set.intersection(*(set(r.values) for r in with_wer))
+        wer_values = wer[has_wer].tolist()
         correlations: dict[str, CorrelationReport] = {}
-        for measure in sorted(shared & means.keys()):
-            pairs = [(r.values[measure], r.wer_percent) for r in with_wer]
+        for measure in sorted(columns.keys() & means.keys()):
+            values = columns[measure][has_wer]
+            if np.isnan(values).any():
+                continue
             try:
-                correlations[measure] = evaluate_measure(pairs, measure)
+                correlations[measure] = evaluate_measure(zip(values.tolist(), wer_values), measure)
             except AgevalError as exc:
                 skipped[f"{name}/{measure}"] = _reason(exc)
         if not correlations:
             skipped.setdefault(name, "no measure produced a report")
             continue
-        reports[name] = GroupReport(len(members), len(with_wer), means, correlations)
+        reports[name] = GroupReport(len(members), n_with_wer, means, correlations)
     if not reports:
         raise EmptyReportError("no group had enough usable data")
     return reports, skipped
 
 
-def _format_float(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _repr_cells(values: np.ndarray) -> list[str]:
+    """repr of each value, "" for NaN (no value)."""
+    cells = list(map(repr, values.tolist()))
+    if np.isnan(values).any():
+        cells = ["" if cell == "nan" else cell for cell in cells]
+    return cells
 
 
-def write_scores_csv(rows: Sequence[ScoreRow], path: str | Path) -> None:
-    """Write score rows with stable column order: utt_id, wer, measures, tags."""
-    measure_cols = sorted({m for row in rows for m in row.values})
-    tag_cols = sorted({t for row in rows for t in row.tags})
+def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
+    """Write a score table with stable column order: utt_id, wer, measures, tags.
+
+    Floats are written as their repr, a missing value or tag as an empty
+    cell, and every record ends in \\r\\n; a table of no rows writes the
+    header "utt_id,wer" alone.
+    """
+    measure_cols = sorted(table.measures)
+    tag_cols = sorted(table.tags)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utt_id", "wer", *measure_cols, *tag_cols])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.utt_id,
-                    _format_float(row.wer_percent),
-                    *[_format_float(row.values.get(m)) for m in measure_cols],
-                    *[row.tags.get(t, "") for t in tag_cols],
-                ]
+        writer.writerows(
+            zip(
+                table.utt_ids,
+                _repr_cells(table.wer),
+                *(_repr_cells(table.measures[m]) for m in measure_cols),
+                *(table.tags[t] for t in tag_cols),
             )
+        )
 
 
 def _parse_measure(text: str, column: str, where: str) -> float:
@@ -488,13 +568,15 @@ def _parse_measure(text: str, column: str, where: str) -> float:
     return value
 
 
-def load_scores_csv(path: str | Path) -> list[ScoreRow]:
-    """Read rows written by write_scores_csv.
+def load_scores_csv(path: str | Path) -> ScoreTable:
+    """Read a scores file, as write_scores_csv writes it, into a ScoreTable.
 
     Blank records are skipped, and of two header columns with one name the
     last wins. A malformed cell, a row shorter or longer than the header,
-    undecodable text and CSV-level faults such as an overlong field raise
-    FormatError naming the path and the line.
+    a row with no measure value, undecodable text and CSV-level faults such
+    as an overlong field raise FormatError naming the path and the line;
+    within a row the measure cells are checked first, in header order, then
+    whether any is present, then the WER. A blank cell is no value.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -503,31 +585,42 @@ def load_scores_csv(path: str | Path) -> list[ScoreRow]:
         if header is None or "utt_id" not in header:
             raise FormatError(f"{path}: not a scores file (missing utt_id column)")
         column = {name: i for i, name in enumerate(header)}
-        measure_cols = [(c, column[c]) for c in header if c in MEASURE_NAMES]
-        tag_cols = [(c, column[c]) for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")]
+        # dicts drop a repeated name: the column map points each at its last index
+        measures = {c: array("d") for c in header if c in MEASURE_NAMES}
+        tags: dict[str, list[str]] = {
+            c: [] for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")
+        }
+        measure_slots = [(m, column[m], values.append) for m, values in measures.items()]
+        tag_slots = [(column[t], cells.append) for t, cells in tags.items()]
         utt_col, wer_col = column["utt_id"], column.get("wer")
-        rows = []
+        utt_ids: list[str] = []
+        wer = array("d")
         for where, record in records:
             if len(record) < len(header):
                 raise FormatError(f"{where}: fewer fields than header columns")
-            values = {
-                m: _parse_measure(record[i], m, where) for m, i in measure_cols if record[i].strip()
-            }
-            if not values:
+            blank = True
+            for m, i, append in measure_slots:
+                if record[i].strip():
+                    append(_parse_measure(record[i], m, where))
+                    blank = False
+                else:
+                    append(math.nan)
+            if blank:
                 raise FormatError(f"{where}: row has no measure values")
-            rows.append(
-                ScoreRow(
-                    utt_id=record[utt_col],
-                    values=values,
-                    wer_percent=_parse_wer(
-                        None if wer_col is None else record[wer_col], where, FormatError
-                    ),
-                    tags={t: record[i] for t, i in tag_cols if record[i].strip()},
-                )
-            )
-    if not rows:
+            value = _parse_wer(None if wer_col is None else record[wer_col], where, FormatError)
+            wer.append(math.nan if value is None else value)
+            utt_ids.append(record[utt_col])
+            for i, append in tag_slots:
+                append(record[i] if record[i].strip() else "")
+    if not utt_ids:
         raise EmptyInputError(f"{path}: no score rows")
-    return rows
+    columns = {m: np.frombuffer(values) for m, values in measures.items()}
+    return ScoreTable(
+        utt_ids,
+        np.frombuffer(wer),
+        {m: values for m, values in columns.items() if not np.isnan(values).all()},
+        {t: cells for t, cells in tags.items() if any(cells)},
+    )
 
 
 def _report_to_dict(report: CorrelationReport) -> dict[str, object]:
@@ -544,7 +637,7 @@ def _report_to_dict(report: CorrelationReport) -> dict[str, object]:
 
 
 def emit_report(
-    rows: Sequence[ScoreRow],
+    table: ScoreTable,
     reports: dict[str, GroupReport],
     out_dir: str | Path,
     skipped: dict[str, str] | None = None,
@@ -553,14 +646,18 @@ def emit_report(
 ) -> Path:
     """Write scores.csv, report.json and one scatter CSV per measure.
 
-    The report serializes the group reports from correlate_by_group. Scatter
-    files hold (m, wer, f(m)) triples using a logistic fit over all
-    WER-bearing rows; a measure whose fit raises an AgevalError gets none.
-    Output is deterministic: identical inputs give byte-identical files.
+    scores.csv is the table rewritten by write_scores_csv, so it is
+    canonical whatever file the table came from: repr floats ("1.50" becomes
+    1.5), \\r\\n line endings, no blank records and blank-only columns
+    dropped; reading it back gives an equal table. The report serializes the
+    group reports from correlate_by_group. Scatter files hold (m, wer, f(m))
+    triples using a logistic fit over all WER-bearing rows that carry the
+    measure; a measure whose fit raises an AgevalError gets none. Output is
+    deterministic: identical inputs give byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(rows, out / "scores.csv")
+    write_scores_csv(table, out / "scores.csv")
 
     payload = {
         "group_key": group_key,
@@ -578,11 +675,10 @@ def emit_report(
     report_path = out / report_name
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
-    with_wer = [r for r in rows if r.wer_percent is not None]
-    for measure in sorted({m for r in with_wer for m in r.values}):
-        carriers = [r for r in with_wer if measure in r.values]
-        m_values = np.asarray([r.values[measure] for r in carriers], dtype=np.float64)
-        wer_values = np.asarray([r.wer_percent for r in carriers], dtype=np.float64)
+    has_wer = ~np.isnan(table.wer)
+    for measure, values in sorted(table.measures.items()):
+        carriers = has_wer & ~np.isnan(values)
+        m_values, wer_values = values[carriers], table.wer[carriers]
         try:
             params = fit_logistic(m_values, wer_values)
         except AgevalError:

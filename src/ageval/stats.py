@@ -8,6 +8,7 @@ points and the RMSE of the mapped values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -120,24 +121,19 @@ def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -
     return pearson(_average_ranks(xv), _average_ranks(yv))
 
 
-def map_logistic(params: LogisticParams, m: float | np.ndarray) -> float | np.ndarray:
-    """Evaluate f(m) = 100 / (1 + exp(a*m + b)), elementwise on arrays."""
+def _logistic(a: float, b: float, m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         # the exponent is clamped, so overflow in a*m is harmless
-        t = np.clip(
-            params.a * np.asarray(m, dtype=np.float64) + params.b,
-            -_EXP_CLAMP,
-            _EXP_CLAMP,
-        )
-    out = 100.0 / (1.0 + np.exp(t))
+        t = np.clip(a * m + b, -_EXP_CLAMP, _EXP_CLAMP)
+    return 100.0 / (1.0 + np.exp(t))
+
+
+def map_logistic(params: LogisticParams, m: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate f(m) = 100 / (1 + exp(a*m + b)), elementwise on arrays."""
+    out = _logistic(params.a, params.b, np.asarray(m, dtype=np.float64))
     if np.ndim(m) == 0:
         return float(out)
     return out
-
-
-def _squared_loss(params: LogisticParams, m: np.ndarray, wer: np.ndarray) -> float:
-    residual = wer - map_logistic(params, m)
-    return float(np.sum(residual**2))
 
 
 def fit_logistic(
@@ -151,7 +147,8 @@ def fit_logistic(
     the loss are halved, so the returned fit is never worse than the
     initialization. WER values above 100 are clamped to 100 before fitting.
     Measure values whose start or Jacobian overflows float64 raise
-    NumericError, without a numpy warning.
+    NumericError, without a numpy warning, and a step to non-finite
+    parameters raises ValidationError.
     """
     mv = _as_float_vector(m, "m")
     wv = _as_float_vector(wer, "wer")
@@ -174,34 +171,35 @@ def fit_logistic(
         b = float(z.mean() - a * mv.mean())
     if not np.all(np.isfinite([covariance, variance, a, b])):
         raise NumericError("measure values out of range for the logistic fit's start")
-    params = LogisticParams(a, b)
-    loss = _squared_loss(params, mv, wv)
+    # f and loss always belong to the current (a, b): an accepted step keeps
+    # the candidate's, so each (a, b) is mapped once.
+    f = _logistic(a, b, mv)
+    loss = float(np.sum((wv - f) ** 2))
 
     for _ in range(_FIT_MAX_ITERATIONS):
-        f = np.asarray(map_logistic(params, mv))
         residual = wv - f
         dfdt = -f * (1.0 - f / 100.0)
         jac = np.column_stack((dfdt * mv, dfdt))
         if not np.all(np.isfinite(jac)):
             raise NumericError("measure values too large for the logistic fit")
         delta, *_ = np.linalg.lstsq(jac, residual, rcond=None)
-        accepted = None
         step = delta
         for _ in range(_FIT_MAX_HALVINGS):
-            candidate = LogisticParams(params.a + step[0], params.b + step[1])
-            candidate_loss = _squared_loss(candidate, mv, wv)
-            if candidate_loss <= loss:
-                accepted = (candidate, candidate_loss)
+            new_a, new_b = a + float(step[0]), b + float(step[1])
+            if not (math.isfinite(new_a) and math.isfinite(new_b)):
+                raise ValidationError("logistic parameters must be finite")
+            new_f = _logistic(new_a, new_b, mv)
+            new_loss = float(np.sum((wv - new_f) ** 2))
+            if new_loss <= loss:
                 break
             step = step / 2.0
-        if accepted is None:
-            break
-        new_params, new_loss = accepted
+        else:
+            break  # no halving lowered the loss
         relative_drop = (loss - new_loss) / max(loss, 1e-300)
-        params, loss = new_params, new_loss
+        a, b, f, loss = new_a, new_b, new_f, new_loss
         if relative_drop < _FIT_REL_TOL:
             break
-    return params
+    return LogisticParams(a, b)
 
 
 def evaluate_measure(

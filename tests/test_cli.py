@@ -1,5 +1,6 @@
 """Command line entry points, exercised through main()."""
 
+import inspect
 import json
 import os
 import signal
@@ -22,8 +23,12 @@ def test_flag_defaults_are_the_library_defaults():
     score = parser.parse_args(["score", "--manifest", "m.csv", "--out", "out"])
     assert cli._specs_from_args(score) == (dsp.FrameSpec(), dsp.MelSpec())
     assert tuple(score.measures.split(",")) == harness.RunConfig().measures
+    run = harness.RunConfig()
+    assert (score.feature_kind, score.workers) == (run.feature_kind, run.workers)
     fixture_args = parser.parse_args(["fixture", "--out", "out"])
-    assert tuple(map(float, fixture_args.snrs.split(","))) == fixture.DEFAULT_SNR_GRID
+    defaults = inspect.signature(fixture.make_fixture_corpus).parameters
+    assert tuple(map(float, fixture_args.snrs.split(","))) == defaults["snr_grid"].default
+    assert (fixture_args.seed, fixture_args.utts) == (defaults["seed"].default, defaults["n_utts"].default)
 
 
 def test_mix_command_writes_the_requested_snr(tmp_path):
@@ -214,6 +219,7 @@ def test_an_8khz_pair_skips_only_its_row(tmp_path, mini_corpus):
     write_manifest(tmp_path / "good.csv", good)
     assert main(["score", "--manifest", str(tmp_path / "good.csv"), "--model", model,
                  "--fft-size", "256", "--out", str(tmp_path / "fft")]) == 2
+    assert (tmp_path / "fft" / "scores.csv").read_bytes() == b"utt_id,wer\r\n"
     skipped = read_rows(tmp_path / "fft" / "skipped.csv")
     assert sorted(skipped) == sorted(e.utt_id for e in entries)
     assert {line.split(",", 1)[1] for line in skipped.values()} == {
@@ -244,7 +250,7 @@ def test_tolerance_flag_also_governs_stoi(tmp_path, mini_corpus):
     write_manifest(tmp_path / "m.csv", [("short", entry.clean_path, tmp_path / "short.wav")])
     argv = ["score", "--manifest", str(tmp_path / "m.csv"), "--model", str(corpus / "model.json")]
     assert main(argv + ["--tolerance", "0.05", "--out", str(tmp_path / "wide")]) == 0
-    (row,) = harness.load_scores_csv(tmp_path / "wide" / "scores.csv")
+    (row,) = harness.load_scores_csv(tmp_path / "wide" / "scores.csv").rows()
     assert sorted(row.values) == ["age", "entropy", "stoi"]
     assert main(argv + ["--out", str(tmp_path / "default")]) == 2
     assert "short" in read_rows(tmp_path / "default" / "skipped.csv")

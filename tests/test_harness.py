@@ -102,7 +102,7 @@ def test_manifest_tags_survive_scoring_and_the_scores_file(mini_corpus, tmp_path
     assert [e.tags for e in harness.load_manifest(tmp_path / "m.csv")] == [ODD_TAGS]
     assert main(["score", "--manifest", str(tmp_path / "m.csv"), "--measures", "stoi",
                  "--out", str(tmp_path / "out")]) == 0
-    assert [r.tags for r in harness.load_scores_csv(tmp_path / "out" / "scores.csv")] == [ODD_TAGS]
+    assert [r.tags for r in harness.load_scores_csv(tmp_path / "out" / "scores.csv").rows()] == [ODD_TAGS]
 
 
 def test_a_jsonl_string_may_hold_a_line_separator(tmp_path):
@@ -426,6 +426,8 @@ def test_serial_scoring_uses_one_blas_thread_and_restores_the_callers_count(monk
 
 # grouping and reports ------------------------------------------------------
 
+as_table = harness.ScoreTable.from_rows
+
 def synthetic_rows():
     params = stats.LogisticParams(1.1, -3.0)
     rows = []
@@ -445,7 +447,7 @@ def synthetic_rows():
 
 
 def test_grouping_by_tag_builds_one_report_per_group():
-    reports, skipped = harness.correlate_by_group(synthetic_rows(), "algo")
+    reports, skipped = harness.correlate_by_group(as_table(synthetic_rows()), "algo")
     assert sorted(reports) == ["x", "y", "z"]
     assert skipped == {}
     assert sorted(reports["x"].correlations) == ["age", "stoi"]
@@ -456,13 +458,13 @@ def test_grouping_by_tag_builds_one_report_per_group():
 def test_rows_without_the_tag_fall_into_a_missing_group():
     rows = synthetic_rows()
     rows.append(harness.ScoreRow("odd", {"age": 1.0}, 10.0, {}))
-    reports, skipped = harness.correlate_by_group(rows, "algo")
+    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
     assert "_missing" in skipped
     assert "_missing" not in reports
 
 
 def test_all_rows_form_one_group_without_a_key():
-    reports, skipped = harness.correlate_by_group(synthetic_rows())
+    reports, skipped = harness.correlate_by_group(as_table(synthetic_rows()))
     assert list(reports) == ["all"]
     assert reports["all"].correlations["age"].n_points == 15
 
@@ -470,7 +472,7 @@ def test_all_rows_form_one_group_without_a_key():
 def test_only_shared_measures_are_reported():
     rows = synthetic_rows()
     rows[0].values.pop("stoi")
-    reports, _ = harness.correlate_by_group(rows)
+    reports, _ = harness.correlate_by_group(as_table(rows))
     assert sorted(reports["all"].correlations) == ["age"]
 
 
@@ -484,7 +486,7 @@ def test_groups_without_enough_wer_rows_are_skipped():
         )
         for i, row in enumerate(rows[:3])
     ]
-    reports, skipped = harness.correlate_by_group(rows, "algo")
+    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
     assert "w" in skipped and "need 3" in skipped["w"]
 
 
@@ -495,7 +497,7 @@ def test_a_group_mean_out_of_float_range_skips_its_item():
     for i in (5, 6):  # group y: the sum of wer overflows, and with it every fit's correlation
         rows[i] = dataclasses.replace(rows[i], wer_percent=1.5e308)
     with np.errstate(all="raise"):
-        reports, skipped = harness.correlate_by_group(rows, "algo")
+        reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
     assert skipped["x/age"] == "NumericError: the mean of age leaves the float64 range"
     assert skipped["y/wer"] == "NumericError: the mean of wer leaves the float64 range"
     assert skipped["y/age"].startswith("NumericError:")
@@ -504,21 +506,21 @@ def test_a_group_mean_out_of_float_range_skips_its_item():
     assert sorted(reports) == ["x", "z"]
     assert sorted(reports["x"].means) == ["stoi", "wer"]
     assert sorted(reports["x"].correlations) == ["stoi"]
-    assert reports["z"] == harness.correlate_by_group(synthetic_rows(), "algo")[0]["z"]
+    assert reports["z"] == harness.correlate_by_group(as_table(synthetic_rows()), "algo")[0]["z"]
 
 
 def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
     rows = synthetic_rows()
-    reports, _ = harness.correlate_by_group(rows)
+    reports, _ = harness.correlate_by_group(as_table(rows))
     reports["all"].means["age"] = float("inf")
     with pytest.raises(ValueError, match="JSON compliant"):
-        harness.emit_report(rows, reports, tmp_path)
+        harness.emit_report(as_table(rows), reports, tmp_path)
 
 
 def test_nothing_reportable_raises():
     rows = synthetic_rows()[:2]
     with pytest.raises(EmptyReportError):
-        harness.correlate_by_group(rows, "algo")
+        harness.correlate_by_group(as_table(rows), "algo")
 
 
 def test_report_groups_equal_a_brute_force_recomputation(tmp_path):
@@ -527,8 +529,8 @@ def test_report_groups_equal_a_brute_force_recomputation(tmp_path):
     rows[7].values["entropy"] = 2.5
     for i, (m, wer) in enumerate(((0.3, 5.0), (1.9, 30.0), (2.6, None), (3.1, 70.0))):
         rows.append(harness.ScoreRow(f"odd{i}", {"age": m, "stoi": 0.9 - 0.1 * m}, wer, {}))
-    reports, skipped = harness.correlate_by_group(rows, "algo")
-    path = harness.emit_report(rows, reports, tmp_path, skipped=skipped, group_key="algo")
+    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
+    path = harness.emit_report(as_table(rows), reports, tmp_path, skipped=skipped, group_key="algo")
     doc = json.loads(path.read_text())
     assert sorted(doc["groups"]) == ["_missing", "x", "y", "z"]
     for name, entry in doc["groups"].items():
@@ -562,8 +564,8 @@ def test_scores_csv_round_trip(tmp_path):
     rows = synthetic_rows()
     rows[2] = dataclasses.replace(rows[2], wer_percent=None)
     path = tmp_path / "scores.csv"
-    harness.write_scores_csv(rows, path)
-    assert harness.load_scores_csv(path) == rows
+    harness.write_scores_csv(as_table(rows), path)
+    assert list(harness.load_scores_csv(path).rows()) == rows
 
 
 def test_a_bad_wer_cell_in_a_scores_file_is_a_format_error(tmp_path):
@@ -576,10 +578,10 @@ def test_a_bad_wer_cell_in_a_scores_file_is_a_format_error(tmp_path):
 
 def test_emit_report_is_byte_deterministic(tmp_path):
     rows = synthetic_rows()
-    reports, skipped = harness.correlate_by_group(rows, "algo")
+    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
     dirs = (tmp_path / "one", tmp_path / "two")
     for out in dirs:
-        harness.emit_report(rows, reports, out, skipped=skipped, group_key="algo")
+        harness.emit_report(as_table(rows), reports, out, skipped=skipped, group_key="algo")
     names = sorted(p.name for p in dirs[0].iterdir())
     assert "scores.csv" in names and "report.json" in names
     assert "scatter_age.csv" in names and "scatter_stoi.csv" in names
@@ -589,8 +591,8 @@ def test_emit_report_is_byte_deterministic(tmp_path):
 
 def test_report_json_contents(tmp_path):
     rows = synthetic_rows()
-    reports, skipped = harness.correlate_by_group(rows)
-    path = harness.emit_report(rows, reports, tmp_path)
+    reports, skipped = harness.correlate_by_group(as_table(rows))
+    path = harness.emit_report(as_table(rows), reports, tmp_path)
     doc = json.loads(path.read_text())
     group = doc["groups"]["all"]
     assert group["n_rows"] == 15
@@ -642,9 +644,9 @@ def test_scatter_files_equal_the_csv_writer_bytes(tmp_path):
     for i, (age, wer, stoi) in enumerate(odd):
         rows.append(harness.ScoreRow(f"odd{i}", {"age": age, "stoi": stoi}, wer, {"algo": "odd"}))
     rows.append(harness.ScoreRow("nower", {"age": 4.0, "entropy": 1.5}, None, {"algo": "odd"}))
-    reports, skipped = harness.correlate_by_group(rows, "algo")
+    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
     assert "odd" in skipped  # the 1e300 WER leaves no correlation in its group
-    harness.emit_report(rows, reports, tmp_path, skipped=skipped, group_key="algo")
+    harness.emit_report(as_table(rows), reports, tmp_path, skipped=skipped, group_key="algo")
     assert (tmp_path / "scatter_age.csv").exists() and (tmp_path / "scatter_stoi.csv").exists()
     assert_scatter_files_match_csv_writer(rows, tmp_path)
     text = (tmp_path / "scatter_age.csv").read_text()
@@ -661,8 +663,8 @@ def rows_with_one_stoi_missing():
 @pytest.mark.parametrize("rows", [synthetic_rows(), rows_with_one_stoi_missing()],
                          ids=["all rows", "one stoi missing"])
 def test_ungrouped_scatter_files_equal_the_csv_writer_bytes(tmp_path, rows):
-    reports, skipped = harness.correlate_by_group(rows)
-    harness.emit_report(rows, reports, tmp_path, skipped=skipped)
+    reports, skipped = harness.correlate_by_group(as_table(rows))
+    harness.emit_report(as_table(rows), reports, tmp_path, skipped=skipped)
     assert_scatter_files_match_csv_writer(rows, tmp_path)
 
 
@@ -707,6 +709,10 @@ def dictreader_load_scores_csv(path):
     return rows
 
 
+def load_score_rows(path):
+    return list(harness.load_scores_csv(path).rows())
+
+
 def parse_outcome(parse, path):
     """Each row with its dicts' key order, or the error's type and message."""
     try:
@@ -746,7 +752,7 @@ SCORES_FILES = {
 def test_the_scores_parser_matches_csv_dictreader(tmp_path, data):
     path = tmp_path / "scores.csv"
     path.write_bytes(data)
-    assert parse_outcome(harness.load_scores_csv, path) == parse_outcome(dictreader_load_scores_csv, path)
+    assert parse_outcome(load_score_rows, path) == parse_outcome(dictreader_load_scores_csv, path)
 
 
 def test_scores_errors_name_the_physical_line(tmp_path):
@@ -789,4 +795,4 @@ score_cells = st.one_of(
 def test_the_scores_parser_matches_csv_dictreader_on_arbitrary_files(tmp_path, header, records, end):
     path = tmp_path / "scores.csv"
     path.write_bytes(end.join([",".join(header), *records]).encode("utf-8", "surrogateescape"))
-    assert parse_outcome(harness.load_scores_csv, path) == parse_outcome(dictreader_load_scores_csv, path)
+    assert parse_outcome(load_score_rows, path) == parse_outcome(dictreader_load_scores_csv, path)

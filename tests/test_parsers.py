@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ageval import am, dsp, harness
 from ageval.cli import main
-from ageval.errors import AgevalError, FormatError
+from ageval.errors import AgevalError, FormatError, ValidationError
 
 fuzz = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -115,6 +115,14 @@ def binary_feature_files(draw):
 @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 def test_load_features_raises_only_typed_errors(tmp_path, data, suffix):
     parse_only_typed_errors(dsp.load_features, tmp_path / f"f{suffix}", data)
+
+
+@pytest.mark.parametrize("nan", [b"\x00\x00\xc0\x7f", b"\x00\x00\x81\x7f"], ids=["quiet", "signalling"])
+def test_a_nan_in_a_binary_feature_file_is_a_validation_error(tmp_path, nan):
+    path = tmp_path / "f.feat"
+    path.write_bytes(dsp.FEATURE_MAGIC + struct.pack("<II", 1, 1) + nan)
+    with pytest.raises(ValidationError, match="non-finite"):
+        dsp.load_features(path)
 
 
 def test_unreadable_files_name_the_path(tmp_path):
