@@ -38,6 +38,7 @@ from .dsp import (
 from .errors import AgevalError
 from .fixture import make_fixture_corpus
 from .harness import (
+    Correlation,
     GroupReport,
     ManifestEntry,
     RunConfig,
@@ -67,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AcousticModel",
     "AgevalError",
+    "Correlation",
     "CorrelationReport",
     "FeatureMatrix",
     "FrameSpec",

@@ -101,18 +101,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     table = harness.load_scores_csv(args.scores)
     group_key = None if args.group_by in ("none", "") else args.group_by
-    reports, skipped = harness.correlate_by_group(table, group_key)
-    out_path = Path(args.out)
-    report_path = harness.emit_report(
-        table,
-        reports,
-        out_path.parent if out_path.suffix else out_path,
-        skipped=skipped,
-        group_key=group_key,
-        report_name=out_path.name if out_path.suffix else "report.json",
-    )
+    correlation = harness.correlate_by_group(table, group_key)
+    out = Path(args.out)
+    if out.suffix.lower() == ".json":
+        report_path = harness.emit_report(correlation, out.parent, out.name)
+    else:
+        report_path = harness.emit_report(correlation, out)
     print(f"wrote {report_path}")
-    for name, reason in sorted(skipped.items()):
+    for name, reason in sorted(correlation.skipped.items()):
         print(f"skipped group {name}: {reason}", file=sys.stderr)
     return 0
 
@@ -195,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr = sub.add_parser("correlate", help="fit and correlate measures against WER")
     p_corr.add_argument("--scores", required=True, help="scores.csv from the score command")
     p_corr.add_argument("--group-by", default="none", help="tag column to group by, or 'none'")
-    p_corr.add_argument("--out", required=True, help="report path (.json) or directory")
+    p_corr.add_argument("--out", required=True,
+                        help="report path if it ends in .json, else an output directory")
     p_corr.set_defaults(func=_cmd_correlate)
 
     p_fix = sub.add_parser("fixture", help="generate a synthetic scoring corpus")

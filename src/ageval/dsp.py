@@ -237,11 +237,8 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
     target_len = int(round(waveform.samples.size * target_hz / source_hz))
     if target_len < 1:
         raise TooShortError("input too short to resample to the target rate")
-    if y.size > target_len:
-        y = y[:target_len]
-    elif y.size < target_len:
-        y = np.pad(y, (0, target_len - y.size))
-    return Waveform(y, int(target_hz))
+    # resample_poly gives ceil(n * up / down) samples, never fewer than target_len.
+    return Waveform(y[:target_len], int(target_hz))
 
 
 def _constant(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:

@@ -47,7 +47,7 @@ from .measures import (
     entropy_confidence,
     stoi,
 )
-from .stats import CorrelationReport, evaluate_measure, fit_logistic, map_logistic
+from .stats import CorrelationReport, LogisticParams, evaluate_measure, fit_logistic, map_logistic
 
 _MANIFEST_REQUIRED = ("utt_id", "clean_path", "degraded_path")
 _POSTERIOR_MEASURES = ("age", "entropy")
@@ -479,9 +479,45 @@ def _groups(table: ScoreTable, group_key: str | None) -> dict[str, np.ndarray]:
     return {name: np.array(rows) for name, rows in members.items()}
 
 
-def correlate_by_group(
-    table: ScoreTable, group_key: str | None = None
-) -> tuple[dict[str, GroupReport], dict[str, str]]:
+@dataclass(frozen=True)
+class Correlation:
+    """What correlate_by_group computes from one table, and all emit_report writes.
+
+    groups holds one GroupReport per reportable group, and skipped the reason
+    for each group, group/column or group/measure left out. curves holds each
+    measure's logistic fit over every WER-bearing row that carries it, the
+    curve of its scatter file; a measure whose fit raises has none.
+    """
+
+    table: ScoreTable
+    group_key: str | None
+    groups: dict[str, GroupReport]
+    skipped: dict[str, str]
+    curves: dict[str, LogisticParams]
+
+
+def _curves(table: ScoreTable, whole: GroupReport | None) -> dict[str, LogisticParams]:
+    """Each measure's fit over every WER-bearing row that carries it.
+
+    whole is the "all" group of an ungrouped run. It reports a measure only
+    when every WER-bearing row carries it, so its fit is over these very rows
+    in this order, and its params are the curve.
+    """
+    has_wer = ~np.isnan(table.wer)
+    curves: dict[str, LogisticParams] = {}
+    for measure, values in sorted(table.measures.items()):
+        if whole is not None and measure in whole.correlations:
+            curves[measure] = whole.correlations[measure].params
+            continue
+        carriers = has_wer & ~np.isnan(values)
+        try:
+            curves[measure] = fit_logistic(values[carriers], table.wer[carriers])
+        except AgevalError:
+            pass
+    return curves
+
+
+def correlate_by_group(table: ScoreTable, group_key: str | None = None) -> Correlation:
     """Fit and correlate each measure against WER within each tag group.
 
     With group_key=None all rows form one group named "all"; otherwise rows
@@ -489,8 +525,10 @@ def correlate_by_group(
     WER-bearing rows, group/measure fits that raise any AgevalError, and
     group/column means that leave the float64 range (the measure then gets
     no fit) are reported in the skipped map. A measure is fitted in a group
-    when every WER-bearing row of the group carries it. If nothing is
-    reportable, EmptyReportError is raised.
+    when every WER-bearing row of the group carries it. Each measure's
+    scatter curve is fitted here too, once: an ungrouped run takes it from
+    the "all" group's fit. If nothing is reportable, EmptyReportError is
+    raised.
     """
     reports: dict[str, GroupReport] = {}
     skipped: dict[str, str] = {}
@@ -509,14 +547,14 @@ def correlate_by_group(
                 means[column] = _finite_mean(values[~np.isnan(values)], column)
             except NumericError as exc:
                 skipped[f"{name}/{column}"] = _reason(exc)
-        wer_values = wer[has_wer].tolist()
+        wer_values = wer[has_wer]
         correlations: dict[str, CorrelationReport] = {}
         for measure in sorted(columns.keys() & means.keys()):
             values = columns[measure][has_wer]
             if np.isnan(values).any():
                 continue
             try:
-                correlations[measure] = evaluate_measure(zip(values.tolist(), wer_values), measure)
+                correlations[measure] = evaluate_measure(np.column_stack((values, wer_values)), measure)
             except AgevalError as exc:
                 skipped[f"{name}/{measure}"] = _reason(exc)
         if not correlations:
@@ -525,7 +563,8 @@ def correlate_by_group(
         reports[name] = GroupReport(len(members), n_with_wer, means, correlations)
     if not reports:
         raise EmptyReportError("no group had enough usable data")
-    return reports, skipped
+    whole = reports.get("all") if group_key is None else None
+    return Correlation(table, group_key, reports, skipped, _curves(table, whole))
 
 
 def _repr_cells(values: np.ndarray) -> list[str]:
@@ -534,6 +573,12 @@ def _repr_cells(values: np.ndarray) -> list[str]:
     if np.isnan(values).any():
         cells = ["" if cell == "nan" else cell for cell in cells]
     return cells
+
+
+# Rows whose cells write_scores_csv formats at a time. Formatting every row at
+# once kept all the cell strings alive together: for 30k rows, about 7 MB more
+# peak resident memory in correlate.
+_WRITE_CHUNK_ROWS = 4096
 
 
 def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
@@ -548,14 +593,16 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utt_id", "wer", *measure_cols, *tag_cols])
-        writer.writerows(
-            zip(
-                table.utt_ids,
-                _repr_cells(table.wer),
-                *(_repr_cells(table.measures[m]) for m in measure_cols),
-                *(table.tags[t] for t in tag_cols),
+        for start in range(0, len(table), _WRITE_CHUNK_ROWS):
+            rows = slice(start, start + _WRITE_CHUNK_ROWS)
+            writer.writerows(
+                zip(
+                    table.utt_ids[rows],
+                    _repr_cells(table.wer[rows]),
+                    *(_repr_cells(table.measures[m][rows]) for m in measure_cols),
+                    *(table.tags[t][rows] for t in tag_cols),
+                )
             )
-        )
 
 
 def _parse_measure(text: str, column: str, where: str) -> float:
@@ -637,30 +684,25 @@ def _report_to_dict(report: CorrelationReport) -> dict[str, object]:
 
 
 def emit_report(
-    table: ScoreTable,
-    reports: dict[str, GroupReport],
-    out_dir: str | Path,
-    skipped: dict[str, str] | None = None,
-    group_key: str | None = None,
-    report_name: str = "report.json",
+    correlation: Correlation, out_dir: str | Path, report_name: str = "report.json"
 ) -> Path:
-    """Write scores.csv, report.json and one scatter CSV per measure.
+    """Write scores.csv, report.json and one scatter CSV per measure curve.
 
     scores.csv is the table rewritten by write_scores_csv, so it is
     canonical whatever file the table came from: repr floats ("1.50" becomes
     1.5), \\r\\n line endings, no blank records and blank-only columns
     dropped; reading it back gives an equal table. The report serializes the
-    group reports from correlate_by_group. Scatter files hold (m, wer, f(m))
-    triples using a logistic fit over all WER-bearing rows that carry the
-    measure; a measure whose fit raises an AgevalError gets none. Output is
-    deterministic: identical inputs give byte-identical files.
+    group reports and the skipped map. Scatter files hold (m, wer, f(m))
+    triples over the rows each curve was fitted to. Nothing is fitted here.
+    Output is deterministic: identical inputs give byte-identical files.
     """
+    table = correlation.table
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(table, out / "scores.csv")
 
     payload = {
-        "group_key": group_key,
+        "group_key": correlation.group_key,
         "groups": {
             name: {
                 "n_rows": group.n_rows,
@@ -668,21 +710,18 @@ def emit_report(
                 "means": group.means,
                 "correlations": {m: _report_to_dict(rep) for m, rep in group.correlations.items()},
             }
-            for name, group in reports.items()
+            for name, group in correlation.groups.items()
         },
-        "skipped": dict(skipped or {}),
+        "skipped": correlation.skipped,
     }
     report_path = out / report_name
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     has_wer = ~np.isnan(table.wer)
-    for measure, values in sorted(table.measures.items()):
+    for measure, params in correlation.curves.items():
+        values = table.measures[measure]
         carriers = has_wer & ~np.isnan(values)
         m_values, wer_values = values[carriers], table.wer[carriers]
-        try:
-            params = fit_logistic(m_values, wer_values)
-        except AgevalError:
-            continue
         mapped = np.asarray(map_logistic(params, m_values))
         with open(out / f"scatter_{measure}.csv", "w", newline="") as fh:
             # The bytes csv.writer writes for repr(float) cells, none of

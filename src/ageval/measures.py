@@ -118,6 +118,8 @@ def _loud_frames(fx: np.ndarray) -> np.ndarray:
     """Keep-mask of the clean frames within 40 dB of the loudest one."""
     energy_db = 20.0 * np.log10(np.linalg.norm(fx, axis=1) / np.sqrt(_STOI_FRAME) + _EPS)
     keep = energy_db > energy_db.max() - _STOI_DYN_RANGE_DB
+    # Samples above about 1e154 overflow a frame's energy to inf, and then no
+    # frame passes.
     if not np.any(keep):
         raise DegenerateSignalError("all analysis frames are silent")
     return keep

@@ -203,21 +203,31 @@ def fit_logistic(
 
 
 def evaluate_measure(
-    scores: Iterable[tuple[float, float]], measure_name: str
+    scores: Iterable[tuple[float, float]] | np.ndarray, measure_name: str
 ) -> CorrelationReport:
     """Fit the logistic mapping to (measure, WER) pairs and summarize agreement.
 
+    scores is a sequence of pairs or an (n, 2) array; anything else raises
+    ShapeMismatchError, and fewer than 3 pairs TooFewPointsError.
     rho_signed is the Pearson correlation between the mapped values f(m) and
     WER; rho_magnitude is its absolute value. Spearman is computed on the raw
     pairs. Degenerate inputs (constant m or constant WER) raise the same
     errors as the underlying fit and correlation, and WER values so large
     that a sum leaves the float64 range raise NumericError.
     """
-    pts = list(scores)
+    try:
+        pts = np.asarray(scores if isinstance(scores, np.ndarray) else list(scores), np.float64)
+    except ValueError as exc:  # ragged pairs, or a cell that is not a number
+        raise ShapeMismatchError(f"scores must be (measure, wer) pairs ({exc})") from exc
+    if pts.shape == (0,):  # an empty sequence
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeMismatchError(f"scores must be an (n, 2) array, got shape {pts.shape}")
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 scored points, got {len(pts)}")
-    m = np.asarray([p[0] for p in pts], dtype=np.float64)
-    wer = np.asarray([p[1] for p in pts], dtype=np.float64)
+    # One contiguous array per column, the layout a list of pairs gave, so
+    # every sum runs over the same memory layout as before.
+    m, wer = np.ascontiguousarray(pts.T)
     params = fit_logistic(m, wer)
     mapped = np.asarray(map_logistic(params, m))
     rho_signed = pearson(mapped, wer)

@@ -30,7 +30,7 @@ def pipeline(tmp_path_factory):
     model = am.load_model(root / "corpus" / "model.json")
     cfg = harness.RunConfig()
     rows, skipped = harness.score_manifest(entries, model, cfg)
-    reports, _ = harness.correlate_by_group(harness.ScoreTable.from_rows(rows))
+    reports = harness.correlate_by_group(harness.ScoreTable.from_rows(rows)).groups
     elapsed = time.perf_counter() - started
     return {
         "root": root,

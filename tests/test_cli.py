@@ -14,7 +14,7 @@ import pytest
 from scipy.io import wavfile
 
 import ageval
-from ageval import cli, dsp, fixture, harness
+from ageval import cli, dsp, fixture, harness, stats
 from ageval.cli import main
 
 
@@ -397,3 +397,61 @@ def test_a_model_with_non_finite_weights_exits_with_code_one(
     ]) == 1
     assert capsys.readouterr().err.startswith("error: layer weights and biases must be finite")
     assert not (tmp_path / "out").exists()
+
+
+def write_grid_scores(path, n_groups):
+    """A scores file of n_groups snr_db groups of 6 rows, every row carrying all three measures."""
+    rng = np.random.default_rng(11)
+    bounds = ((5.0, 95.0), (0.5, 3.0), (0.1, 2.0), (0.2, 0.9))
+    lines = ["utt_id,wer,age,entropy,stoi,snr_db"]
+    for g in range(n_groups):
+        for i in range(6):
+            cells = [repr(rng.uniform(lo, hi)) for lo, hi in bounds]
+            lines.append(",".join([f"u{g}_{i}", *cells, str(5 * g)]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def count_fits(monkeypatch):
+    """Count fit_logistic calls through both bindings that reach it, as perfbench's tracer does."""
+    calls = []
+    fit = stats.fit_logistic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    for module in (stats, harness):
+        monkeypatch.setattr(module, "fit_logistic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("group_by, fits", [("none", 3), ("snr_db", 6 * 3 + 3)])
+def test_correlate_fits_each_group_and_each_curve_once(tmp_path, monkeypatch, group_by, fits):
+    scores = write_grid_scores(tmp_path / "scores.csv", 6)
+    calls = count_fits(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["correlate", "--scores", str(scores), "--group-by", group_by, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["skipped"] == {}
+    assert all(len(g["correlations"]) == 3 for g in report["groups"].values())
+    assert sorted(p.name for p in out.glob("scatter_*")) == [
+        "scatter_age.csv", "scatter_entropy.csv", "scatter_stoi.csv"]
+    assert len(calls) == fits
+    # emit_report only writes
+    correlation = harness.correlate_by_group(harness.load_scores_csv(scores), None)
+    calls.clear()
+    harness.emit_report(correlation, tmp_path / "again")
+    assert calls == []
+
+
+def test_correlate_treats_a_dotted_out_path_as_a_directory(tmp_path):
+    scores = write_grid_scores(tmp_path / "scores.csv", 1)
+    run = tmp_path / "outs" / "run.v2"
+    assert main(["correlate", "--scores", str(scores), "--out", str(run)]) == 0
+    assert sorted(p.name for p in (tmp_path / "outs").iterdir()) == ["run.v2"]
+    assert sorted(p.name for p in run.iterdir()) == [
+        "report.json", "scatter_age.csv", "scatter_entropy.csv", "scatter_stoi.csv", "scores.csv"]
+    # a .json suffix in any case names the report
+    assert main(["correlate", "--scores", str(scores), "--out", str(run / "Named.JSON")]) == 0
+    assert json.loads((run / "Named.JSON").read_text())["groups"]["all"]["n_rows"] == 6

@@ -428,6 +428,13 @@ def test_serial_scoring_uses_one_blas_thread_and_restores_the_callers_count(monk
 
 as_table = harness.ScoreTable.from_rows
 
+
+def group_reports(table, group_key=None):
+    """correlate_by_group's (groups, skipped)."""
+    correlation = harness.correlate_by_group(table, group_key)
+    return correlation.groups, correlation.skipped
+
+
 def synthetic_rows():
     params = stats.LogisticParams(1.1, -3.0)
     rows = []
@@ -447,7 +454,7 @@ def synthetic_rows():
 
 
 def test_grouping_by_tag_builds_one_report_per_group():
-    reports, skipped = harness.correlate_by_group(as_table(synthetic_rows()), "algo")
+    reports, skipped = group_reports(as_table(synthetic_rows()), "algo")
     assert sorted(reports) == ["x", "y", "z"]
     assert skipped == {}
     assert sorted(reports["x"].correlations) == ["age", "stoi"]
@@ -458,13 +465,13 @@ def test_grouping_by_tag_builds_one_report_per_group():
 def test_rows_without_the_tag_fall_into_a_missing_group():
     rows = synthetic_rows()
     rows.append(harness.ScoreRow("odd", {"age": 1.0}, 10.0, {}))
-    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
+    reports, skipped = group_reports(as_table(rows), "algo")
     assert "_missing" in skipped
     assert "_missing" not in reports
 
 
 def test_all_rows_form_one_group_without_a_key():
-    reports, skipped = harness.correlate_by_group(as_table(synthetic_rows()))
+    reports, skipped = group_reports(as_table(synthetic_rows()))
     assert list(reports) == ["all"]
     assert reports["all"].correlations["age"].n_points == 15
 
@@ -472,7 +479,7 @@ def test_all_rows_form_one_group_without_a_key():
 def test_only_shared_measures_are_reported():
     rows = synthetic_rows()
     rows[0].values.pop("stoi")
-    reports, _ = harness.correlate_by_group(as_table(rows))
+    reports, _ = group_reports(as_table(rows))
     assert sorted(reports["all"].correlations) == ["age"]
 
 
@@ -486,7 +493,7 @@ def test_groups_without_enough_wer_rows_are_skipped():
         )
         for i, row in enumerate(rows[:3])
     ]
-    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
+    reports, skipped = group_reports(as_table(rows), "algo")
     assert "w" in skipped and "need 3" in skipped["w"]
 
 
@@ -497,7 +504,7 @@ def test_a_group_mean_out_of_float_range_skips_its_item():
     for i in (5, 6):  # group y: the sum of wer overflows, and with it every fit's correlation
         rows[i] = dataclasses.replace(rows[i], wer_percent=1.5e308)
     with np.errstate(all="raise"):
-        reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
+        reports, skipped = group_reports(as_table(rows), "algo")
     assert skipped["x/age"] == "NumericError: the mean of age leaves the float64 range"
     assert skipped["y/wer"] == "NumericError: the mean of wer leaves the float64 range"
     assert skipped["y/age"].startswith("NumericError:")
@@ -506,15 +513,15 @@ def test_a_group_mean_out_of_float_range_skips_its_item():
     assert sorted(reports) == ["x", "z"]
     assert sorted(reports["x"].means) == ["stoi", "wer"]
     assert sorted(reports["x"].correlations) == ["stoi"]
-    assert reports["z"] == harness.correlate_by_group(as_table(synthetic_rows()), "algo")[0]["z"]
+    assert reports["z"] == group_reports(as_table(synthetic_rows()), "algo")[0]["z"]
 
 
 def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
     rows = synthetic_rows()
-    reports, _ = harness.correlate_by_group(as_table(rows))
-    reports["all"].means["age"] = float("inf")
+    correlation = harness.correlate_by_group(as_table(rows))
+    correlation.groups["all"].means["age"] = float("inf")
     with pytest.raises(ValueError, match="JSON compliant"):
-        harness.emit_report(as_table(rows), reports, tmp_path)
+        harness.emit_report(correlation, tmp_path)
 
 
 def test_nothing_reportable_raises():
@@ -529,8 +536,7 @@ def test_report_groups_equal_a_brute_force_recomputation(tmp_path):
     rows[7].values["entropy"] = 2.5
     for i, (m, wer) in enumerate(((0.3, 5.0), (1.9, 30.0), (2.6, None), (3.1, 70.0))):
         rows.append(harness.ScoreRow(f"odd{i}", {"age": m, "stoi": 0.9 - 0.1 * m}, wer, {}))
-    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
-    path = harness.emit_report(as_table(rows), reports, tmp_path, skipped=skipped, group_key="algo")
+    path = harness.emit_report(harness.correlate_by_group(as_table(rows), "algo"), tmp_path)
     doc = json.loads(path.read_text())
     assert sorted(doc["groups"]) == ["_missing", "x", "y", "z"]
     for name, entry in doc["groups"].items():
@@ -578,10 +584,10 @@ def test_a_bad_wer_cell_in_a_scores_file_is_a_format_error(tmp_path):
 
 def test_emit_report_is_byte_deterministic(tmp_path):
     rows = synthetic_rows()
-    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
+    correlation = harness.correlate_by_group(as_table(rows), "algo")
     dirs = (tmp_path / "one", tmp_path / "two")
     for out in dirs:
-        harness.emit_report(as_table(rows), reports, out, skipped=skipped, group_key="algo")
+        harness.emit_report(correlation, out)
     names = sorted(p.name for p in dirs[0].iterdir())
     assert "scores.csv" in names and "report.json" in names
     assert "scatter_age.csv" in names and "scatter_stoi.csv" in names
@@ -591,8 +597,7 @@ def test_emit_report_is_byte_deterministic(tmp_path):
 
 def test_report_json_contents(tmp_path):
     rows = synthetic_rows()
-    reports, skipped = harness.correlate_by_group(as_table(rows))
-    path = harness.emit_report(as_table(rows), reports, tmp_path)
+    path = harness.emit_report(harness.correlate_by_group(as_table(rows)), tmp_path)
     doc = json.loads(path.read_text())
     group = doc["groups"]["all"]
     assert group["n_rows"] == 15
@@ -644,9 +649,9 @@ def test_scatter_files_equal_the_csv_writer_bytes(tmp_path):
     for i, (age, wer, stoi) in enumerate(odd):
         rows.append(harness.ScoreRow(f"odd{i}", {"age": age, "stoi": stoi}, wer, {"algo": "odd"}))
     rows.append(harness.ScoreRow("nower", {"age": 4.0, "entropy": 1.5}, None, {"algo": "odd"}))
-    reports, skipped = harness.correlate_by_group(as_table(rows), "algo")
-    assert "odd" in skipped  # the 1e300 WER leaves no correlation in its group
-    harness.emit_report(as_table(rows), reports, tmp_path, skipped=skipped, group_key="algo")
+    correlation = harness.correlate_by_group(as_table(rows), "algo")
+    assert "odd" in correlation.skipped  # the 1e300 WER leaves no correlation in its group
+    harness.emit_report(correlation, tmp_path)
     assert (tmp_path / "scatter_age.csv").exists() and (tmp_path / "scatter_stoi.csv").exists()
     assert_scatter_files_match_csv_writer(rows, tmp_path)
     text = (tmp_path / "scatter_age.csv").read_text()
@@ -663,9 +668,39 @@ def rows_with_one_stoi_missing():
 @pytest.mark.parametrize("rows", [synthetic_rows(), rows_with_one_stoi_missing()],
                          ids=["all rows", "one stoi missing"])
 def test_ungrouped_scatter_files_equal_the_csv_writer_bytes(tmp_path, rows):
-    reports, skipped = harness.correlate_by_group(as_table(rows))
-    harness.emit_report(as_table(rows), reports, tmp_path, skipped=skipped)
+    harness.emit_report(harness.correlate_by_group(as_table(rows)), tmp_path)
     assert_scatter_files_match_csv_writer(rows, tmp_path)
+
+
+def fit_over_carriers(rows, measure):
+    carriers = [r for r in rows if r.wer_percent is not None and measure in r.values]
+    m_values = [r.values[measure] for r in carriers]
+    return stats.fit_logistic(m_values, [r.wer_percent for r in carriers])
+
+
+@pytest.mark.parametrize("rows", [synthetic_rows(), rows_with_one_stoi_missing()],
+                         ids=["all rows", "one stoi missing"])
+def test_an_ungrouped_curve_is_the_all_groups_fit(rows):
+    correlation = harness.correlate_by_group(as_table(rows))
+    whole = correlation.groups["all"].correlations
+    assert sorted(correlation.curves) == ["age", "stoi"]
+    for measure, curve in correlation.curves.items():
+        assert curve == fit_over_carriers(rows, measure)
+        if measure in whole:
+            assert curve is whole[measure].params
+    assert (correlation.table, correlation.group_key) == (as_table(rows), None)
+
+
+def test_a_group_named_all_does_not_lend_its_fit_to_the_curve():
+    # noisy WERs, so that a subset's fit differs from the fit over every row
+    rows = [dataclasses.replace(r, wer_percent=r.wer_percent + 3.0 * (k % 3),
+                                tags={"algo": "all" if r.tags["algo"] == "x" else "rest"})
+            for k, r in enumerate(synthetic_rows())]
+    correlation = harness.correlate_by_group(as_table(rows), "algo")
+    assert sorted(correlation.groups) == ["all", "rest"]
+    for measure, curve in correlation.curves.items():
+        assert curve == fit_over_carriers(rows, measure)
+        assert curve != correlation.groups["all"].correlations[measure].params
 
 
 # the scores.csv parser against csv.DictReader -----------------------------

@@ -180,23 +180,34 @@ def loop_emit_report(rows, reports, out, skipped=None, group_key=None):
                 writer.writerow([repr(float(mv)), repr(float(wv)), repr(float(fv))])
 
 
-def outcome(correlate, emit, data, group_key, out):
+def outcome(correlate_and_emit, data, group_key, out):
     """The skipped map and every output file's bytes, or the error's type."""
     try:
-        reports, skipped = correlate(data, group_key)
-        emit(data, reports, out, skipped=skipped, group_key=group_key)
+        skipped = correlate_and_emit(data, group_key, out)
     except (AgevalError, ValueError) as exc:
         return type(exc)
     return skipped, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def columnar_correlate_and_emit(table, group_key, out):
+    correlation = harness.correlate_by_group(table, group_key)
+    harness.emit_report(correlation, out)
+    return correlation.skipped
+
+
+def loop_correlate_and_emit(rows, group_key, out):
+    reports, skipped = loop_correlate_by_group(rows, group_key)
+    loop_emit_report(rows, reports, out, skipped=skipped, group_key=group_key)
+    return skipped
+
+
 def columnar_outcome(table, group_key, out):
-    return outcome(harness.correlate_by_group, harness.emit_report, table, group_key, out)
+    return outcome(columnar_correlate_and_emit, table, group_key, out)
 
 
 def loop_outcome(rows, group_key, out):
     with mock.patch.object(stats, "fit_logistic", loop_fit_logistic):  # evaluate_measure's fit
-        return outcome(loop_correlate_by_group, loop_emit_report, rows, group_key, out)
+        return outcome(loop_correlate_and_emit, rows, group_key, out)
 
 
 # the columnar path against the oracles ---------------------------------------
@@ -338,7 +349,7 @@ def test_load_and_correlate_stay_within_half_the_memory_of_one_object_per_row(tm
                          for i, v in enumerate(values.tolist()))
     tracemalloc.start()
     try:
-        reports, _ = harness.correlate_by_group(harness.load_scores_csv(path), "cond")
+        reports = harness.correlate_by_group(harness.load_scores_csv(path), "cond").groups
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

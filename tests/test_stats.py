@@ -307,3 +307,31 @@ def test_evaluate_measure_degenerate_inputs():
         stats.evaluate_measure([(1.0, 10.0), (2.0, 20.0)], "age")
     with pytest.raises(UndefinedCorrelationError):
         stats.evaluate_measure([(1.0, 30.0), (2.0, 30.0), (3.0, 30.0)], "age")
+
+
+@pytest.mark.parametrize("n", [60, 20_000])
+def test_evaluate_measure_gives_one_report_for_pairs_and_for_their_array(n):
+    pairs = logistic_pairs(n=n, noise=4.0)
+    stacked = np.array(pairs)
+    assert stacked.shape == (n, 2)
+    assert stats.evaluate_measure(stacked, "age") == stats.evaluate_measure(pairs, "age")
+    assert stats.evaluate_measure(iter(pairs), "age") == stats.evaluate_measure(pairs, "age")
+    # a column of a wider table is not contiguous; it fits to the same bits
+    wide = np.column_stack((stacked, stacked))[:, 2:]
+    assert stats.evaluate_measure(wide, "age") == stats.evaluate_measure(pairs, "age")
+
+
+@pytest.mark.parametrize("scores", [
+    np.zeros((5, 3)), np.zeros(6), np.zeros((2, 3, 2)), [(1.0, 2.0), (3.0,), (4.0, 5.0)],
+    [(1.0, 2.0, 3.0)] * 4,
+], ids=["three columns", "flat", "three axes", "ragged", "triples"])
+def test_evaluate_measure_rejects_scores_that_are_not_pairs(scores):
+    with pytest.raises(ShapeMismatchError):
+        stats.evaluate_measure(scores, "age")
+
+
+@pytest.mark.parametrize("scores", [[], np.zeros((0, 2)), np.array([[1.0, 10.0], [2.0, 20.0]])],
+                         ids=["empty list", "empty array", "two rows"])
+def test_evaluate_measure_needs_three_pairs(scores):
+    with pytest.raises(TooFewPointsError):
+        stats.evaluate_measure(scores, "age")

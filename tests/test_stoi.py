@@ -302,3 +302,11 @@ def test_a_score_over_several_segment_blocks_matches_the_loop():
     assert frames - SEGMENT + 1 > 3 * measures._STOI_BLOCK
     want_value, want_frames = loop_stoi_score(x, y)
     assert (value.hex(), frames) == (want_value.hex(), want_frames)
+
+
+def test_samples_whose_frame_energies_overflow_are_a_degenerate_signal():
+    # Above about 1e154 a frame's energy overflows to inf, so no frame lies
+    # within 40 dB of the loudest: a typed error, not an empty frame set.
+    huge = dsp.Waveform(speechlike().samples * 1e160, 10000)
+    with np.errstate(over="ignore"), pytest.raises(DegenerateSignalError, match="silent"):
+        measures.stoi(huge, huge)
