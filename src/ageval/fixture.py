@@ -12,6 +12,7 @@ the corpus byte for byte.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -120,6 +121,12 @@ def make_fixture_corpus(
     Layout: clean/*.wav, degraded/*.wav, labels/*.txt, model.json,
     manifest.csv. The manifest has one row per (utterance, SNR) pair with the
     surrogate WER filled in and tags snr_db, noise_type, se_algo, condition.
+
+    While the model trains, one helper thread writes, re-reads and
+    featurizes the degraded rows in manifest order; their WERs follow once
+    the model exists. The features finished during training are held in
+    memory until then, about 32 KB per second of degraded audio (26 MB for
+    20 utterances at 30 SNRs).
     """
     if len(snr_grid) == 0:
         raise ConfigError("the SNR grid must hold at least one SNR")
@@ -143,44 +150,59 @@ def make_fixture_corpus(
             fh.writelines(f"{c}\n" for c in frame_classes)
 
     noise = dsp.Waveform(rng.normal(0.0, 1.0, size=int(1.5 * SAMPLE_RATE)), SAMPLE_RATE)
+    tasks = [
+        (u, snr_db, int(rng.integers(0, noise.samples.size)))
+        for u in range(n_utts)
+        for snr_db in snr_grid
+    ]
+
+    def degrade(task: tuple[int, float, int]) -> tuple[str, dsp.FeatureMatrix]:
+        u, snr_db, offset = task
+        name = f"utt{u:03d}_snr{_snr_name(snr_db)}.wav"
+        dsp.save_wav(dsp.mix_at_snr(clean_waves[u], noise, snr_db, offset), out / "degraded" / name)
+        degraded = dsp.load_wav(out / "degraded" / name)
+        return name, dsp.mvn(dsp.fbank(degraded, fspec, mspec))
 
     clean_features = [dsp.mvn(dsp.fbank(w, fspec, mspec)) for w in clean_waves]
-    model = am.train_toy(
-        clean_features,
-        labels,
-        hidden_dims=(32,),
-        activation="sigmoid",
-        learning_rate=1.0,
-        epochs=epochs,
-        seed=seed + 1,
-        n_classes=N_TONE_CLASSES + 1,
-        left_context=2,
-        right_context=2,
-    )
-    am.save_model(model, out / "model.json")
-
     rows: list[dict[str, str]] = []
-    for u in range(n_utts):
-        for snr_db in snr_grid:
-            offset = int(rng.integers(0, noise.samples.size))
-            mixed = dsp.mix_at_snr(clean_waves[u], noise, snr_db, offset)
-            name = f"utt{u:03d}_snr{_snr_name(snr_db)}.wav"
-            dsp.save_wav(mixed, out / "degraded" / name)
-            degraded = dsp.load_wav(out / "degraded" / name)
-            feats = dsp.mvn(dsp.fbank(degraded, fspec, mspec))
-            wer = am.frame_error_rate(model, feats, labels[u])
-            rows.append(
-                {
-                    "utt_id": f"utt{u:03d}_snr{_snr_name(snr_db)}",
-                    "clean_path": f"clean/utt{u:03d}.wav",
-                    "degraded_path": f"degraded/{name}",
-                    "wer": repr(float(wer)),
-                    "snr_db": repr(float(snr_db)),
-                    "noise_type": "white",
-                    "se_algo": "noisy",
-                    "condition": "fixture",
-                }
+    # One BLAS thread for the helper's features and the main thread's
+    # training and forward passes, so no byte written depends on the
+    # caller's thread setting. The pool is shut down before the count is
+    # restored.
+    with am._one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            degraded_features = pool.map(degrade, tasks)
+            model = am.train_toy(
+                clean_features,
+                labels,
+                hidden_dims=(32,),
+                activation="sigmoid",
+                learning_rate=1.0,
+                epochs=epochs,
+                seed=seed + 1,
+                n_classes=N_TONE_CLASSES + 1,
+                left_context=2,
+                right_context=2,
             )
+            am.save_model(model, out / "model.json")
+            for (u, snr_db, _), (name, feats) in zip(tasks, degraded_features):
+                wer = am.frame_error_rate(model, feats, labels[u])
+                rows.append(
+                    {
+                        "utt_id": f"utt{u:03d}_snr{_snr_name(snr_db)}",
+                        "clean_path": f"clean/utt{u:03d}.wav",
+                        "degraded_path": f"degraded/{name}",
+                        "wer": repr(float(wer)),
+                        "snr_db": repr(float(snr_db)),
+                        "noise_type": "white",
+                        "se_algo": "noisy",
+                        "condition": "fixture",
+                    }
+                )
+        except BaseException:
+            # Drop the rows not yet started instead of finishing them first.
+            pool.shutdown(cancel_futures=True)
+            raise
 
     manifest_path = out / "manifest.csv"
     with open(manifest_path, "w", newline="") as fh:

@@ -116,10 +116,12 @@ def _windowed_frames(x: np.ndarray) -> np.ndarray:
 
 def _loud_frames(fx: np.ndarray) -> np.ndarray:
     """Keep-mask of the clean frames within 40 dB of the loudest one."""
-    energy_db = 20.0 * np.log10(np.linalg.norm(fx, axis=1) / np.sqrt(_STOI_FRAME) + _EPS)
-    keep = energy_db > energy_db.max() - _STOI_DYN_RANGE_DB
     # Samples above about 1e154 overflow a frame's energy to inf, and then no
     # frame passes.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(fx, axis=1)
+    energy_db = 20.0 * np.log10(norms / np.sqrt(_STOI_FRAME) + _EPS)
+    keep = energy_db > energy_db.max() - _STOI_DYN_RANGE_DB
     if not np.any(keep):
         raise DegenerateSignalError("all analysis frames are silent")
     return keep
@@ -262,7 +264,9 @@ def stoi(
         )
     n = aligned_length(clean.samples.size, degraded.samples.size, tolerance, "sample")
     y = degraded.samples[:n]
-    if float(np.mean(clean.samples[:n] ** 2)) == 0.0 or float(np.mean(y**2)) == 0.0:
+    with np.errstate(over="ignore"):
+        silent = float(np.mean(clean.samples[:n] ** 2)) == 0.0 or float(np.mean(y**2)) == 0.0
+    if silent:
         raise DegenerateSignalError("cannot score a silent signal")
     keep, env_x = reference.side(n)
     value, frames = _stoi_degraded(keep, env_x, _at_stoi_rate(y, degraded.sample_rate_hz))
