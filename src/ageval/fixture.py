@@ -12,6 +12,7 @@ the corpus byte for byte.
 from __future__ import annotations
 
 import csv
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
@@ -156,12 +157,24 @@ def make_fixture_corpus(
         for snr_db in snr_grid
     ]
 
-    def degrade(task: tuple[int, float, int]) -> tuple[str, dsp.FeatureMatrix]:
+    failed = threading.Event()
+
+    def degrade(task: tuple[int, float, int]) -> tuple[str, dsp.FeatureMatrix] | None:
+        # After a failed row the helper starts no more: the main thread meets
+        # that row first and re-raises its error, so no later result is read.
+        if failed.is_set():
+            return None
         u, snr_db, offset = task
         name = f"utt{u:03d}_snr{_snr_name(snr_db)}.wav"
-        dsp.save_wav(dsp.mix_at_snr(clean_waves[u], noise, snr_db, offset), out / "degraded" / name)
-        degraded = dsp.load_wav(out / "degraded" / name)
-        return name, dsp.mvn(dsp.fbank(degraded, fspec, mspec))
+        try:
+            dsp.save_wav(
+                dsp.mix_at_snr(clean_waves[u], noise, snr_db, offset), out / "degraded" / name
+            )
+            degraded = dsp.load_wav(out / "degraded" / name)
+            return name, dsp.mvn(dsp.fbank(degraded, fspec, mspec))
+        except BaseException:
+            failed.set()
+            raise
 
     clean_features = [dsp.mvn(dsp.fbank(w, fspec, mspec)) for w in clean_waves]
     rows: list[dict[str, str]] = []

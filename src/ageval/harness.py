@@ -11,6 +11,7 @@ give byte-identical output files.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import itertools
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -215,10 +216,11 @@ def _entry_from_record(
 def _csv_records(
     lines: Iterable[str], path: Path, error: type[FormatError], fault: str
 ) -> Iterator:
-    """Yield the header, then (where, record) for each non-blank record after it.
+    """Yield the header, then (N, record) for each non-blank record after it.
 
-    The header is the first record, or None; where is "path:N", N the physical line the
-    record ends on. Extra fields, undecodable text and csv.Error raise error naming N.
+    The header is the first record, or None; N is the physical line the record
+    ends on, which a caller's error names as "path:N". Extra fields,
+    undecodable text and csv.Error raise error naming "path:N".
     """
     reader = csv.reader(lines)
     try:
@@ -228,10 +230,9 @@ def _csv_records(
         for record in reader:
             if not record:
                 continue
-            where = f"{path}:{reader.line_num}"
             if len(record) > width:
-                raise error(f"{where}: more fields than header columns")
-            yield where, record
+                raise error(f"{path}:{reader.line_num}: more fields than header columns")
+            yield reader.line_num, record
     except (UnicodeDecodeError, csv.Error) as exc:
         raise error(f"{path}:{reader.line_num}: {fault} ({exc})") from exc
 
@@ -273,9 +274,9 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
         missing = [c for c in _MANIFEST_REQUIRED if c not in header]
         if missing:
             raise ManifestError(f"{path}: header lacks required columns {missing}")
-        for where, record in records:
+        for line, record in records:
             fields = dict(itertools.zip_longest(header, record))
-            entries.append(_entry_from_record(fields, where, base_dir))
+            entries.append(_entry_from_record(fields, f"{path}:{line}", base_dir))
     if not entries:
         raise EmptyInputError(f"{path}: manifest has no rows")
     seen: set[str] = set()
@@ -581,38 +582,62 @@ def _repr_cells(values: np.ndarray) -> list[str]:
 _WRITE_CHUNK_ROWS = 4096
 
 
-def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
+def write_scores_csv(
+    table: ScoreTable, path: str | Path, curves: Mapping[str, LogisticParams] | None = None
+) -> None:
     """Write a score table with stable column order: utt_id, wer, measures, tags.
 
     Floats are written as their repr, a missing value or tag as an empty
     cell, and every record ends in \\r\\n; a table of no rows writes the
-    header "utt_id,wer" alone.
+    header "utt_id,wer" alone. Each measure of curves also gets
+    scatter_<measure>.csv beside path: one (m, wer, f(m)) row, f the curve,
+    per WER-bearing row that carries the measure, in table order. One pass
+    writes every file, a chunk of rows at a time, and a scatter file's m and
+    wer cells are the very strings of the scores rows.
     """
+    path = Path(path)
     measure_cols = sorted(table.measures)
     tag_cols = sorted(table.tags)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    has_wer = ~np.isnan(table.wer)
+    with contextlib.ExitStack() as stack:
+        writer = csv.writer(stack.enter_context(open(path, "w", newline="")))
         writer.writerow(["utt_id", "wer", *measure_cols, *tag_cols])
+        scatters = []
+        for measure, params in (curves or {}).items():
+            values = table.measures[measure]
+            carriers = has_wer & ~np.isnan(values)
+            # f(m) over the whole carrier array at once, as the curve was
+            # fitted, placed in table rows so that a chunk of rows slices it
+            mapped = np.full(len(table), np.nan)
+            mapped[carriers] = map_logistic(params, values[carriers])
+            fh = stack.enter_context(open(path.parent / f"scatter_{measure}.csv", "w", newline=""))
+            # The bytes csv.writer writes for repr(float) cells, none of
+            # which needs quoting.
+            fh.write("m,wer,f(m)\r\n")
+            scatters.append((fh, measure, carriers, mapped))
         for start in range(0, len(table), _WRITE_CHUNK_ROWS):
             rows = slice(start, start + _WRITE_CHUNK_ROWS)
+            wer_cells = _repr_cells(table.wer[rows])
+            measure_cells = {m: _repr_cells(table.measures[m][rows]) for m in measure_cols}
             writer.writerows(
                 zip(
                     table.utt_ids[rows],
-                    _repr_cells(table.wer[rows]),
-                    *(_repr_cells(table.measures[m][rows]) for m in measure_cols),
+                    wer_cells,
+                    *measure_cells.values(),
                     *(table.tags[t][rows] for t in tag_cols),
                 )
             )
-
-
-def _parse_measure(text: str, column: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise FormatError(f"{where}: {column} value {text!r} is not a finite number")
-    return value
+            for fh, measure, carriers, mapped in scatters:
+                keep = carriers[rows]
+                selected = keep.tolist()
+                fh.writelines(
+                    f"{m},{w},{f!r}\r\n"
+                    for m, w, f in zip(
+                        itertools.compress(measure_cells[measure], selected),
+                        itertools.compress(wer_cells, selected),
+                        mapped[rows][keep].tolist(),
+                    )
+                )
 
 
 def load_scores_csv(path: str | Path) -> ScoreTable:
@@ -623,7 +648,8 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
     a row with no measure value, undecodable text and CSV-level faults such
     as an overlong field raise FormatError naming the path and the line;
     within a row the measure cells are checked first, in header order, then
-    whether any is present, then the WER. A blank cell is no value.
+    whether any is present, then the WER. A blank cell is no value. Each
+    cell is parsed by one float() call; only a failing cell leads further.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -640,22 +666,38 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
         measure_slots = [(m, column[m], values.append) for m, values in measures.items()]
         tag_slots = [(column[t], cells.append) for t, cells in tags.items()]
         utt_col, wer_col = column["utt_id"], column.get("wer")
+        width = len(header)
         utt_ids: list[str] = []
         wer = array("d")
-        for where, record in records:
-            if len(record) < len(header):
-                raise FormatError(f"{where}: fewer fields than header columns")
+        for line, record in records:
+            if len(record) < width:
+                raise FormatError(f"{path}:{line}: fewer fields than header columns")
             blank = True
             for m, i, append in measure_slots:
-                if record[i].strip():
-                    append(_parse_measure(record[i], m, where))
-                    blank = False
-                else:
-                    append(math.nan)
+                cell = record[i]
+                try:
+                    value = float(cell)
+                except ValueError:
+                    if not cell.strip():
+                        append(math.nan)
+                        continue
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise FormatError(f"{path}:{line}: {m} value {cell!r} is not a finite number")
+                append(value)
+                blank = False
             if blank:
-                raise FormatError(f"{where}: row has no measure values")
-            value = _parse_wer(None if wer_col is None else record[wer_col], where, FormatError)
-            wer.append(math.nan if value is None else value)
+                raise FormatError(f"{path}:{line}: row has no measure values")
+            cell = "" if wer_col is None else record[wer_col]
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value < math.inf:
+                # a blank cell is no value; _parse_wer raises for any other
+                value = _parse_wer(cell, f"{path}:{line}", FormatError)
+                value = math.nan if value is None else value
+            wer.append(value)
             utt_ids.append(record[utt_col])
             for i, append in tag_slots:
                 append(record[i] if record[i].strip() else "")
@@ -691,16 +733,14 @@ def emit_report(
     scores.csv is the table rewritten by write_scores_csv, so it is
     canonical whatever file the table came from: repr floats ("1.50" becomes
     1.5), \\r\\n line endings, no blank records and blank-only columns
-    dropped; reading it back gives an equal table. The report serializes the
-    group reports and the skipped map. Scatter files hold (m, wer, f(m))
-    triples over the rows each curve was fitted to. Nothing is fitted here.
-    Output is deterministic: identical inputs give byte-identical files.
+    dropped; reading it back gives an equal table. The same write_scores_csv
+    pass writes the scatter files, (m, wer, f(m)) triples over the rows each
+    curve was fitted to. The report serializes the group reports and the
+    skipped map; its text is made before any file is opened, so a report
+    that is not JSON-compliant raises ValueError and writes nothing. Nothing
+    is fitted here. Output is deterministic: identical inputs give
+    byte-identical files.
     """
-    table = correlation.table
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(table, out / "scores.csv")
-
     payload = {
         "group_key": correlation.group_key,
         "groups": {
@@ -714,23 +754,12 @@ def emit_report(
         },
         "skipped": correlation.skipped,
     }
+    report = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_scores_csv(correlation.table, out / "scores.csv", correlation.curves)
     report_path = out / report_name
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-    has_wer = ~np.isnan(table.wer)
-    for measure, params in correlation.curves.items():
-        values = table.measures[measure]
-        carriers = has_wer & ~np.isnan(values)
-        m_values, wer_values = values[carriers], table.wer[carriers]
-        mapped = np.asarray(map_logistic(params, m_values))
-        with open(out / f"scatter_{measure}.csv", "w", newline="") as fh:
-            # The bytes csv.writer writes for repr(float) cells, none of
-            # which needs quoting.
-            fh.write("m,wer,f(m)\r\n")
-            fh.writelines(
-                f"{m!r},{w!r},{f!r}\r\n"
-                for m, w, f in zip(m_values.tolist(), wer_values.tolist(), mapped.tolist())
-            )
+    report_path.write_text(report)
     return report_path
 
 

@@ -136,6 +136,8 @@ def test_a_failed_degraded_write_leaves_with_its_own_error(tmp_path, monkeypatch
     with pytest.raises(OSError, match="disk full"):
         make_fixture_corpus(tmp_path / "corpus", snr_grid=(0.0, 10.0), n_utts=2, epochs=2)
     assert not (tmp_path / "corpus" / "manifest.csv").exists()
+    # the helper starts no row after the failed one
+    assert len(degraded_writes) == 2
 
 
 def test_a_failed_training_cancels_the_rows_not_yet_started(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,11 +354,11 @@ def test_a_clean_file_rewritten_between_calls_is_read_again(mini_corpus, tmp_pat
     model = am.load_model(mini_corpus.parent / "model.json")
     cfg = harness.RunConfig()
     clean = tmp_path / "clean.wav"
-    clean.write_bytes(open(entries[0].clean_path, "rb").read())
+    clean.write_bytes(Path(entries[0].clean_path).read_bytes())
     run = [dataclasses.replace(e, clean_path=str(clean)) for e in entries[:2]]
     before, _ = harness.score_manifest(run, model, cfg)
     # the other SNR's degraded file: same length, different content
-    clean.write_bytes(open(entries[1].degraded_path, "rb").read())
+    clean.write_bytes(Path(entries[1].degraded_path).read_bytes())
     after, _ = harness.score_manifest(run, model, cfg)
     assert after == [harness.score_utterance(e, model, cfg) for e in run]
     assert all(a.values["age"] != b.values["age"] for a, b in zip(after, before))
@@ -522,6 +523,13 @@ def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
     correlation.groups["all"].means["age"] = float("inf")
     with pytest.raises(ValueError, match="JSON compliant"):
         harness.emit_report(correlation, tmp_path)
+    assert list(tmp_path.iterdir()) == []  # not even scores.csv
+
+
+def test_a_scatter_file_that_cannot_be_opened_is_an_os_error(tmp_path):
+    (tmp_path / "scatter_stoi.csv").mkdir()
+    with pytest.raises(OSError):
+        harness.emit_report(harness.correlate_by_group(as_table(synthetic_rows())), tmp_path)
 
 
 def test_nothing_reportable_raises():
@@ -610,6 +618,11 @@ def test_report_json_contents(tmp_path):
 
 # scatter files against csv.writer ----------------------------------------
 
+# write_scores_csv's chunk sizes to test: 2 makes NaN cells, rows without a
+# WER and scatter carriers straddle chunks.
+CHUNK_ROWS = (2, harness._WRITE_CHUNK_ROWS)
+
+
 def csv_writer_scatter(rows, measure):
     """A scatter file as emit_report wrote it through csv.writer: the reference bytes, or None."""
     pairs = [(r.values[measure], r.wer_percent) for r in rows
@@ -651,11 +664,14 @@ def test_scatter_files_equal_the_csv_writer_bytes(tmp_path):
     rows.append(harness.ScoreRow("nower", {"age": 4.0, "entropy": 1.5}, None, {"algo": "odd"}))
     correlation = harness.correlate_by_group(as_table(rows), "algo")
     assert "odd" in correlation.skipped  # the 1e300 WER leaves no correlation in its group
-    harness.emit_report(correlation, tmp_path)
-    assert (tmp_path / "scatter_age.csv").exists() and (tmp_path / "scatter_stoi.csv").exists()
-    assert_scatter_files_match_csv_writer(rows, tmp_path)
-    text = (tmp_path / "scatter_age.csv").read_text()
-    assert "\n-0.0,1e+300," in text and "\n1e-300,0.0," in text and "\n2.0,37.5," in text
+    for chunk_rows in CHUNK_ROWS:
+        out = tmp_path / f"chunks{chunk_rows}"
+        with mock.patch.object(harness, "_WRITE_CHUNK_ROWS", chunk_rows):
+            harness.emit_report(correlation, out)
+        assert (out / "scatter_age.csv").exists() and (out / "scatter_stoi.csv").exists()
+        assert_scatter_files_match_csv_writer(rows, out)
+        text = (out / "scatter_age.csv").read_text()
+        assert "\n-0.0,1e+300," in text and "\n1e-300,0.0," in text and "\n2.0,37.5," in text
 
 
 def rows_with_one_stoi_missing():
@@ -668,8 +684,12 @@ def rows_with_one_stoi_missing():
 @pytest.mark.parametrize("rows", [synthetic_rows(), rows_with_one_stoi_missing()],
                          ids=["all rows", "one stoi missing"])
 def test_ungrouped_scatter_files_equal_the_csv_writer_bytes(tmp_path, rows):
-    harness.emit_report(harness.correlate_by_group(as_table(rows)), tmp_path)
-    assert_scatter_files_match_csv_writer(rows, tmp_path)
+    correlation = harness.correlate_by_group(as_table(rows))
+    for chunk_rows in CHUNK_ROWS:
+        out = tmp_path / f"chunks{chunk_rows}"
+        with mock.patch.object(harness, "_WRITE_CHUNK_ROWS", chunk_rows):
+            harness.emit_report(correlation, out)
+        assert_scatter_files_match_csv_writer(rows, out)
 
 
 def fit_over_carriers(rows, measure):
@@ -705,6 +725,17 @@ def test_a_group_named_all_does_not_lend_its_fit_to_the_curve():
 
 # the scores.csv parser against csv.DictReader -----------------------------
 
+def parse_measure(text, column, where):
+    """A non-blank measure cell as the reference parser reads it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise FormatError(f"{where}: {column} value {text!r} is not a finite number")
+    return value
+
+
 def dictreader_load_scores_csv(path):
     """load_scores_csv through csv.DictReader, naming physical lines: the reference parser."""
     path = Path(path)
@@ -724,7 +755,7 @@ def dictreader_load_scores_csv(path):
                 if None in record.values():
                     raise FormatError(f"{where}: fewer fields than header columns")
                 values = {
-                    m: harness._parse_measure(record[m], m, where)
+                    m: parse_measure(record[m], m, where)
                     for m in measure_cols if record[m].strip()
                 }
                 if not values:

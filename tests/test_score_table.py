@@ -238,6 +238,17 @@ def score_rows(draw):
     return rows
 
 
+# write_scores_csv's chunk sizes to test: 2 makes NaN cells, rows without a
+# WER and scatter carriers straddle chunks.
+CHUNK_ROWS = (2, harness._WRITE_CHUNK_ROWS)
+
+
+def assert_columnar_outcome_in_every_chunk_size(table, group_key, out, want):
+    for chunk_rows in CHUNK_ROWS:
+        with mock.patch.object(harness, "_WRITE_CHUNK_ROWS", chunk_rows):
+            assert columnar_outcome(table, group_key, out / f"chunks{chunk_rows}") == want
+
+
 @given(rows=score_rows(), group_key=st.sampled_from([None, "g"]))
 @settings(max_examples=300, deadline=None)
 def test_the_columnar_path_writes_the_bytes_of_the_row_path(rows, group_key):
@@ -245,14 +256,14 @@ def test_the_columnar_path_writes_the_bytes_of_the_row_path(rows, group_key):
         tmp = Path(name)
         table = harness.ScoreTable.from_rows(rows)
         want = loop_outcome(rows, group_key, tmp / "loop")
-        assert columnar_outcome(table, group_key, tmp / "columns") == want
+        assert_columnar_outcome_in_every_chunk_size(table, group_key, tmp / "columns", want)
         if not rows:
             return
         # through a scores file: absent tags come back as blank cells
         harness.write_scores_csv(table, tmp / "scores.csv")
         loaded = harness.load_scores_csv(tmp / "scores.csv")
         want = loop_outcome(list(loaded.rows()), group_key, tmp / "loaded_loop")
-        assert columnar_outcome(loaded, group_key, tmp / "loaded_columns") == want
+        assert_columnar_outcome_in_every_chunk_size(loaded, group_key, tmp / "loaded_columns", want)
 
 
 @given(
@@ -338,15 +349,20 @@ def test_correlate_rewrites_a_scores_file_in_canonical_form(tmp_path):
     assert (tmp_path / "again" / "scores.csv").read_bytes() == rewritten.read_bytes()
 
 
-def test_load_and_correlate_stay_within_half_the_memory_of_one_object_per_row(tmp_path):
-    """20k rows, three measures and one tag peaked at 14.3 MB as ScoreRow objects."""
+def write_20k_scores(path):
+    """20k rows, three measures and one tag of 20 groups."""
     values = np.random.default_rng(5).uniform(0.0, 1.0, (20_000, 4))
-    path = tmp_path / "scores.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utt_id", "wer", "age", "entropy", "stoi", "cond"])
         writer.writerows([f"u{i:05d}", repr(100.0 * v[0]), repr(v[1]), repr(v[2]), repr(v[3]), f"c{i % 20:02d}"]
                          for i, v in enumerate(values.tolist()))
+    return path
+
+
+def test_load_and_correlate_stay_within_half_the_memory_of_one_object_per_row(tmp_path):
+    """20k rows, three measures and one tag peaked at 14.3 MB as ScoreRow objects."""
+    path = write_20k_scores(tmp_path / "scores.csv")
     tracemalloc.start()
     try:
         reports = harness.correlate_by_group(harness.load_scores_csv(path), "cond").groups
@@ -355,3 +371,18 @@ def test_load_and_correlate_stay_within_half_the_memory_of_one_object_per_row(tm
         tracemalloc.stop()
     assert len(reports) == 20
     assert peak < 7.0e6
+
+
+def test_emit_report_holds_one_chunk_of_cell_strings_at_a_time(tmp_path):
+    """The cell strings of all 20k rows would take more than the bound at once."""
+    correlation = harness.correlate_by_group(
+        harness.load_scores_csv(write_20k_scores(tmp_path / "in.csv")), "cond"
+    )
+    assert sorted(correlation.curves) == ["age", "entropy", "stoi"]
+    tracemalloc.start()
+    try:
+        harness.emit_report(correlation, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
