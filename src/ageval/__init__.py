@@ -24,14 +24,12 @@ from .dsp import (
     Waveform,
     fbank,
     frame_signal,
-    load_features,
     load_wav,
     mel_filterbank,
     mfcc,
     mix_at_snr,
     mvn,
     resample,
-    save_features,
     save_wav,
     splice,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "forward",
     "frame_error_rate",
     "frame_signal",
-    "load_features",
     "load_manifest",
     "load_model",
     "load_scores_csv",
@@ -107,7 +104,6 @@ __all__ = [
     "mvn",
     "pearson",
     "resample",
-    "save_features",
     "save_model",
     "save_wav",
     "score_manifest",

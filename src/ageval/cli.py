@@ -1,4 +1,4 @@
-"""Command-line interface: mix, features, score, correlate, fixture, train-toy.
+"""Command-line interface: the fixture -> score -> correlate pipeline, and mix.
 
 Exit codes: 0 on success, 1 on a fatal configuration or format error or a
 dead pool worker, 2 when a scoring run completed but had to skip rows.
@@ -11,12 +11,9 @@ import ctypes
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
-from typing import Callable, Iterable
-
-import numpy as np
 
 from . import am, dsp, fixture, harness
-from .errors import AgevalError, ConfigError, FormatError
+from .errors import AgevalError, ConfigError
 from .measures import DEFAULT_ALIGNMENT_TOLERANCE
 
 
@@ -62,16 +59,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
-    frame_spec, mel_spec = _specs_from_args(args)
-    waveform = dsp.load_wav(args.input)
-    extract = dsp.fbank if args.kind == "fbank" else dsp.mfcc
-    feats = extract(waveform, frame_spec, mel_spec)
-    dsp.save_features(feats, args.out)
-    print(f"wrote {args.out} ({feats.n_frames} frames x {feats.dim} coefficients)")
-    return 0
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
     measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
     frame_spec, mel_spec = _specs_from_args(args)
@@ -85,12 +72,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
     )
     model = am.load_model(args.model) if args.model else None
     entries = harness.load_manifest(args.manifest)
-    rows, skipped = harness.score_manifest(entries, model, cfg)
+    table, skipped = harness.score_manifest(entries, model, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.write_scores_csv(harness.ScoreTable.from_rows(rows), out / "scores.csv")
+    harness.write_scores_csv(table, out / "scores.csv")
     harness.write_skip_log(skipped, out / "skipped.csv")
-    print(f"scored {len(rows)} of {len(entries)} utterances -> {out / 'scores.csv'}")
+    print(f"scored {len(table)} of {len(entries)} utterances -> {out / 'scores.csv'}")
     if skipped:
         for utt_id, reason in skipped:
             print(f"skipped {utt_id}: {reason}", file=sys.stderr)
@@ -113,43 +100,15 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _numbers(pieces: Iterable[str], convert: Callable[[str], float], flag: str) -> tuple:
-    try:
-        return tuple(convert(p) for p in pieces)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-
-
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    snr_grid = _numbers(args.snrs.split(","), float, "--snrs")
+    try:
+        snr_grid = tuple(float(s) for s in args.snrs.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--snrs: {exc}") from exc
     manifest = fixture.make_fixture_corpus(
         args.out, seed=args.seed, snr_grid=snr_grid, n_utts=args.utts
     )
     print(f"wrote {manifest}")
-    return 0
-
-
-def _cmd_train_toy(args: argparse.Namespace) -> int:
-    feats = dsp.load_features(args.features)
-    try:
-        labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise FormatError(f"{args.labels}: not one integer class index per line ({exc})") from exc
-    hidden = _numbers([h for h in args.hidden.split(",") if h], int, "--hidden")
-    model = am.train_toy(
-        [feats],
-        [labels],
-        hidden_dims=hidden,
-        activation=args.activation,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        left_context=args.left_context,
-        right_context=args.right_context,
-    )
-    am.save_model(model, args.out)
-    loss = am.cross_entropy_loss(model, feats, labels)
-    print(f"wrote {args.out} (final loss {loss:.6f})")
     return 0
 
 
@@ -167,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--offset", type=int, default=0, help="noise start sample")
     p_mix.add_argument("--out", required=True)
     p_mix.set_defaults(func=_cmd_mix)
-
-    p_feat = sub.add_parser("features", help="extract FBANK or MFCC features to a file")
-    p_feat.add_argument("--in", dest="input", required=True)
-    p_feat.add_argument("--kind", choices=("fbank", "mfcc"), default="fbank")
-    p_feat.add_argument("--out", required=True, help=".csv for text, anything else for binary")
-    _add_feature_flags(p_feat)
-    p_feat.set_defaults(func=_cmd_features)
 
     p_score = sub.add_parser("score", help="score every utterance pair in a manifest")
     p_score.add_argument("--manifest", required=True)
@@ -201,19 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix.add_argument("--snrs", default=",".join(f"{s:g}" for s in fixture.DEFAULT_SNR_GRID))
     p_fix.add_argument("--utts", type=int, default=fixture.DEFAULT_N_UTTS)
     p_fix.set_defaults(func=_cmd_fixture)
-
-    p_train = sub.add_parser("train-toy", help="train a small model on features + labels")
-    p_train.add_argument("--features", required=True, help="feature file (binary or .csv)")
-    p_train.add_argument("--labels", required=True, help="text file, one class index per line")
-    p_train.add_argument("--hidden", default="16", help="comma-separated hidden layer sizes")
-    p_train.add_argument("--activation", choices=am.HIDDEN_ACTIVATIONS, default="sigmoid")
-    p_train.add_argument("--lr", type=float, default=0.1)
-    p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--left-context", type=int, default=0)
-    p_train.add_argument("--right-context", type=int, default=0)
-    p_train.add_argument("--out", required=True)
-    p_train.set_defaults(func=_cmd_train_toy)
 
     return parser
 

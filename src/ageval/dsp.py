@@ -7,9 +7,7 @@ float64 in the nominal range [-1, 1].
 
 from __future__ import annotations
 
-import csv
 import math
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -36,8 +34,6 @@ LOG_FLOOR = 1e-10  # applied to filterbank outputs before the natural log
 
 WINDOW_KINDS = ("hamming", "hann", "rectangular")
 FEATURE_KINDS = ("fbank", "mfcc", "spliced")
-
-FEATURE_MAGIC = b"AGEF"  # binary feature file signature
 
 # Columns with |std| <= this relative threshold are treated as constant by mvn.
 _CONST_COLUMN_TOL = 1e-12
@@ -401,52 +397,3 @@ def mvn(features: FeatureMatrix) -> FeatureMatrix:
     out = (v - mu) / np.where(constant, 1.0, sd)
     out[:, constant] = 0.0
     return FeatureMatrix(out, features.feature_kind, features.frame_shift_ms)
-
-
-def save_features(features: FeatureMatrix, path: str | Path) -> None:
-    """Write features to disk: CSV when the suffix is .csv, binary otherwise.
-
-    Binary layout: magic "AGEF", then N and D as unsigned 32-bit little-endian,
-    then N*D float32 little-endian values in row-major order.
-    """
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in features.values:
-                writer.writerow([repr(float(v)) for v in row])
-        return
-    n, d = features.values.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", n, d))
-        fh.write(np.ascontiguousarray(features.values, dtype="<f4").tobytes())
-
-
-def load_features(
-    path: str | Path, feature_kind: str = "fbank", frame_shift_ms: float = 10.0
-) -> FeatureMatrix:
-    """Read a feature file written by save_features.
-
-    The file does not carry provenance, so feature_kind and frame_shift_ms
-    must be supplied by the caller when they matter.
-    """
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        try:
-            values = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed CSV feature file ({exc})") from exc
-        return FeatureMatrix(values, feature_kind, frame_shift_ms)
-    raw = path.read_bytes()
-    header = len(FEATURE_MAGIC) + 8
-    if len(raw) < header or raw[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: missing {FEATURE_MAGIC!r} feature file signature")
-    n, d = struct.unpack("<II", raw[len(FEATURE_MAGIC) : header])
-    expected = header + 4 * n * d
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes for {n}x{d} features, got {len(raw)}")
-    with np.errstate(invalid="ignore"):
-        # a signalling NaN warns when cast; FeatureMatrix rejects every NaN
-        values = np.frombuffer(raw[header:], dtype="<f4").reshape(n, d).astype(np.float64)
-    return FeatureMatrix(values, feature_kind, frame_shift_ms)

@@ -1,10 +1,10 @@
 """Batch evaluation harness: manifests, per-utterance scoring, grouping, reports.
 
 A manifest lists utterance pairs (clean and degraded paths) with optional WER
-and free-form tag columns. Scoring produces one ScoreRow per usable pair;
-rows that cannot be scored are skipped with a reason rather than aborting the
-run. Loading, grouping and writing scores work on a ScoreTable, the same rows
-held as columns. Reports are written deterministically so identical inputs
+and free-form tag columns. Scoring a manifest produces a ScoreTable, the
+scored pairs held as columns, plus the pairs that could not be scored, each
+skipped with a reason rather than aborting the run; a ScoreRow is the result
+for one pair. Loading, grouping and writing scores work on a ScoreTable. Reports are written deterministically so identical inputs
 give byte-identical output files.
 """
 
@@ -414,13 +414,13 @@ def _score_run(
 
 def score_manifest(
     entries: Sequence[ManifestEntry], model: AcousticModel | None, cfg: RunConfig
-) -> tuple[list[ScoreRow], list[tuple[str, str]]]:
+) -> tuple[ScoreTable, list[tuple[str, str]]]:
     """Score every manifest entry, in manifest order.
 
     The run-level checks come first and are fatal. After them, any AgevalError
-    or OSError while scoring one row skips that row only. Returns (rows,
-    skipped) where skipped holds (utt_id, reason) pairs, the reason starting
-    with the error type. Consecutive entries with the same clean_path form a
+    or OSError while scoring one row skips that row only. Returns (table,
+    skipped): the scored rows as one ScoreTable, and the (utt_id, reason)
+    pairs of the skipped ones, the reason starting with the error type. Consecutive entries with the same clean_path form a
     run that loads the clean file and computes its clean side once, so a
     manifest sorted by clean_path scores fastest. Worker count above one fans
     whole runs out to a process pool whose workers each use one BLAS thread,
@@ -449,7 +449,7 @@ def score_manifest(
             outcomes = [o for run in pool.map(scorer, runs, chunksize=chunksize) for o in run]
     rows = [o for o in outcomes if isinstance(o, ScoreRow)]
     skipped = [o for o in outcomes if not isinstance(o, ScoreRow)]
-    return rows, skipped
+    return ScoreTable.from_rows(rows), skipped
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ def pipeline(tmp_path_factory):
     entries = harness.load_manifest(manifest)
     model = am.load_model(root / "corpus" / "model.json")
     cfg = harness.RunConfig()
-    rows, skipped = harness.score_manifest(entries, model, cfg)
-    reports = harness.correlate_by_group(harness.ScoreTable.from_rows(rows)).groups
+    table, skipped = harness.score_manifest(entries, model, cfg)
+    reports = harness.correlate_by_group(table).groups
     elapsed = time.perf_counter() - started
     return {
         "root": root,
@@ -38,7 +38,7 @@ def pipeline(tmp_path_factory):
         "entries": entries,
         "model": model,
         "cfg": cfg,
-        "rows": rows,
+        "table": table,
         "skipped": skipped,
         "reports": reports["all"].correlations,
         "elapsed": elapsed,
@@ -298,13 +298,13 @@ def test_c08_intelligibility_sanity():
 
 
 def test_c09_end_to_end_correlation_on_the_synthetic_corpus(pipeline):
-    rows = pipeline["rows"]
+    table = pipeline["table"]
     reports = pipeline["reports"]
     assert pipeline["skipped"] == []
-    assert len(rows) == 120
+    assert len(table) == 120
 
     by_snr = {}
-    for row in rows:
+    for row in table.rows():
         by_snr.setdefault(float(row.tags["snr_db"]), []).append(row.values["age"])
     snrs = sorted(by_snr)
     means = [float(np.mean(by_snr[s])) for s in snrs]
@@ -329,7 +329,7 @@ def test_c09_end_to_end_correlation_on_the_synthetic_corpus(pipeline):
 def test_c10_determinism_across_workers_and_regeneration(pipeline):
     entries = pipeline["entries"]
     model = pipeline["model"]
-    serial = pipeline["rows"]
+    serial = pipeline["table"]
     pooled, pooled_skipped = harness.score_manifest(
         entries, model, harness.RunConfig(workers=8)
     )

@@ -1,4 +1,4 @@
-"""Framing, log mel filterbank, cepstra, splicing, normalization and feature files."""
+"""Framing, log mel filterbank, cepstra, splicing and normalization."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ageval import dsp, measures
-from ageval.errors import ConfigError, FormatError, TooShortError, ValidationError
+from ageval.errors import ConfigError, TooShortError, ValidationError
 
 
 def noise_wave(n, rate=16000, seed=0, scale=0.1):
@@ -295,45 +295,6 @@ def test_mvn_zeroes_constant_columns():
 def test_mvn_needs_at_least_two_frames():
     with pytest.raises(TooShortError):
         dsp.mvn(dsp.FeatureMatrix(np.zeros((1, 4)), "fbank", 10.0))
-
-
-# feature files ---------------------------------------------------------
-
-def test_binary_feature_round_trip_is_exact_at_float32(tmp_path):
-    rng = np.random.default_rng(7)
-    vals = rng.normal(0, 1, (17, 5)).astype(np.float32).astype(np.float64)
-    feats = dsp.FeatureMatrix(vals, "mfcc", 10.0)
-    path = tmp_path / "f.feat"
-    dsp.save_features(feats, path)
-    assert path.read_bytes()[:4] == b"AGEF"
-    back = dsp.load_features(path, feature_kind="mfcc")
-    assert back.feature_kind == "mfcc"
-    assert np.array_equal(back.values, vals)
-
-
-def test_csv_feature_round_trip_is_exact_at_float64(tmp_path):
-    rng = np.random.default_rng(8)
-    feats = dsp.FeatureMatrix(rng.normal(0, 1, (9, 4)), "fbank", 10.0)
-    path = tmp_path / "f.csv"
-    dsp.save_features(feats, path)
-    back = dsp.load_features(path)
-    assert np.array_equal(back.values, feats.values)
-
-
-def test_load_features_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bad.feat"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        dsp.load_features(path)
-
-
-def test_load_features_rejects_truncated_payload(tmp_path):
-    feats = dsp.FeatureMatrix(np.ones((4, 4)), "fbank", 10.0)
-    path = tmp_path / "trunc.feat"
-    dsp.save_features(feats, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(FormatError):
-        dsp.load_features(path)
 
 
 def test_feature_matrix_validation():

@@ -204,8 +204,8 @@ def test_unscorable_rows_are_skipped_with_reasons(mini_corpus, tmp_path):
         harness.ManifestEntry("gone", entries[0].clean_path, str(tmp_path / "no.wav")),
         harness.ManifestEntry("half", entries[0].clean_path, str(tmp_path / "half.wav")),
     ]
-    rows, skipped = harness.score_manifest(batch, model, harness.RunConfig())
-    assert [r.utt_id for r in rows] == [entries[0].utt_id]
+    table, skipped = harness.score_manifest(batch, model, harness.RunConfig())
+    assert table.utt_ids == [entries[0].utt_id]
     reasons = dict(skipped)
     assert "FileNotFoundError" in reasons["gone"]
     assert "AlignmentError" in reasons["half"]
@@ -236,8 +236,8 @@ def test_an_error_inside_one_row_skips_only_that_row(mini_corpus, monkeypatch, e
         return real_load_wav(path, channel)
 
     monkeypatch.setattr(harness, "load_wav", load_wav)
-    rows, skipped = harness.score_manifest([entries[0], bad], model, harness.RunConfig())
-    assert [r.utt_id for r in rows] == [entries[0].utt_id]
+    table, skipped = harness.score_manifest([entries[0], bad], model, harness.RunConfig())
+    assert table.utt_ids == [entries[0].utt_id]
     assert skipped == [("bad", f"{error.__name__}: injected")]
 
 
@@ -268,14 +268,21 @@ def value_bits(rows):
     return [(r.utt_id, {m: v.hex() for m, v in r.values.items()}) for r in rows]
 
 
+def table_bits(table):
+    """Every cell of a ScoreTable, floats as their bytes."""
+    measures = {m: c.tobytes() for m, c in table.measures.items()}
+    return table.utt_ids, table.wer.tobytes(), measures, table.tags
+
+
 def test_runs_score_each_row_as_score_utterance_does(mini_corpus, shuffled_entries):
     model = am.load_model(mini_corpus.parent / "model.json")
     cfg = harness.RunConfig()
-    rows, skipped = harness.score_manifest(shuffled_entries, model, cfg)
+    table, skipped = harness.score_manifest(shuffled_entries, model, cfg)
     assert skipped == []
     single = [harness.score_utterance(e, model, cfg) for e in shuffled_entries]
-    assert value_bits(rows) == value_bits(single)
-    assert rows == single
+    assert value_bits(table.rows()) == value_bits(single)
+    assert list(table.rows()) == single
+    assert table_bits(table) == table_bits(harness.ScoreTable.from_rows(single))
 
 
 def test_the_clean_side_is_computed_once_per_run(mini_corpus, shuffled_entries, monkeypatch):
@@ -294,8 +301,8 @@ def test_the_clean_side_is_computed_once_per_run(mini_corpus, shuffled_entries, 
     for module, name in ((harness, "fbank"), (harness, "forward"), (measures, "resample"),
                          (harness, "load_wav"), (harness, "score_utterance")):
         counted(module, name)
-    rows, _ = harness.score_manifest(shuffled_entries, model, harness.RunConfig())
-    n_rows, n_runs = len(rows), 7
+    table, _ = harness.score_manifest(shuffled_entries, model, harness.RunConfig())
+    n_rows, n_runs = len(table), 7
     assert n_rows == 9
     # the clean side once per run; posteriors and the STOI clean side once
     # more for the run's second aligned length
@@ -338,8 +345,8 @@ def test_an_unreadable_clean_file_skips_its_run_only(mini_corpus, tmp_path, faul
         dataclasses.replace(e, utt_id=f"bad{i}", clean_path=str(clean))
         for i, e in enumerate(entries[:2])
     ]
-    rows, skipped = harness.score_manifest([*bad_run, *entries[2:4]], model, cfg)
-    assert [r.utt_id for r in rows] == [e.utt_id for e in entries[2:4]]
+    table, skipped = harness.score_manifest([*bad_run, *entries[2:4]], model, cfg)
+    assert table.utt_ids == [e.utt_id for e in entries[2:4]]
     reasons = []
     for entry in bad_run:
         with pytest.raises((FormatError, FileNotFoundError)) as info:
@@ -360,8 +367,8 @@ def test_a_clean_file_rewritten_between_calls_is_read_again(mini_corpus, tmp_pat
     # the other SNR's degraded file: same length, different content
     clean.write_bytes(Path(entries[1].degraded_path).read_bytes())
     after, _ = harness.score_manifest(run, model, cfg)
-    assert after == [harness.score_utterance(e, model, cfg) for e in run]
-    assert all(a.values["age"] != b.values["age"] for a, b in zip(after, before))
+    assert list(after.rows()) == [harness.score_utterance(e, model, cfg) for e in run]
+    assert all(a.values["age"] != b.values["age"] for a, b in zip(after.rows(), before.rows()))
 
 
 def test_worker_pool_reproduces_the_serial_result(mini_corpus, shuffled_entries, tmp_path):
@@ -371,7 +378,7 @@ def test_worker_pool_reproduces_the_serial_result(mini_corpus, shuffled_entries,
     entries = [*shuffled_entries, gone]
     serial = harness.score_manifest(entries, model, harness.RunConfig())
     pooled = harness.score_manifest(entries, model, harness.RunConfig(workers=2))
-    assert value_bits(pooled[0]) == value_bits(serial[0])
+    assert value_bits(pooled[0].rows()) == value_bits(serial[0].rows())
     assert pooled == serial
     assert [utt_id for utt_id, _ in serial[1]] == ["gone"]
 
@@ -387,11 +394,11 @@ def test_pool_workers_use_one_blas_thread(monkeypatch):
     monkeypatch.setattr(harness, "_score_run", blas_threads_of_each_row)
     original = am._set_blas_threads(2)  # what a forked worker would inherit
     try:
-        rows, skipped = harness.score_manifest(
+        table, skipped = harness.score_manifest(
             entries, None, harness.RunConfig(measures=("stoi",), workers=2)
         )
         found = len(am._openblas_thread_controls())
-        assert rows == []
+        assert len(table) == 0
         assert skipped == [(e.utt_id, [1] * found) for e in entries]
         assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found
     finally:
@@ -408,8 +415,8 @@ def test_serial_scoring_uses_one_blas_thread_and_restores_the_callers_count(monk
     try:
         found = len(am._openblas_thread_controls())
         for entries, workers in ((several_runs, 1), (one_run, 2)):
-            rows, skipped = harness.score_manifest(entries, None, dataclasses.replace(cfg, workers=workers))
-            assert rows == []
+            table, skipped = harness.score_manifest(entries, None, dataclasses.replace(cfg, workers=workers))
+            assert len(table) == 0
             assert skipped == [(e.utt_id, [1] * found) for e in entries]
             assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found
 

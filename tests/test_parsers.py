@@ -8,7 +8,6 @@ skipped row and exit 2), never as a traceback.
 import json
 import math
 import re
-import struct
 import tempfile
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from ageval import am, dsp, harness
 from ageval.cli import main
-from ageval.errors import AgevalError, FormatError, ValidationError
+from ageval.errors import AgevalError, FormatError
 
 fuzz = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -99,30 +98,6 @@ def mutated_models(draw, document=MODEL_DOCUMENT):
 @fuzz
 def test_load_model_raises_only_typed_errors(tmp_path, data):
     parse_only_typed_errors(am.load_model, tmp_path / "model.json", data)
-
-
-@st.composite
-def binary_feature_files(draw):
-    n, d = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    size = draw(st.sampled_from([4 * n * d, draw(st.integers(0, 80))]))
-    payload = draw(st.binary(min_size=size, max_size=size))
-    return dsp.FEATURE_MAGIC + struct.pack("<II", n, d) + payload
-
-
-@given(data=st.one_of(raw_inputs, binary_feature_files(), csv_text.map(as_bytes)),
-       suffix=st.sampled_from([".feat", ".csv"]))
-@fuzz
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
-def test_load_features_raises_only_typed_errors(tmp_path, data, suffix):
-    parse_only_typed_errors(dsp.load_features, tmp_path / f"f{suffix}", data)
-
-
-@pytest.mark.parametrize("nan", [b"\x00\x00\xc0\x7f", b"\x00\x00\x81\x7f"], ids=["quiet", "signalling"])
-def test_a_nan_in_a_binary_feature_file_is_a_validation_error(tmp_path, nan):
-    path = tmp_path / "f.feat"
-    path.write_bytes(dsp.FEATURE_MAGIC + struct.pack("<II", 1, 1) + nan)
-    with pytest.raises(ValidationError, match="non-finite"):
-        dsp.load_features(path)
 
 
 def test_unreadable_files_name_the_path(tmp_path):
