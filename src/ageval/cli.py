@@ -14,40 +14,6 @@ from pathlib import Path
 
 from . import am, dsp, fixture, harness
 from .errors import AgevalError, ConfigError
-from .measures import DEFAULT_ALIGNMENT_TOLERANCE
-
-
-def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    frame, mel = dsp.FrameSpec, dsp.MelSpec  # the class attributes hold the defaults
-    group = parser.add_argument_group("feature extraction")
-    group.add_argument("--frame-ms", type=float, default=frame.frame_length_ms,
-                       help="frame length in ms")
-    group.add_argument("--shift-ms", type=float, default=frame.frame_shift_ms, help="frame shift in ms")
-    group.add_argument("--window", choices=dsp.WINDOW_KINDS, default=frame.window_kind)
-    group.add_argument("--preemphasis", type=float, default=frame.preemphasis)
-    group.add_argument("--fft-size", type=int, default=frame.fft_size)
-    group.add_argument("--n-filters", type=int, default=mel.n_filters, help="mel filterbank size")
-    group.add_argument("--low-freq", type=float, default=mel.low_freq_hz, help="mel low edge in Hz")
-    group.add_argument("--high-freq", type=float, default=mel.high_freq_hz,
-                       help="mel high edge in Hz")
-    group.add_argument("--n-cepstra", type=int, default=mel.n_cepstra)
-
-
-def _specs_from_args(args: argparse.Namespace) -> tuple[dsp.FrameSpec, dsp.MelSpec]:
-    frame_spec = dsp.FrameSpec(
-        frame_length_ms=args.frame_ms,
-        frame_shift_ms=args.shift_ms,
-        window_kind=args.window,
-        preemphasis=args.preemphasis,
-        fft_size=args.fft_size,
-    )
-    mel_spec = dsp.MelSpec(
-        n_filters=args.n_filters,
-        low_freq_hz=args.low_freq,
-        high_freq_hz=args.high_freq,
-        n_cepstra=args.n_cepstra,
-    )
-    return frame_spec, mel_spec
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
@@ -61,15 +27,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
-    frame_spec, mel_spec = _specs_from_args(args)
-    cfg = harness.RunConfig(
-        measures=measures,
-        feature_kind=args.feature_kind,
-        frame_spec=frame_spec,
-        mel_spec=mel_spec,
-        alignment_tolerance=args.tolerance,
-        workers=args.workers,
-    )
+    cfg = harness.RunConfig(measures, args.tolerance, args.workers)
     model = am.load_model(args.model) if args.model else None
     entries = harness.load_manifest(args.manifest)
     table, skipped = harness.score_manifest(entries, model, cfg)
@@ -103,7 +61,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_fixture(args: argparse.Namespace) -> int:
     try:
         snr_grid = tuple(float(s) for s in args.snrs.split(","))
-    except ValueError as exc:
+        fixture._check_snr_grid(snr_grid)
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"--snrs: {exc}") from exc
     manifest = fixture.make_fixture_corpus(
         args.out, seed=args.seed, snr_grid=snr_grid, n_utts=args.utts
@@ -129,15 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="score every utterance pair in a manifest")
     p_score.add_argument("--manifest", required=True)
-    p_score.add_argument("--model", default=None, help="model JSON (needed for age/entropy)")
+    p_score.add_argument("--model", default=None, help="model JSON on default fbank (for age/entropy)")
     p_score.add_argument("--measures", default=",".join(harness.RunConfig.measures))
-    p_score.add_argument("--feature-kind", choices=("fbank", "mfcc"),
-                         default=harness.RunConfig.feature_kind)
-    p_score.add_argument("--tolerance", type=float, default=DEFAULT_ALIGNMENT_TOLERANCE,
+    p_score.add_argument("--tolerance", type=float, default=harness.RunConfig.alignment_tolerance,
                          help="relative clean/degraded length difference allowed")
     p_score.add_argument("--workers", type=int, default=harness.RunConfig.workers)
     p_score.add_argument("--out", required=True, help="output directory")
-    _add_feature_flags(p_score)
     p_score.set_defaults(func=_cmd_score)
 
     p_corr = sub.add_parser("correlate", help="fit and correlate measures against WER")

@@ -110,6 +110,20 @@ def _snr_name(snr_db: float) -> str:
     return f"{snr_db:g}".replace("-", "m").replace(".", "p")
 
 
+def _check_snr_grid(snr_grid: Sequence[float]) -> None:
+    """Raise ConfigError unless the grid is non-empty, finite and names each file once."""
+    if len(snr_grid) == 0:
+        raise ConfigError("the SNR grid must hold at least one SNR")
+    seen: dict[str, float] = {}
+    for snr_db in snr_grid:
+        if not np.isfinite(snr_db):
+            raise ConfigError(f"SNR {snr_db} dB is not finite")
+        name = _snr_name(snr_db)
+        if name in seen:
+            raise ConfigError(f"SNRs {seen[name]} and {snr_db} dB both give file names snr{name}")
+        seen[name] = snr_db
+
+
 def make_fixture_corpus(
     out_dir: str | Path,
     seed: int = DEFAULT_SEED,
@@ -122,6 +136,8 @@ def make_fixture_corpus(
     Layout: clean/*.wav, degraded/*.wav, labels/*.txt, model.json,
     manifest.csv. The manifest has one row per (utterance, SNR) pair with the
     surrogate WER filled in and tags snr_db, noise_type, se_algo, condition.
+    An empty grid, a non-finite SNR or two SNRs that format to one file name
+    raise ConfigError before any file is written.
 
     While the model trains, one helper thread writes, re-reads and
     featurizes the degraded rows in manifest order; their WERs follow once
@@ -129,13 +145,11 @@ def make_fixture_corpus(
     memory until then, about 32 KB per second of degraded audio (26 MB for
     20 utterances at 30 SNRs).
     """
-    if len(snr_grid) == 0:
-        raise ConfigError("the SNR grid must hold at least one SNR")
+    _check_snr_grid(snr_grid)
     out = Path(out_dir)
     (out / "clean").mkdir(parents=True, exist_ok=True)
     (out / "degraded").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)
-    fspec, mspec = dsp.FrameSpec(), dsp.MelSpec()
     rng = np.random.default_rng(seed)
 
     clean_waves: list[dsp.Waveform] = []
@@ -145,7 +159,7 @@ def make_fixture_corpus(
         dsp.save_wav(dsp.Waveform(samples, SAMPLE_RATE), out / "clean" / f"utt{u:03d}.wav")
         # Re-read so every downstream step sees the quantized file content.
         clean_waves.append(dsp.load_wav(out / "clean" / f"utt{u:03d}.wav"))
-        frame_classes = _frame_labels(samples.size, spans, fspec)
+        frame_classes = _frame_labels(samples.size, spans, dsp.FrameSpec())
         labels.append(frame_classes)
         with open(out / "labels" / f"utt{u:03d}.txt", "w") as fh:
             fh.writelines(f"{c}\n" for c in frame_classes)
@@ -171,12 +185,12 @@ def make_fixture_corpus(
                 dsp.mix_at_snr(clean_waves[u], noise, snr_db, offset), out / "degraded" / name
             )
             degraded = dsp.load_wav(out / "degraded" / name)
-            return name, dsp.mvn(dsp.fbank(degraded, fspec, mspec))
+            return name, dsp.mvn(dsp.fbank(degraded))
         except BaseException:
             failed.set()
             raise
 
-    clean_features = [dsp.mvn(dsp.fbank(w, fspec, mspec)) for w in clean_waves]
+    clean_features = [dsp.mvn(dsp.fbank(w)) for w in clean_waves]
     rows: list[dict[str, str]] = []
     # One BLAS thread for the helper's features and the main thread's
     # training and forward passes, so no byte written depends on the

@@ -4,8 +4,9 @@ A manifest lists utterance pairs (clean and degraded paths) with optional WER
 and free-form tag columns. Scoring a manifest produces a ScoreTable, the
 scored pairs held as columns, plus the pairs that could not be scored, each
 skipped with a reason rather than aborting the run; a ScoreRow is the result
-for one pair. Loading, grouping and writing scores work on a ScoreTable. Reports are written deterministically so identical inputs
-give byte-identical output files.
+for one pair. Loading, grouping and writing scores work on a ScoreTable.
+Reports are written deterministically so identical inputs give byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .am import AcousticModel, PosteriorMatrix, _one_blas_thread, _set_blas_threads, forward
-from .dsp import FeatureMatrix, FrameSpec, MelSpec, Waveform, fbank, load_wav, mfcc, mvn
+from .dsp import FeatureMatrix, MelSpec, Waveform, fbank, load_wav, mvn
 from .errors import (
     AgevalError,
     ConfigError,
@@ -143,12 +144,9 @@ class ScoreTable:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings for one scoring run."""
+    """Settings for one scoring run, whose features are always dsp.fbank's defaults."""
 
     measures: tuple[str, ...] = ("age", "entropy", "stoi")
-    feature_kind: str = "fbank"
-    frame_spec: FrameSpec = field(default_factory=FrameSpec)
-    mel_spec: MelSpec = field(default_factory=MelSpec)
     alignment_tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE
     workers: int = 1
 
@@ -158,8 +156,6 @@ class RunConfig:
         unknown = [m for m in self.measures if m not in MEASURE_NAMES]
         if unknown:
             raise ConfigError(f"unknown measures: {unknown}; valid: {list(MEASURE_NAMES)}")
-        if self.feature_kind not in ("fbank", "mfcc"):
-            raise ConfigError(f"feature_kind must be fbank or mfcc, got {self.feature_kind!r}")
         if not 0.0 <= self.alignment_tolerance < 1.0:
             raise ConfigError("alignment_tolerance must lie in [0, 1)")
         if self.workers < 1:
@@ -194,6 +190,9 @@ def _entry_from_record(
         value = record.get(key)
         if value is None or not str(value).strip():
             raise ManifestError(f"{where}: missing required field {key!r}")
+    reserved = [name for name in MEASURE_NAMES if name in record]
+    if reserved:
+        raise ManifestError(f"{where}: column {reserved[0]!r} is reserved for a measure")
     tags = {
         str(k): str(v)
         for k, v in record.items()
@@ -242,8 +241,10 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
 
     Relative audio paths are resolved against the manifest's directory.
     Duplicate utt_ids and malformed rows raise ManifestError with the line
-    number; so do undecodable text and CSV-level faults such as an overlong
-    field. A CSV row shorter than the header lacks its last columns.
+    number; so do a column or key named after a measure (age, entropy,
+    stoi), which scores.csv would hold as a second column of that measure,
+    undecodable text and CSV-level faults such as an overlong field. A CSV
+    row shorter than the header lacks its last columns.
     """
     path = Path(path)
     base_dir = path.parent
@@ -297,16 +298,10 @@ def _check_model(model: AcousticModel | None, cfg: RunConfig) -> None:
         return
     if model is None:
         raise ConfigError("posterior measures requested but no model given")
-    width = cfg.mel_spec.n_filters if cfg.feature_kind == "fbank" else cfg.mel_spec.n_cepstra
-    if model.input_dim != width:
+    if model.input_dim != MelSpec.n_filters:
         raise ShapeMismatchError(
-            f"model expects {model.input_dim}-dim features, {cfg.feature_kind} gives {width}"
+            f"model expects {model.input_dim}-dim features, fbank gives {MelSpec.n_filters}"
         )
-
-
-def _features(waveform: Waveform, cfg: RunConfig) -> FeatureMatrix:
-    extract = fbank if cfg.feature_kind == "fbank" else mfcc
-    return extract(waveform, cfg.frame_spec, cfg.mel_spec)
 
 
 def _first_frames(features: FeatureMatrix, n: int) -> FeatureMatrix:
@@ -324,10 +319,9 @@ class CleanReference:
     meets the same error. The state lives as long as the object.
     """
 
-    def __init__(self, path: str, model: AcousticModel | None, cfg: RunConfig) -> None:
+    def __init__(self, path: str, model: AcousticModel | None) -> None:
         self.path = path
         self.model = model
-        self.cfg = cfg
         self._posteriors: dict[int, PosteriorMatrix] = {}
 
     @cached_property
@@ -336,7 +330,7 @@ class CleanReference:
 
     @cached_property
     def features(self) -> FeatureMatrix:
-        return _features(self.waveform, self.cfg)
+        return fbank(self.waveform)
 
     @cached_property
     def stoi_reference(self) -> StoiReference:
@@ -360,15 +354,13 @@ def score_utterance(
 
     clean is the entry's clean side when it is shared with other rows (see
     score_manifest); by default one is built for this row alone. It must be
-    built for entry.clean_path with the same model and cfg.
+    built for entry.clean_path with the same model.
     """
     _check_model(model, cfg)
     if clean is None:
-        clean = CleanReference(entry.clean_path, model, cfg)
-    elif (clean.path, clean.cfg) != (entry.clean_path, cfg) or clean.model is not model:
-        raise ConfigError(
-            f"{entry.utt_id}: clean reference built for another file, model or config"
-        )
+        clean = CleanReference(entry.clean_path, model)
+    elif clean.path != entry.clean_path or clean.model is not model:
+        raise ConfigError(f"{entry.utt_id}: clean reference built for another file or model")
     waveform = clean.waveform
     degraded = load_wav(entry.degraded_path)
     if waveform.sample_rate_hz != degraded.sample_rate_hz:
@@ -380,7 +372,7 @@ def score_utterance(
     if cfg.needs_model:
         assert model is not None
         n_clean = clean.features.n_frames  # first, so the clean side's errors come first
-        features = _features(degraded, cfg)
+        features = fbank(degraded)
         n = aligned_length(n_clean, features.n_frames, cfg.alignment_tolerance, "frame")
         p_clean = clean.posteriors(n)
         p_degraded = forward(model, mvn(_first_frames(features, n)))
@@ -402,7 +394,7 @@ def score_utterance(
 def _score_run(
     run: Sequence[ManifestEntry], model: AcousticModel | None, cfg: RunConfig
 ) -> list[ScoreRow | tuple[str, str]]:
-    clean = CleanReference(run[0].clean_path, model, cfg)
+    clean = CleanReference(run[0].clean_path, model)
     outcomes: list[ScoreRow | tuple[str, str]] = []
     for entry in run:
         try:
@@ -420,11 +412,12 @@ def score_manifest(
     The run-level checks come first and are fatal. After them, any AgevalError
     or OSError while scoring one row skips that row only. Returns (table,
     skipped): the scored rows as one ScoreTable, and the (utt_id, reason)
-    pairs of the skipped ones, the reason starting with the error type. Consecutive entries with the same clean_path form a
-    run that loads the clean file and computes its clean side once, so a
-    manifest sorted by clean_path scores fastest. Worker count above one fans
-    whole runs out to a process pool whose workers each use one BLAS thread,
-    so workers x BLAS threads do not oversubscribe the cores; results are
+    pairs of the skipped ones, the reason starting with the error type.
+    Consecutive entries with the same clean_path form a run that loads the
+    clean file and computes its clean side once, so a manifest sorted by
+    clean_path scores fastest. Worker count above one fans whole runs out to
+    a pool of at most one process per run, each on one BLAS thread, so
+    workers x BLAS threads do not oversubscribe the cores; results are
     identical to the single-process path. The single-process path sets the
     process's OpenBLAS thread count to 1 while it scores and then restores
     it, so it holds other BLAS work in the process to one thread meanwhile,
@@ -444,7 +437,7 @@ def score_manifest(
         # 3.5% with 2.
         chunksize = max(1, len(runs) // (16 * cfg.workers))
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_set_blas_threads, initargs=(1,)
+            max_workers=min(cfg.workers, len(runs)), initializer=_set_blas_threads, initargs=(1,)
         ) as pool:
             outcomes = [o for run in pool.map(scorer, runs, chunksize=chunksize) for o in run]
     rows = [o for o in outcomes if isinstance(o, ScoreRow)]

@@ -1,6 +1,7 @@
 """Command line entry points, exercised through main()."""
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -19,13 +20,24 @@ from ageval import cli, dsp, fixture, harness, stats
 from ageval.cli import main
 
 
-def test_flag_defaults_are_the_library_defaults():
+def test_flag_defaults_are_the_library_defaults(capsys):
     parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a.option_strings[0] for a in sub.choices["score"]._actions if a.dest != "help"]
+    assert options == ["--manifest", "--model", "--measures", "--tolerance", "--workers", "--out"]
+    assert [f.name for f in dataclasses.fields(harness.RunConfig)] == [
+        "measures", "alignment_tolerance", "workers"
+    ]
     score = parser.parse_args(["score", "--manifest", "m.csv", "--out", "out"])
-    assert cli._specs_from_args(score) == (dsp.FrameSpec(), dsp.MelSpec())
-    assert tuple(score.measures.split(",")) == harness.RunConfig().measures
     run = harness.RunConfig()
-    assert (score.feature_kind, score.workers) == (run.feature_kind, run.workers)
+    assert (tuple(score.measures.split(",")), score.tolerance, score.workers) == (
+        run.measures, run.alignment_tolerance, run.workers
+    )
+    # scoring has one front end: a feature flag is not an option
+    with pytest.raises(SystemExit) as info:
+        main(["score", "--manifest", "m.csv", "--out", "out", "--window", "hann"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --window hann" in capsys.readouterr().err
     fixture_args = parser.parse_args(["fixture", "--out", "out"])
     defaults = inspect.signature(fixture.make_fixture_corpus).parameters
     assert tuple(map(float, fixture_args.snrs.split(","))) == defaults["snr_grid"].default
@@ -187,16 +199,14 @@ def test_an_8khz_pair_skips_only_its_row(tmp_path, mini_corpus):
     assert list(read_rows(tmp_path / "out" / "scores.csv")) == [e.utt_id for e in entries]
     reason = read_rows(tmp_path / "out" / "skipped.csv")["low"].split(",", 1)[1]
     assert reason.startswith("ConfigError: mel high edge 7800.0 Hz exceeds Nyquist")
-    # a feature flag that no row can satisfy skips every row with the same reason
-    write_manifest(tmp_path / "good.csv", good)
-    assert main(["score", "--manifest", str(tmp_path / "good.csv"), "--model", model,
-                 "--fft-size", "256", "--out", str(tmp_path / "fft")]) == 2
-    assert (tmp_path / "fft" / "scores.csv").read_bytes() == b"utt_id,wer\r\n"
-    skipped = read_rows(tmp_path / "fft" / "skipped.csv")
-    assert sorted(skipped) == sorted(e.utt_id for e in entries)
-    assert {line.split(",", 1)[1] for line in skipped.values()} == {
-        "ConfigError: fft_size 256 is smaller than the 400-sample frame"
-    }
+    # a manifest of the 8 kHz pair alone skips every row with the one reason
+    write_manifest(tmp_path / "low.csv", [low])
+    assert main(["score", "--manifest", str(tmp_path / "low.csv"), "--model", model,
+                 "--out", str(tmp_path / "low")]) == 2
+    assert (tmp_path / "low" / "scores.csv").read_bytes() == b"utt_id,wer\r\n"
+    skipped = read_rows(tmp_path / "low" / "skipped.csv")
+    assert list(skipped) == ["low"]
+    assert skipped["low"].split(",", 1)[1] == reason
 
 
 def test_malformed_numbers_exit_with_code_one(tmp_path, capsys):

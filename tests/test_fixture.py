@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ageval
-from ageval import am, dsp, fixture, harness
+from ageval import am, cli, dsp, fixture, harness
 from ageval.errors import ConfigError
 from ageval.fixture import make_fixture_corpus
 
@@ -198,3 +198,22 @@ def test_an_empty_snr_grid_is_rejected_before_any_file_is_written(tmp_path):
     with pytest.raises(ConfigError):
         make_fixture_corpus(tmp_path / "corpus", snr_grid=[], n_utts=1, epochs=1)
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("snr_grid, message", [
+    ((5.0, float("nan")), "SNR nan dB is not finite"),
+    ((5.0, float("inf")), "SNR inf dB is not finite"),
+    ((5.0, 5), "SNRs 5.0 and 5 dB both give file names snr5"),
+    ((0.1234567, 0.1234568), "SNRs 0.1234567 and 0.1234568 dB both give file names snr0p123457"),
+])
+def test_a_bad_snr_grid_is_rejected_before_any_file_is_written(tmp_path, snr_grid, message):
+    with pytest.raises(ConfigError, match=message):
+        make_fixture_corpus(tmp_path / "corpus", snr_grid=snr_grid, n_utts=1, epochs=1)
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("snrs", ["5,nan", "5,5.0"])
+def test_the_fixture_command_names_a_bad_snr_grid(tmp_path, capsys, snrs):
+    assert cli.main(["fixture", "--out", str(tmp_path / "fx"), f"--snrs={snrs}"]) == 1
+    assert capsys.readouterr().err.startswith("error: --snrs: SNR")
+    assert not (tmp_path / "fx").exists()

@@ -91,6 +91,17 @@ def test_manifest_reports_the_offending_line(tmp_path):
         harness.load_manifest(tmp_path / "m.jsonl")
 
 
+@pytest.mark.parametrize("measure", ["age", "entropy", "stoi"])
+def test_a_manifest_column_named_after_a_measure_is_rejected(tmp_path, measure):
+    # e.g. a speaker-age tag, which scores.csv would hold as a second age column
+    (tmp_path / "m.csv").write_text(CSV_TEXT.replace("snr_db", measure))
+    with pytest.raises(ManifestError, match=rf"m\.csv:2: column '{measure}' is reserved"):
+        harness.load_manifest(tmp_path / "m.csv")
+    (tmp_path / "m.jsonl").write_text(jsonl_text().replace("snr_db", measure))
+    with pytest.raises(ManifestError, match=rf"m\.jsonl:1: column '{measure}' is reserved"):
+        harness.load_manifest(tmp_path / "m.jsonl")
+
+
 ODD_TAGS = {"sep": "a\u2028b", "feed": "a\fb", "crlf": "a\r\nb", "comma": "a,b"}
 
 
@@ -211,16 +222,23 @@ def test_unscorable_rows_are_skipped_with_reasons(mini_corpus, tmp_path):
     assert "AlignmentError" in reasons["half"]
 
 
-def test_model_feature_mismatch_is_fatal(mini_corpus, tmp_path):
+def test_model_feature_mismatch_is_fatal(mini_corpus, tmp_path, capsys):
     entries = harness.load_manifest(mini_corpus)
-    model = am.load_model(mini_corpus.parent / "model.json")
-    cfg = harness.RunConfig(measures=("age",), feature_kind="mfcc")
-    with pytest.raises(ShapeMismatchError):
+    mfcc_shaped = dsp.FeatureMatrix(np.zeros((4, 13)), "mfcc", 10.0)
+    model = am.train_toy([mfcc_shaped], [[0, 1, 0, 1]], epochs=0)
+    assert model.input_dim == 13 != dsp.MelSpec.n_filters
+    cfg = harness.RunConfig(measures=("age",))
+    with pytest.raises(ShapeMismatchError, match="13-dim features, fbank gives 40"):
         harness.score_manifest(entries[:1], model, cfg)
     # a run-level check: it fails before any audio file is opened
     gone = harness.ManifestEntry("gone", str(tmp_path / "a.wav"), str(tmp_path / "b.wav"))
     with pytest.raises(ShapeMismatchError):
-        harness.score_manifest([gone], model, harness.RunConfig(feature_kind="mfcc"))
+        harness.score_manifest([gone], model, harness.RunConfig())
+    am.save_model(model, tmp_path / "model.json")
+    (tmp_path / "m.csv").write_text(f"utt_id,clean_path,degraded_path\ngone,{gone.clean_path},b\n")
+    assert main(["score", "--manifest", str(tmp_path / "m.csv"), "--model",
+                 str(tmp_path / "model.json"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: model expects 13-dim features, fbank gives 40\n"
 
 
 @pytest.mark.parametrize("error", [NumericError, ValidationError])
@@ -315,22 +333,19 @@ def test_the_clean_side_is_computed_once_per_run(mini_corpus, shuffled_entries, 
     }
 
 
-def test_a_clean_reference_serves_only_its_own_file_model_and_config(mini_corpus):
+def test_a_clean_reference_serves_only_its_own_file_and_model(mini_corpus):
     entries = harness.load_manifest(mini_corpus)
     model = am.load_model(mini_corpus.parent / "model.json")
-    cfg = harness.RunConfig()
-    clean = harness.CleanReference(entries[0].clean_path, model, cfg)
-    assert harness.score_utterance(entries[1], model, cfg, clean) == harness.score_utterance(
-        entries[1], model, cfg
-    )
+    clean = harness.CleanReference(entries[0].clean_path, model)
+    # the clean side does not depend on the run's measures or tolerance
+    for cfg in (harness.RunConfig(), harness.RunConfig(measures=("age",), alignment_tolerance=0.5)):
+        assert harness.score_utterance(entries[1], model, cfg, clean) == harness.score_utterance(
+            entries[1], model, cfg
+        )
     other_model = am.load_model(mini_corpus.parent / "model.json")
-    for entry, row_model, row_cfg in (
-        (entries[2], model, cfg),
-        (entries[0], other_model, cfg),
-        (entries[0], model, harness.RunConfig(measures=("age",))),
-    ):
-        with pytest.raises(ConfigError, match="clean reference"):
-            harness.score_utterance(entry, row_model, row_cfg, clean)
+    for entry, row_model in ((entries[2], model), (entries[0], other_model)):
+        with pytest.raises(ConfigError, match="clean reference built for another file or model"):
+            harness.score_utterance(entry, row_model, harness.RunConfig(), clean)
 
 
 @pytest.mark.parametrize("fault", ["missing", "garbage"])
@@ -381,6 +396,34 @@ def test_worker_pool_reproduces_the_serial_result(mini_corpus, shuffled_entries,
     assert value_bits(pooled[0].rows()) == value_bits(serial[0].rows())
     assert pooled == serial
     assert [utt_id for utt_id, _ in serial[1]] == ["gone"]
+
+
+def test_the_pool_starts_no_more_workers_than_runs(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    entries = [harness.ManifestEntry(f"u{i}", f"c{i // 2}.wav", f"d{i}.wav") for i in range(4)]
+    table, skipped = harness.score_manifest(
+        entries, None, harness.RunConfig(measures=("stoi",), workers=4)
+    )
+    assert started == [2]
+    assert len(table) == 0
+    assert [utt_id for utt_id, _ in skipped] == ["u0", "u1", "u2", "u3"]
 
 
 def blas_threads_of_each_row(run, model, cfg):
