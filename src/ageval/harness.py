@@ -14,7 +14,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -167,11 +166,11 @@ class RunConfig:
 
 
 def _parse_wer(
-    raw: object, where: str, error: type[FormatError] = ManifestError
+    raw: str | None, where: str, error: type[FormatError] = ManifestError
 ) -> float | None:
     if raw is None:
         return None
-    text = str(raw).strip()
+    text = raw.strip()
     if not text:
         return None
     try:
@@ -183,48 +182,26 @@ def _parse_wer(
     return value
 
 
-def _entry_from_record(
-    record: dict[str, object], where: str, base_dir: Path
-) -> ManifestEntry:
-    for key in _MANIFEST_REQUIRED:
-        value = record.get(key)
-        if value is None or not str(value).strip():
-            raise ManifestError(f"{where}: missing required field {key!r}")
-    reserved = [name for name in MEASURE_NAMES if name in record]
-    if reserved:
-        raise ManifestError(f"{where}: column {reserved[0]!r} is reserved for a measure")
-    tags = {
-        str(k): str(v)
-        for k, v in record.items()
-        if k not in _MANIFEST_REQUIRED and k != "wer" and v is not None and str(v).strip()
-    }
-
-    def resolve(p: object) -> str:
-        path = Path(str(p))
-        return str(path if path.is_absolute() else base_dir / path)
-
-    return ManifestEntry(
-        utt_id=str(record["utt_id"]),
-        clean_path=resolve(record["clean_path"]),
-        degraded_path=resolve(record["degraded_path"]),
-        wer_percent=_parse_wer(record.get("wer"), where),
-        tags=tags,
-    )
-
-
 def _csv_records(
     lines: Iterable[str], path: Path, error: type[FormatError], fault: str
-) -> Iterator:
-    """Yield the header, then (N, record) for each non-blank record after it.
+) -> Iterator[tuple[int, list[str] | None]]:
+    """Yield (N, header), then (N, record) for each non-blank record after it.
 
-    The header is the first record, or None; N is the physical line the record
-    ends on, which a caller's error names as "path:N". Extra fields,
-    undecodable text and csv.Error raise error naming "path:N".
+    The header is the first record, or None for a text with no record; N is
+    the physical line the record ends on, which a caller's error names as
+    "path:N". A header that repeats a non-blank name, extra fields,
+    undecodable text and csv.Error raise error naming "path:N"; blank header
+    names, such as a spreadsheet's trailing empty cells, may repeat.
     """
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
-        yield header
+        seen: set[str] = set()
+        for name in header or ():
+            if name in seen and name.strip():
+                raise error(f"{path}:{reader.line_num}: header repeats column {name!r}")
+            seen.add(name)
+        yield reader.line_num, header
         width = len(header)
         for record in reader:
             if not record:
@@ -237,54 +214,64 @@ def _csv_records(
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Read a manifest: CSV with a header row, or JSON-lines with the same keys.
+    """Read a CSV manifest: utt_id, clean_path, degraded_path, optional wer, tags.
 
-    Relative audio paths are resolved against the manifest's directory.
-    Duplicate utt_ids and malformed rows raise ManifestError with the line
-    number; so do a column or key named after a measure (age, entropy,
-    stoi), which scores.csv would hold as a second column of that measure,
-    undecodable text and CSV-level faults such as an overlong field. A CSV
-    row shorter than the header lacks its last columns.
+    The header decides the columns once: a required one missing, one named
+    after a measure (age, entropy, stoi), which scores.csv would hold as a
+    second column of that measure, or a repeated non-blank name raises
+    ManifestError. So do a bad row, a duplicate utt_id, undecodable text and
+    CSV-level faults, each naming "path:N". A row shorter than the header
+    lacks its last columns. Relative audio paths resolve against the
+    manifest's directory. A blank file or one with no row is EmptyInputError.
     """
     path = Path(path)
-    base_dir = path.parent
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: undecodable text ({exc})") from exc
-    stripped = text.lstrip()
-    if not stripped:
-        raise EmptyInputError(f"{path}: manifest is empty")
-    entries: list[ManifestEntry] = []
-    if path.suffix.lower() in (".jsonl", ".ndjson", ".json") or stripped.startswith("{"):
-        # Lines end at \n, \r or \r\n only, so a JSON string may hold U+2028.
-        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise ManifestError(f"{path}:{lineno}: expected a JSON object per line")
-            entries.append(_entry_from_record(record, f"{path}:{lineno}", base_dir))
-    else:
-        records = _csv_records(io.StringIO(text, newline=""), path, ManifestError, "malformed CSV")
-        header = next(records)  # not None: the text holds a non-blank character
+    with open(path, newline="") as fh:
+        try:
+            # Up to the first line that is not blank, to tell a blank file from
+            # a blank first record; csv then reads these lines again.
+            head = [fh.readline()]
+            while head[-1].isspace():
+                head.append(fh.readline())
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: undecodable text ({exc})") from exc
+        if not head[-1]:
+            raise EmptyInputError(f"{path}: manifest is empty")
+        records = _csv_records(itertools.chain(head, fh), path, ManifestError, "malformed CSV")
+        header_line, header = next(records)
         missing = [c for c in _MANIFEST_REQUIRED if c not in header]
         if missing:
             raise ManifestError(f"{path}: header lacks required columns {missing}")
+        reserved = [name for name in MEASURE_NAMES if name in header]
+        if reserved:
+            raise ManifestError(
+                f"{path}:{header_line}: column {reserved[0]!r} is reserved for a measure"
+            )
+        tags = {name: i for i, name in enumerate(header)}  # less the pops below
+        wer_col = tags.pop("wer", None)
+        required = [tags.pop(name) for name in _MANIFEST_REQUIRED]
+        entries: list[ManifestEntry] = []
+        seen: set[str] = set()
         for line, record in records:
-            fields = dict(itertools.zip_longest(header, record))
-            entries.append(_entry_from_record(fields, f"{path}:{line}", base_dir))
+            where = f"{path}:{line}"
+            record += [""] * (len(header) - len(record))  # a short row lacks its last columns
+            utt_id, clean_path, degraded_path = cells = [record[i] for i in required]
+            for name, cell in zip(_MANIFEST_REQUIRED, cells):
+                if not cell.strip():
+                    raise ManifestError(f"{where}: missing required field {name!r}")
+            if utt_id in seen:
+                raise ManifestError(f"{where}: duplicate utt_id {utt_id!r}")
+            seen.add(utt_id)
+            entries.append(
+                ManifestEntry(
+                    utt_id=utt_id,
+                    clean_path=str(path.parent / clean_path),
+                    degraded_path=str(path.parent / degraded_path),
+                    wer_percent=None if wer_col is None else _parse_wer(record[wer_col], where),
+                    tags={name: record[i] for name, i in tags.items() if record[i].strip()},
+                )
+            )
     if not entries:
         raise EmptyInputError(f"{path}: manifest has no rows")
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.utt_id in seen:
-            raise ManifestError(f"{path}: duplicate utt_id {entry.utt_id!r}")
-        seen.add(entry.utt_id)
     return entries
 
 
@@ -467,8 +454,10 @@ def _groups(table: ScoreTable, group_key: str | None) -> dict[str, np.ndarray]:
     """Row indices per group name, groups and rows in first-seen order."""
     if group_key is None:
         return {"all": np.arange(len(table))}
+    if group_key not in table.tags:
+        raise ConfigError(f"no row carries the tag {group_key!r}; tags: {sorted(table.tags)}")
     members: dict[str, list[int]] = {}
-    for i, tag in enumerate(table.tags.get(group_key, [""] * len(table))):
+    for i, tag in enumerate(table.tags[group_key]):
         members.setdefault(tag or "_missing", []).append(i)
     return {name: np.array(rows) for name, rows in members.items()}
 
@@ -515,7 +504,8 @@ def correlate_by_group(table: ScoreTable, group_key: str | None = None) -> Corre
     """Fit and correlate each measure against WER within each tag group.
 
     With group_key=None all rows form one group named "all"; otherwise rows
-    lacking the tag form the group "_missing". Groups with fewer than 3
+    lacking the tag form the group "_missing", and a tag that no row carries
+    raises ConfigError. Groups with fewer than 3
     WER-bearing rows, group/measure fits that raise any AgevalError, and
     group/column means that leave the float64 range (the measure then gets
     no fit) are reported in the skipped map. A measure is fitted in a group
@@ -636,10 +626,10 @@ def write_scores_csv(
 def load_scores_csv(path: str | Path) -> ScoreTable:
     """Read a scores file, as write_scores_csv writes it, into a ScoreTable.
 
-    Blank records are skipped, and of two header columns with one name the
-    last wins. A malformed cell, a row shorter or longer than the header,
-    a row with no measure value, undecodable text and CSV-level faults such
-    as an overlong field raise FormatError naming the path and the line;
+    Blank records are skipped. A header that repeats a non-blank name, a
+    malformed cell, a row shorter or longer than the header, a row with no
+    measure value, undecodable text and CSV-level faults such as an
+    overlong field raise FormatError naming the path and the line;
     within a row the measure cells are checked first, in header order, then
     whether any is present, then the WER. A blank cell is no value. Each
     cell is parsed by one float() call; only a failing cell leads further.
@@ -647,11 +637,10 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
     path = Path(path)
     with open(path, newline="") as fh:
         records = _csv_records(fh, path, FormatError, "unreadable CSV")
-        header = next(records)
+        _, header = next(records)
         if header is None or "utt_id" not in header:
             raise FormatError(f"{path}: not a scores file (missing utt_id column)")
         column = {name: i for i, name in enumerate(header)}
-        # dicts drop a repeated name: the column map points each at its last index
         measures = {c: array("d") for c in header if c in MEASURE_NAMES}
         tags: dict[str, list[str]] = {
             c: [] for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")

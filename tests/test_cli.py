@@ -262,6 +262,23 @@ def test_correlate_rejects_bad_measure_cells(tmp_path, capsys, row, detail):
     assert err.startswith("error: ") and "scores.csv:4" in err and detail in err
 
 
+@pytest.mark.parametrize("header, group_by, detail", [
+    ("utt_id,wer,age,age,snr_db", "none", "scores.csv:1: header repeats column 'age'"),
+    ("utt_id,wer,age,snr_db,snr_db", "snr_db", "scores.csv:1: header repeats column 'snr_db'"),
+    ("utt_id,wer,age,snr_db,x", "snr", "no row carries the tag 'snr'; tags: ['snr_db', 'x']"),
+], ids=["repeated measure", "repeated tag", "absent group tag"])
+def test_correlate_rejects_an_ambiguous_column_or_an_absent_group(
+    tmp_path, capsys, header, group_by, detail
+):
+    lines = [header] + [f"u{i},{10.0 * i},{0.5 * i},{0.1 * i},{i % 2}" for i in range(6)]
+    (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+    assert main(["correlate", "--scores", str(tmp_path / "scores.csv"), "--group-by", group_by,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and detail in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_logistic_fit_out_of_float_range_is_skipped_without_a_warning(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text(

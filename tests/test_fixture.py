@@ -212,6 +212,15 @@ def test_a_bad_snr_grid_is_rejected_before_any_file_is_written(tmp_path, snr_gri
     assert not (tmp_path / "corpus").exists()
 
 
+@pytest.mark.parametrize("utts", ["0", "-1"])
+def test_the_fixture_command_rejects_no_utterances_before_any_file_is_written(
+    tmp_path, capsys, utts
+):
+    assert cli.main(["fixture", "--out", str(tmp_path / "fx"), "--utts", utts]) == 1
+    assert capsys.readouterr().err == f"error: n_utts must be at least 1, got {utts}\n"
+    assert not (tmp_path / "fx").exists()
+
+
 @pytest.mark.parametrize("snrs", ["5,nan", "5,5.0"])
 def test_the_fixture_command_names_a_bad_snr_grid(tmp_path, capsys, snrs):
     assert cli.main(["fixture", "--out", str(tmp_path / "fx"), f"--snrs={snrs}"]) == 1

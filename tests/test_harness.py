@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -33,26 +34,11 @@ u3,clean/u3.wav,deg/u3.wav,40.0,10
 """
 
 
-def jsonl_text():
-    records = [
-        {"utt_id": "u1", "clean_path": "clean/u1.wav",
-         "degraded_path": "deg/u1.wav", "wer": 12.5, "snr_db": "0"},
-        {"utt_id": "u2", "clean_path": "clean/u2.wav",
-         "degraded_path": "deg/u2.wav", "snr_db": "5"},
-        {"utt_id": "u3", "clean_path": "clean/u3.wav",
-         "degraded_path": "deg/u3.wav", "wer": 40.0, "snr_db": "10"},
-    ]
-    return "".join(json.dumps(r) + "\n" for r in records)
-
-
 # manifests ---------------------------------------------------------------
 
-def test_csv_and_jsonl_manifests_parse_identically(tmp_path):
+def test_a_csv_manifest_gives_ids_wer_and_tags(tmp_path):
     (tmp_path / "m.csv").write_text(CSV_TEXT)
-    (tmp_path / "m.jsonl").write_text(jsonl_text())
     from_csv = harness.load_manifest(tmp_path / "m.csv")
-    from_jsonl = harness.load_manifest(tmp_path / "m.jsonl")
-    assert from_csv == from_jsonl
     assert [e.utt_id for e in from_csv] == ["u1", "u2", "u3"]
     assert from_csv[1].wer_percent is None
     assert from_csv[2].wer_percent == 40.0
@@ -86,20 +72,74 @@ def test_manifest_reports_the_offending_line(tmp_path):
     (tmp_path / "m.csv").write_text(bad)
     with pytest.raises(ManifestError, match=r"m\.csv:4"):
         harness.load_manifest(tmp_path / "m.csv")
-    (tmp_path / "m.jsonl").write_text('{"utt_id": "u1"\n')
-    with pytest.raises(ManifestError, match=r"m\.jsonl:1"):
-        harness.load_manifest(tmp_path / "m.jsonl")
 
 
 @pytest.mark.parametrize("measure", ["age", "entropy", "stoi"])
 def test_a_manifest_column_named_after_a_measure_is_rejected(tmp_path, measure):
-    # e.g. a speaker-age tag, which scores.csv would hold as a second age column
+    # e.g. a speaker-age tag, which scores.csv would hold as a second age column;
+    # the header's line is named, with or without rows after it
     (tmp_path / "m.csv").write_text(CSV_TEXT.replace("snr_db", measure))
-    with pytest.raises(ManifestError, match=rf"m\.csv:2: column '{measure}' is reserved"):
+    with pytest.raises(ManifestError, match=rf"m\.csv:1: column '{measure}' is reserved"):
         harness.load_manifest(tmp_path / "m.csv")
-    (tmp_path / "m.jsonl").write_text(jsonl_text().replace("snr_db", measure))
-    with pytest.raises(ManifestError, match=rf"m\.jsonl:1: column '{measure}' is reserved"):
-        harness.load_manifest(tmp_path / "m.jsonl")
+    (tmp_path / "m.csv").write_text(CSV_TEXT.replace("snr_db", measure).splitlines()[0])
+    with pytest.raises(ManifestError, match=rf"m\.csv:1: column '{measure}' is reserved"):
+        harness.load_manifest(tmp_path / "m.csv")
+
+
+@pytest.mark.parametrize("name", ["m.jsonl", "m.json"])
+def test_a_json_lines_manifest_is_a_manifest_error(tmp_path, capsys, name):
+    record = {"utt_id": "u1", "clean_path": "c.wav", "degraded_path": "d.wav", "wer": 10.0}
+    (tmp_path / name).write_text(json.dumps(record) + "\n")
+    with pytest.raises(ManifestError, match=re.escape(f"{tmp_path / name}: header lacks required")):
+        harness.load_manifest(tmp_path / name)
+    assert main(["score", "--manifest", str(tmp_path / name), "--measures", "stoi",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: header lacks") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["", " ", "\n\n", " \t\r\n\r\f\n\u2028"],
+                         ids=["empty", "space", "blank lines", "whitespace"])
+def test_a_manifest_without_a_visible_character_is_empty(tmp_path, text):
+    (tmp_path / "m.csv").write_text(text, newline="")
+    with pytest.raises(EmptyInputError, match="manifest is empty"):
+        harness.load_manifest(tmp_path / "m.csv")
+
+
+def test_a_blank_first_record_is_a_header_without_the_required_columns(tmp_path):
+    (tmp_path / "m.csv").write_text("\n" + CSV_TEXT)
+    with pytest.raises(ManifestError, match=r"m\.csv: header lacks required columns"):
+        harness.load_manifest(tmp_path / "m.csv")
+
+
+def test_a_short_row_lacks_its_last_columns(tmp_path):
+    (tmp_path / "m.csv").write_text("utt_id,clean_path,degraded_path,wer,snr_db\nu1,c.wav,d.wav\n")
+    [entry] = harness.load_manifest(tmp_path / "m.csv")
+    assert (entry.wer_percent, entry.tags) == (None, {})
+    (tmp_path / "m.csv").write_text("utt_id,clean_path,degraded_path,wer\nu1,c.wav\n")
+    with pytest.raises(ManifestError, match=r"m\.csv:2: missing required field 'degraded_path'"):
+        harness.load_manifest(tmp_path / "m.csv")
+
+
+@pytest.mark.parametrize("header", [
+    "utt_id,clean_path,degraded_path,utt_id", "utt_id,clean_path,degraded_path,snr,snr",
+])
+def test_a_manifest_header_may_not_repeat_a_name(tmp_path, capsys, header):
+    (tmp_path / "m.csv").write_text(f"{header}\nu0,a.wav,b.wav,zz,yy\n")
+    name = header.rsplit(",", 1)[1]
+    with pytest.raises(ManifestError, match=rf"m\.csv:1: header repeats column '{name}'"):
+        harness.load_manifest(tmp_path / "m.csv")
+    assert main(["score", "--manifest", str(tmp_path / "m.csv"), "--measures", "stoi",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "header repeats" in err and "Traceback" not in err
+
+
+def test_blank_header_names_may_repeat(tmp_path):
+    # a spreadsheet's trailing empty header cells
+    (tmp_path / "m.csv").write_text("utt_id,clean_path,degraded_path,wer,,\nu1,c.wav,d.wav,5,,\n")
+    [entry] = harness.load_manifest(tmp_path / "m.csv")
+    assert (entry.utt_id, entry.wer_percent, entry.tags) == ("u1", 5.0, {})
 
 
 ODD_TAGS = {"sep": "a\u2028b", "feed": "a\fb", "crlf": "a\r\nb", "comma": "a,b"}
@@ -115,13 +155,6 @@ def test_manifest_tags_survive_scoring_and_the_scores_file(mini_corpus, tmp_path
     assert main(["score", "--manifest", str(tmp_path / "m.csv"), "--measures", "stoi",
                  "--out", str(tmp_path / "out")]) == 0
     assert [r.tags for r in harness.load_scores_csv(tmp_path / "out" / "scores.csv").rows()] == [ODD_TAGS]
-
-
-def test_a_jsonl_string_may_hold_a_line_separator(tmp_path):
-    record = {"utt_id": "u1", "clean_path": "c.wav", "degraded_path": "d.wav", "note": "a\u2028b"}
-    (tmp_path / "m.jsonl").write_text(json.dumps(record, ensure_ascii=False) + "\r\n")
-    assert "\u2028" in (tmp_path / "m.jsonl").read_text()
-    assert [e.tags for e in harness.load_manifest(tmp_path / "m.jsonl")] == [{"note": "a\u2028b"}]
 
 
 OVERLONG = b"9" * (csv.field_size_limit() + 1)  # csv.Error: field larger than field limit
@@ -792,6 +825,12 @@ def dictreader_load_scores_csv(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
+            names = reader.fieldnames or []
+            repeated = [n for i, n in enumerate(names) if n.strip() and n in names[:i]]
+            if repeated:
+                raise FormatError(
+                    f"{path}:{reader.reader.line_num}: header repeats column {repeated[0]!r}"
+                )
             if reader.fieldnames is None or "utt_id" not in reader.fieldnames:
                 raise FormatError(f"{path}: not a scores file (missing utt_id column)")
             measure_cols = [c for c in reader.fieldnames if c in measures.MEASURE_NAMES]

@@ -92,6 +92,8 @@ def loop_fit_logistic(m, wer):
 
 def loop_correlate_by_group(rows, group_key=None):
     """correlate_by_group over ScoreRow objects, one list per group and column."""
+    if group_key is not None and not any(group_key in row.tags for row in rows):
+        raise ConfigError(f"no row carries the tag {group_key!r}")
     groups = {}
     for row in rows:
         name = "all" if group_key is None else row.tags.get(group_key, "_missing")
