@@ -8,10 +8,12 @@ float64 in the nominal range [-1, 1].
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +39,11 @@ FEATURE_KINDS = ("fbank", "mfcc", "spliced")
 
 # Columns with |std| <= this relative threshold are treated as constant by mvn.
 _CONST_COLUMN_TOL = 1e-12
+
+# Frames whose windowed copies and spectra exist at one time. A row's power
+# spectrum has the same bits in any block, so only transient memory depends on
+# this; it no longer grows with the length of the signal.
+_FRAME_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,36 +150,84 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def _check_riff_layout(fh: BinaryIO, path: str | Path) -> None:
+    """Walk the chunk headers of an open RIFF/WAVE file; FormatError for a broken layout.
+
+    Rejected: a file that does not start as a RIFF/WAVE form; a data chunk
+    whose declared end lies past the end of the file, or that is not a
+    whole number of the fmt chunk's sample frames; a file that ends inside
+    a chunk header before the form's declared end; and no data chunk. On
+    these scipy.io.wavfile.read returns short or misaligned data with a
+    warning. The chunks are walked as scipy walks them; the handle is left
+    at the start of the file.
+    """
+    file_end = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+        raise FormatError(f"{path}: not a RIFF/WAVE file")
+    form_end = 8 + int.from_bytes(head[4:8], "little")
+    block_align = 0
+    has_data = False
+    pos = 12
+    while pos < form_end:
+        header = fh.read(8)
+        if len(header) < 8:
+            raise FormatError(
+                f"{path}: truncated: the file ends at byte {file_end}, "
+                f"inside its {form_end}-byte RIFF form"
+            )
+        chunk_id, size = header[:4], int.from_bytes(header[4:], "little")
+        if chunk_id == b"fmt " and size >= 16:
+            block_align = int.from_bytes(fh.read(14)[12:], "little")
+        elif chunk_id == b"data":
+            if pos + 8 + size > file_end:
+                raise FormatError(
+                    f"{path}: truncated: the data chunk ends at byte {pos + 8 + size}, "
+                    f"past the end of the file at byte {file_end}"
+                )
+            if block_align and size % block_align:
+                raise FormatError(
+                    f"{path}: data chunk of {size} bytes is not a whole number "
+                    f"of {block_align}-byte sample frames"
+                )
+            has_data = True
+        pos += 8 + size + size % 2
+        fh.seek(pos)
+    if not has_data:
+        raise FormatError(f"{path}: no data chunk")
+    fh.seek(0)
+
+
 def load_wav(path: str | Path, channel: int = 0) -> Waveform:
     """Read a RIFF/WAVE file (PCM16 or float32) into a mono Waveform.
 
     Multichannel input is reduced by selecting one channel (default 0).
     PCM16 samples are scaled by 1/32768 so full scale maps into [-1, 1).
-    A non-finite sample in the selected channel is a FormatError.
+    A truncated file, a broken chunk layout and a non-finite sample in the
+    selected channel are a FormatError.
     """
-    try:
-        rate, data = scipy.io.wavfile.read(str(path))
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / INT16_FULL_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
+    with open(path, "rb") as fh:
+        _check_riff_layout(fh, path)
+        try:
+            rate, data = scipy.io.wavfile.read(fh)
+        except Exception as exc:
+            raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
+    if data.dtype not in (np.int16, np.float32):
         raise FormatError(
             f"{path}: unsupported sample encoding {data.dtype}, expected PCM16 or float32"
         )
-    n_channels = samples.shape[1] if samples.ndim == 2 else 1
-    if samples.ndim not in (1, 2):
-        raise FormatError(f"{path}: unsupported array layout {samples.shape}")
+    if data.ndim not in (1, 2):
+        raise FormatError(f"{path}: unsupported array layout {data.shape}")
+    n_channels = data.shape[1] if data.ndim == 2 else 1
     if not 0 <= channel < n_channels:
         raise FormatError(
             f"{path}: channel {channel} out of range for {n_channels}-channel file"
         )
-    if samples.ndim == 2:
-        samples = samples[:, channel]
+    if data.ndim == 2:
+        data = data[:, channel]
+    samples = data.astype(np.float64)
+    if data.dtype == np.int16:
+        samples /= INT16_FULL_SCALE
     if samples.size == 0:
         raise EmptyInputError(f"{path}: file contains no audio samples")
     if not np.all(np.isfinite(samples)):
@@ -266,6 +321,19 @@ def _window(kind: str, length: int) -> np.ndarray:
     return np.ones(length)
 
 
+def _frame_geometry(waveform: Waveform, spec: FrameSpec) -> tuple[int, int]:
+    """(frame length, frame shift) in samples; the signal must hold one frame."""
+    sr = waveform.sample_rate_hz
+    frame_len = spec.frame_length_samples(sr)
+    frame_shift = spec.frame_shift_samples(sr)
+    if frame_len < 1 or frame_shift < 1:
+        raise ConfigError("frame length and shift must be at least one sample")
+    n = waveform.samples.size
+    if n < frame_len:
+        raise TooShortError(f"signal of {n} samples is shorter than one {frame_len}-sample frame")
+    return frame_len, frame_shift
+
+
 def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:
     """Cut a signal into overlapping windowed frames, rows of shape (n_frames, frame_len).
 
@@ -273,19 +341,38 @@ def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:
     first sample is kept as-is), then frames are extracted and windowed. The
     frame count is 1 + floor((len - frame_len) / shift).
     """
-    sr = waveform.sample_rate_hz
-    frame_len = spec.frame_length_samples(sr)
-    frame_shift = spec.frame_shift_samples(sr)
-    if frame_len < 1 or frame_shift < 1:
-        raise ConfigError("frame length and shift must be at least one sample")
+    frame_len, frame_shift = _frame_geometry(waveform, spec)
     x = waveform.samples
-    if x.size < frame_len:
-        raise TooShortError(
-            f"signal of {x.size} samples is shorter than one {frame_len}-sample frame"
-        )
     if spec.preemphasis > 0.0:
         x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
     return sliding_window_view(x, frame_len)[::frame_shift] * _window(spec.window_kind, frame_len)
+
+
+def _power_spectra(
+    frames: np.ndarray,
+    window: np.ndarray,
+    fft_size: int,
+    out: np.ndarray,
+    preemphasis: float = 0.0,
+) -> None:
+    """Fill out, shape (frames, fft_size // 2 + 1), with |rfft(frame * window)|^2.
+
+    frames is a strided view; _FRAME_BLOCK of its rows are windowed and
+    transformed at a time. With preemphasis a > 0, each row holds the sample
+    before its frame first, and the frame is row[1:] - a * row[:-1].
+    """
+    for start in range(0, frames.shape[0], _FRAME_BLOCK):
+        block = frames[start : start + _FRAME_BLOCK]
+        if preemphasis > 0.0:
+            # In place; x + (-a * y) has the bits of x - a * y.
+            windowed = block[:, :-1] * -preemphasis
+            windowed += block[:, 1:]
+            windowed *= window
+        else:
+            windowed = block * window
+        rows = out[start : start + _FRAME_BLOCK]
+        np.abs(np.fft.rfft(windowed, n=fft_size), out=rows)
+        np.square(rows, out=rows)
 
 
 def _hz_to_mel(f: np.ndarray | float) -> np.ndarray:
@@ -349,10 +436,29 @@ def fbank(
     mspec = mel_spec if mel_spec is not None else MelSpec()
     sr = waveform.sample_rate_hz
     _check_feature_specs(fspec, mspec, sr)
-    frames = frame_signal(waveform, fspec)
-    power = np.abs(np.fft.rfft(frames, n=fspec.fft_size)) ** 2
-    filterbank = _mel_filterbank(mspec, sr, fspec.fft_size)
-    out = np.log(np.maximum(power @ filterbank.T, LOG_FLOOR))
+    frame_len, shift = _frame_geometry(waveform, fspec)
+    x = waveform.samples
+    n_frames = 1 + (x.size - frame_len) // shift
+    window = _window(fspec.window_kind, frame_len)
+    power = np.empty((n_frames, fspec.fft_size // 2 + 1))
+    a = fspec.preemphasis
+    if a > 0.0:
+        # Each row holds a frame and the sample before it. The first block's
+        # rows come from a copy of its samples after a zero, which keeps
+        # y[0] = x[0]; the later rows are a view of x.
+        first = min(n_frames, _FRAME_BLOCK)
+        head = np.concatenate(([0.0], x[: (first - 1) * shift + frame_len]))
+        head_frames = sliding_window_view(head, frame_len + 1)[::shift]
+        _power_spectra(head_frames, window, fspec.fft_size, power[:first], a)
+        if n_frames > first:
+            rest = sliding_window_view(x, frame_len + 1)[first * shift - 1 :: shift]
+            _power_spectra(rest, window, fspec.fft_size, power[first:], a)
+    else:
+        _power_spectra(sliding_window_view(x, frame_len)[::shift], window, fspec.fft_size, power)
+    # One product over the whole utterance: per-block products give other bits.
+    out = power @ _mel_filterbank(mspec, sr, fspec.fft_size).T
+    np.maximum(out, LOG_FLOOR, out=out)
+    np.log(out, out=out)
     return FeatureMatrix(out, "fbank", fspec.frame_shift_ms)
 
 

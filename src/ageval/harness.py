@@ -189,9 +189,10 @@ def _csv_records(
 
     The header is the first record, or None for a text with no record; N is
     the physical line the record ends on, which a caller's error names as
-    "path:N". A header that repeats a non-blank name, extra fields,
-    undecodable text and csv.Error raise error naming "path:N"; blank header
-    names, such as a spreadsheet's trailing empty cells, may repeat.
+    "path:N". A header that repeats a non-blank name, extra fields, a
+    non-blank cell under a blank header name, undecodable text and csv.Error
+    raise error naming "path:N". Blank header names, such as a spreadsheet's
+    trailing empty cells, may repeat; their columns hold no data.
     """
     reader = csv.reader(lines)
     try:
@@ -201,6 +202,7 @@ def _csv_records(
             if name in seen and name.strip():
                 raise error(f"{path}:{reader.line_num}: header repeats column {name!r}")
             seen.add(name)
+        unnamed = [i for i, name in enumerate(header or ()) if not name.strip()]
         yield reader.line_num, header
         width = len(header)
         for record in reader:
@@ -208,6 +210,12 @@ def _csv_records(
                 continue
             if len(record) > width:
                 raise error(f"{path}:{reader.line_num}: more fields than header columns")
+            for i in unnamed:
+                if i < len(record) and record[i].strip():
+                    raise error(
+                        f"{path}:{reader.line_num}: value {record[i]!r} "
+                        f"in column {i + 1}, which the header leaves unnamed"
+                    )
             yield reader.line_num, record
     except (UnicodeDecodeError, csv.Error) as exc:
         raise error(f"{path}:{reader.line_num}: {fault} ({exc})") from exc
@@ -219,9 +227,10 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     The header decides the columns once: a required one missing, one named
     after a measure (age, entropy, stoi), which scores.csv would hold as a
     second column of that measure, or a repeated non-blank name raises
-    ManifestError. So do a bad row, a duplicate utt_id, undecodable text and
-    CSV-level faults, each naming "path:N". A row shorter than the header
-    lacks its last columns. Relative audio paths resolve against the
+    ManifestError. So do a bad row, a duplicate utt_id, a value under a
+    header column with no name, undecodable text and CSV-level faults, each
+    naming "path:N". A row shorter than the header lacks its last columns;
+    an unnamed column is no tag. Relative audio paths resolve against the
     manifest's directory. A blank file or one with no row is EmptyInputError.
     """
     path = Path(path)
@@ -246,7 +255,8 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             raise ManifestError(
                 f"{path}:{header_line}: column {reserved[0]!r} is reserved for a measure"
             )
-        tags = {name: i for i, name in enumerate(header)}  # less the pops below
+        # Less the pops below; an unnamed column is no tag.
+        tags = {name: i for i, name in enumerate(header) if name.strip()}
         wer_col = tags.pop("wer", None)
         required = [tags.pop(name) for name in _MANIFEST_REQUIRED]
         entries: list[ManifestEntry] = []
@@ -627,8 +637,9 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
     """Read a scores file, as write_scores_csv writes it, into a ScoreTable.
 
     Blank records are skipped. A header that repeats a non-blank name, a
-    malformed cell, a row shorter or longer than the header, a row with no
-    measure value, undecodable text and CSV-level faults such as an
+    malformed cell, a value under a header column with no name, a row
+    shorter or longer than the header, a row with no measure value,
+    undecodable text and CSV-level faults such as an
     overlong field raise FormatError naming the path and the line;
     within a row the measure cells are checked first, in header order, then
     whether any is present, then the WER. A blank cell is no value. Each
@@ -643,7 +654,7 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
         column = {name: i for i, name in enumerate(header)}
         measures = {c: array("d") for c in header if c in MEASURE_NAMES}
         tags: dict[str, list[str]] = {
-            c: [] for c in header if c not in (*MEASURE_NAMES, "utt_id", "wer")
+            c: [] for c in header if c.strip() and c not in (*MEASURE_NAMES, "utt_id", "wer")
         }
         measure_slots = [(m, column[m], values.append) for m, values in measures.items()]
         tag_slots = [(column[t], cells.append) for t, cells in tags.items()]

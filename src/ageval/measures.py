@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .am import PosteriorMatrix
-from .dsp import Waveform, _constant, resample
+from .dsp import _FRAME_BLOCK, Waveform, _constant, _power_spectra, resample
 from .errors import (
     AlignmentError,
     DegenerateSignalError,
@@ -110,21 +110,32 @@ def _stoi_window() -> np.ndarray:
     return np.hanning(_STOI_FRAME + 2)[1:-1]
 
 
-def _windowed_frames(x: np.ndarray) -> np.ndarray:
-    return sliding_window_view(x, _STOI_FRAME)[::_STOI_HOP] * _stoi_window()
+def _frames(x: np.ndarray) -> np.ndarray:
+    """The analysis frames of x as a strided view, shape (frames, _STOI_FRAME)."""
+    return sliding_window_view(x, _STOI_FRAME)[::_STOI_HOP]
 
 
-def _loud_frames(fx: np.ndarray) -> np.ndarray:
-    """Keep-mask of the clean frames within 40 dB of the loudest one."""
+def _loud_frames(frames: np.ndarray) -> np.ndarray:
+    """Keep-mask of the clean frames whose windowed energy is within 40 dB of the loudest one."""
+    norms = np.empty(frames.shape[0])
     # Samples above about 1e154 overflow a frame's energy to inf, and then no
     # frame passes.
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(fx, axis=1)
+        for start in range(0, frames.shape[0], _FRAME_BLOCK):
+            block = frames[start : start + _FRAME_BLOCK] * _stoi_window()
+            norms[start : start + _FRAME_BLOCK] = np.linalg.norm(block, axis=1)
     energy_db = 20.0 * np.log10(norms / np.sqrt(_STOI_FRAME) + _EPS)
     keep = energy_db > energy_db.max() - _STOI_DYN_RANGE_DB
     if not np.any(keep):
         raise DegenerateSignalError("all analysis frames are silent")
     return keep
+
+
+def _windowed_frames(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Windowed copies of the kept frames only."""
+    kept = frames[keep]
+    kept *= _stoi_window()
+    return kept
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:
@@ -154,8 +165,12 @@ def _third_octave_bands() -> np.ndarray:
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
     """Square-root band energies per frame, shape (bands, frames)."""
-    power = np.abs(np.fft.rfft(_windowed_frames(x), n=_STOI_FFT)) ** 2
-    return np.sqrt(_third_octave_bands() @ power.T)
+    frames = _frames(x)
+    power = np.empty((frames.shape[0], _STOI_FFT // 2 + 1))
+    _power_spectra(frames, _stoi_window(), _STOI_FFT, power)
+    # One product over the whole signal: per-block products give other bits.
+    envelopes = _third_octave_bands() @ power.T
+    return np.sqrt(envelopes, out=envelopes)
 
 
 def _segment_correlations(seg_x: np.ndarray, seg_y: np.ndarray) -> np.ndarray:
@@ -187,9 +202,9 @@ def _stoi_clean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise TooShortError(
             f"signal of {x.size} samples at 10 kHz is shorter than one {_STOI_FRAME}-sample frame"
         )
-    fx = _windowed_frames(x)
-    keep = _loud_frames(fx)
-    env_x = _band_envelopes(_overlap_add(fx[keep]))
+    frames = _frames(x)
+    keep = _loud_frames(frames)
+    env_x = _band_envelopes(_overlap_add(_windowed_frames(frames, keep)))
     if env_x.shape[1] < _STOI_SEGMENT:
         raise TooShortError(
             f"need at least {_STOI_SEGMENT} non-silent analysis frames, got {env_x.shape[1]}"
@@ -199,7 +214,7 @@ def _stoi_clean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _stoi_degraded(keep: np.ndarray, env_x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     """Degraded side of the STOI core: (value, frames used) for a 10 kHz y of the clean length."""
-    env_y = _band_envelopes(_overlap_add(_windowed_frames(y)[keep]))
+    env_y = _band_envelopes(_overlap_add(_windowed_frames(_frames(y), keep)))
     # (segments, bands, 30) views, materialized one block of segments at a time.
     win_x = sliding_window_view(env_x, _STOI_SEGMENT, axis=1).transpose(1, 0, 2)
     win_y = sliding_window_view(env_y, _STOI_SEGMENT, axis=1).transpose(1, 0, 2)

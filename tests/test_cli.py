@@ -1,6 +1,7 @@
 """Command line entry points, exercised through main()."""
 
 import argparse
+import csv
 import dataclasses
 import inspect
 import json
@@ -247,6 +248,28 @@ def test_a_nan_sample_skips_only_its_row(tmp_path, mini_corpus):
         ]) == 2
         assert list(read_rows(out / "scores.csv")) == ["good"]
         assert "FormatError" in read_rows(out / "skipped.csv")["nan"]
+
+
+def test_a_truncated_wav_skips_only_its_row(tmp_path, mini_corpus):
+    # scipy alone reads the cut file short, with only a warning.
+    corpus = mini_corpus.parent
+    entry = harness.load_manifest(mini_corpus)[0]
+    (tmp_path / "cut.wav").write_bytes(Path(entry.degraded_path).read_bytes()[:-200])
+    write_manifest(
+        tmp_path / "m.csv",
+        [("good", entry.clean_path, entry.degraded_path), ("cut", entry.clean_path, tmp_path / "cut.wav")],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", wavfile.WavFileWarning)
+        assert main([
+            "score", "--manifest", str(tmp_path / "m.csv"), "--model", str(corpus / "model.json"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+    assert list(read_rows(tmp_path / "out" / "scores.csv")) == ["good"]
+    with open(tmp_path / "out" / "skipped.csv", newline="") as fh:
+        [(utt_id, reason)] = list(csv.reader(fh))[1:]
+    assert utt_id == "cut"
+    assert reason.startswith("FormatError: ") and "truncated: the data chunk ends" in reason
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """WAV round trips, PCM scaling and resampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -105,6 +107,54 @@ def test_load_wav_rejects_unsupported_sample_format(tmp_path):
     wavfile.write(path, 16000, np.zeros(10, dtype=np.int32))
     with pytest.raises(FormatError):
         dsp.load_wav(path)
+
+
+def wav_bytes(tmp_path):
+    """A valid one-second PCM16 file: 16000 samples, 32000 data bytes."""
+    dsp.save_wav(tone(440.0, seconds=1.0), tmp_path / "ok.wav")
+    return bytearray((tmp_path / "ok.wav").read_bytes())
+
+
+def with_size(data, chunk_id, size):
+    """data with the size field of its first chunk named chunk_id set to size."""
+    at = 4 if chunk_id == b"RIFF" else data.index(chunk_id) + 4
+    return data[:at] + size.to_bytes(4, "little") + data[at + 4 :]
+
+
+def test_load_wav_rejects_a_truncated_data_chunk_without_a_warning(tmp_path):
+    # Cut 200 bytes short, scipy alone reads 15900 of 16000 samples and warns.
+    data = wav_bytes(tmp_path)
+    cases = {
+        "cut": data[:-200],
+        "huge data size": with_size(data, b"data", 0x7FFFFFFF),
+        "all-ones data size": with_size(data, b"data", 0xFFFFFFFF),
+    }
+    for name, broken in cases.items():
+        (tmp_path / "bad.wav").write_bytes(broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", wavfile.WavFileWarning)
+            with pytest.raises(FormatError, match="truncated: the data chunk ends"):
+                dsp.load_wav(tmp_path / "bad.wav")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: with_size(d, b"RIFF", len(d) + 10), "truncated: the file ends"),
+        (lambda d: with_size(d + b"\0\0\0", b"RIFF", len(d) + 3 - 8), "truncated: the file ends"),
+        (lambda d: with_size(d, b"RIFF", 4), "no data chunk"),
+        (lambda d: with_size(d, b"data", 31999), "not a whole number of 2-byte sample frames"),
+        (lambda d: b"RIFX" + d[4:], "not a RIFF/WAVE file"),
+    ],
+    ids=["form past the end", "a partial chunk header", "form ends before data", "odd data size",
+         "big-endian"],
+)
+def test_load_wav_rejects_a_broken_chunk_layout_without_a_warning(tmp_path, mutate, message):
+    (tmp_path / "bad.wav").write_bytes(mutate(wav_bytes(tmp_path)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", wavfile.WavFileWarning)
+        with pytest.raises(FormatError, match=message):
+            dsp.load_wav(tmp_path / "bad.wav")
 
 
 def test_waveform_validation():

@@ -1,5 +1,7 @@
 """Framing, log mel filterbank, cepstra, splicing and normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -234,6 +236,63 @@ def test_fft_shorter_than_frame_rejected():
     spec = dsp.FrameSpec(frame_length_ms=40.0, fft_size=512)
     with pytest.raises(ConfigError):
         dsp.fbank(noise_wave(3200), frame_spec=spec)
+
+
+# block-wise spectra ----------------------------------------------------
+
+BLOCK = dsp._FRAME_BLOCK
+
+
+def single_pass_fbank(waveform, frame_spec, mel_spec):
+    """Log mel energies with every stage run over the whole utterance at once."""
+    frames = dsp.frame_signal(waveform, frame_spec)
+    power = np.abs(np.fft.rfft(frames, n=frame_spec.fft_size)) ** 2
+    filterbank = dsp.mel_filterbank(mel_spec, waveform.sample_rate_hz, frame_spec.fft_size)
+    return np.log(np.maximum(power @ filterbank.T, dsp.LOG_FLOOR))
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize(
+    "frame_spec",
+    [
+        dsp.FrameSpec(),
+        dsp.FrameSpec(window_kind="hann", preemphasis=0.0),
+        dsp.FrameSpec(frame_length_ms=32.0, frame_shift_ms=32.0, window_kind="rectangular"),
+    ],
+    ids=["default", "no-preemphasis", "no-overlap"],
+)
+def test_fbank_is_bit_identical_to_the_single_pass_formula(n_frames, frame_spec):
+    rate = 16000
+    frame_len = frame_spec.frame_length_samples(rate)
+    shift = frame_spec.frame_shift_samples(rate)
+    # One sample short of the next frame, so the frame count is exact.
+    wave = noise_wave(frame_len + (n_frames - 1) * shift + shift - 1, seed=n_frames)
+    mel_spec = dsp.MelSpec()
+    got = dsp.fbank(wave, frame_spec, mel_spec).values
+    want = single_pass_fbank(wave, frame_spec, mel_spec)
+    assert got.shape == (n_frames, mel_spec.n_filters)
+    assert got.tobytes().hex() == want.tobytes().hex()
+
+
+def test_fbank_of_a_signal_of_exactly_one_frame():
+    wave = noise_wave(400, seed=3)
+    got = dsp.fbank(wave).values
+    assert got.tobytes() == single_pass_fbank(wave, dsp.FrameSpec(), dsp.MelSpec()).tobytes()
+
+
+def test_fbank_memory_is_its_power_matrix_and_output_plus_a_bounded_block():
+    # 60 s at 16 kHz: whole-utterance frames and spectra would add about 40 MB.
+    wave = noise_wave(60 * 16000, seed=5)
+    dsp.fbank(noise_wave(4000))  # build the cached window and filterbank first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        features = dsp.fbank(wave)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    power = features.n_frames * (dsp.FrameSpec().fft_size // 2 + 1) * 8
+    assert peak <= power + features.values.nbytes + 2_000_000
 
 
 # splicing --------------------------------------------------------------

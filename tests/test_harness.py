@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ageval import am, dsp, harness, measures, stats
+from ageval import am, dsp, errors, harness, measures, stats
 from ageval.cli import main
 from ageval.errors import (
     AgevalError,
@@ -140,6 +141,18 @@ def test_blank_header_names_may_repeat(tmp_path):
     (tmp_path / "m.csv").write_text("utt_id,clean_path,degraded_path,wer,,\nu1,c.wav,d.wav,5,,\n")
     [entry] = harness.load_manifest(tmp_path / "m.csv")
     assert (entry.utt_id, entry.wer_percent, entry.tags) == ("u1", 5.0, {})
+
+
+def test_a_value_under_an_unnamed_manifest_column_is_an_error(tmp_path, capsys):
+    # Loaded as a tag, 'y' would go to a scores.csv column with an empty name, and 'x' be lost.
+    path = tmp_path / "m.csv"
+    path.write_text("utt_id,clean_path,degraded_path,wer,, \nu1,c.wav,d.wav,10, ,\t\nu2,c.wav,d.wav,10,x,y\n")
+    with pytest.raises(ManifestError, match=r"m\.csv:3: value 'x' in column 5, which the header leaves unnamed"):
+        harness.load_manifest(path)
+    assert main(["score", "--manifest", str(path), "--measures", "stoi", "--out", str(tmp_path / "out")]) == 1
+    assert "leaves unnamed" in capsys.readouterr().err
+    path.write_text("utt_id,clean_path,degraded_path,wer,, \nu1,c.wav,d.wav,10, ,\t\n")
+    assert [e.tags for e in harness.load_manifest(path)] == [{}]
 
 
 ODD_TAGS = {"sep": "a\u2028b", "feed": "a\fb", "crlf": "a\r\nb", "comma": "a,b"}
@@ -292,6 +305,66 @@ def test_an_error_inside_one_row_skips_only_that_row(mini_corpus, monkeypatch, e
     assert skipped == [("bad", f"{error.__name__}: injected")]
 
 
+
+
+# mutated WAV files ---------------------------------------------------------
+
+# (offset, width) of the little-endian header fields of a WAV file save_wav
+# writes: a 16-byte fmt chunk, then the data chunk.
+WAV_FIELDS = {"riff size": (4, 4), "format tag": (20, 2), "channels": (22, 2), "data size": (40, 4)}
+TYPED_ERRORS = {
+    name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, AgevalError)
+}
+UNKNOWN_CHUNK = "Chunk (non-data) not understood, skipping it."
+
+wav_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(
+        st.sampled_from(list(WAV_FIELDS)),
+        st.one_of(
+            st.sampled_from([0, 1, 2, 3, 0xFFFE, 0x7FFFFFFF, 0xFFFFFFFF]),
+            st.integers(0, 2**32 - 1),
+            st.integers(-9, 9).map(lambda delta: ("near", delta)),  # near the true value
+        ),
+    ),
+)
+
+
+def mutate_wav(data, mutation):
+    kind, value = mutation
+    if kind == "truncate":
+        return data[: value % (len(data) + 1)]
+    at, width = WAV_FIELDS[kind]
+    if at + width > len(data):
+        return data
+    if isinstance(value, tuple):
+        value = int.from_bytes(data[at : at + width], "little") + value[1]
+    data[at : at + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+    return data
+
+
+@given(mutations=st.lists(wav_mutations, min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_mutated_degraded_wav_is_scored_or_skipped_with_a_typed_reason(
+    mini_corpus, tmp_path, mutations
+):
+    entry = harness.load_manifest(mini_corpus)[0]
+    data = bytearray(Path(entry.degraded_path).read_bytes())
+    assert data[36:40] == b"data"
+    for mutation in mutations:
+        data = mutate_wav(data, mutation)
+    (tmp_path / "mutated.wav").write_bytes(data)
+    row = dataclasses.replace(entry, degraded_path=str(tmp_path / "mutated.wav"))
+    model = am.load_model(mini_corpus.parent / "model.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table, skipped = harness.score_manifest([row], model, harness.RunConfig())
+    assert [str(w.message) for w in caught if str(w.message) != UNKNOWN_CHUNK] == []
+    if skipped:
+        [(utt_id, reason)] = skipped
+        assert utt_id == entry.utt_id and reason.split(":", 1)[0] in TYPED_ERRORS
+    else:
+        assert table.utt_ids == [entry.utt_id]
 
 
 # runs of rows sharing a clean file -------------------------------------------
@@ -833,14 +906,22 @@ def dictreader_load_scores_csv(path):
                 )
             if reader.fieldnames is None or "utt_id" not in reader.fieldnames:
                 raise FormatError(f"{path}: not a scores file (missing utt_id column)")
+            # a key of its own for each column with a blank name
+            unnamed = {i: f"\0column {i + 1}" for i, n in enumerate(names) if not n.strip()}
+            reader.fieldnames = [unnamed.get(i, n) for i, n in enumerate(names)]
             measure_cols = [c for c in reader.fieldnames if c in measures.MEASURE_NAMES]
-            tag_cols = [c for c in reader.fieldnames
-                        if c not in (*measures.MEASURE_NAMES, "utt_id", "wer")]
+            tag_cols = [c for c in reader.fieldnames if c not in (*measures.MEASURE_NAMES, "utt_id", "wer")
+                        and c not in unnamed.values()]
             rows = []
             for record in reader:
                 where = f"{path}:{reader.reader.line_num}"
                 if None in record:
                     raise FormatError(f"{where}: more fields than header columns")
+                for i, key in unnamed.items():
+                    if (record[key] or "").strip():
+                        raise FormatError(
+                            f"{where}: value {record[key]!r} in column {i + 1}, which the header leaves unnamed"
+                        )
                 if None in record.values():
                     raise FormatError(f"{where}: fewer fields than header columns")
                 values = {
@@ -895,6 +976,8 @@ SCORES_FILES = {
     "empty": b"",
     "blank header": b"\nutt_id,wer,age\nu1,1.0,0.5\n",
     "no utt_id": b"id,wer,age\nu1,1.0,0.5\n",
+    "unnamed columns": b"utt_id,wer,,age, ,\nu1,1.0,,0.5,\t\nu2,2.0\n",
+    "value under an unnamed column": b"utt_id,wer,,age,\nu1,1.0,,0.5,\nu2,2.0,,0.6,y\n",
     "NUL cell": b"utt_id,wer,age\nu1,\0,0.5\n",
     "overlong field after blank lines": b"utt_id,wer,age\nu1,1.0,0.5\n\n\nu2," + OVERLONG + b",0.6\n",
     "overlong field after a blank line and a row": b"utt_id,wer,age\n\nu1,1.0,0.5\nu2," + OVERLONG + b"\n",
@@ -908,6 +991,16 @@ def test_the_scores_parser_matches_csv_dictreader(tmp_path, data):
     path = tmp_path / "scores.csv"
     path.write_bytes(data)
     assert parse_outcome(load_score_rows, path) == parse_outcome(dictreader_load_scores_csv, path)
+
+
+def test_a_value_under_an_unnamed_scores_column_is_an_error(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(SCORES_FILES["value under an unnamed column"])
+    with pytest.raises(FormatError, match=r"scores\.csv:3: value 'y' in column 5, which the header leaves unnamed"):
+        harness.load_scores_csv(path)
+    path.write_bytes(b"utt_id,wer,age,,\r\nu1,1.0,0.5,,\r\n")
+    table = harness.load_scores_csv(path)
+    assert (table.tags, table.utt_ids) == ({}, ["u1"])
 
 
 def test_scores_errors_name_the_physical_line(tmp_path):

@@ -1,5 +1,7 @@
 """Short-time objective intelligibility scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,10 +191,13 @@ def split_stoi_score(x, y):
 
 def split_remove_silent_frames(x, y):
     """Silence removal as the clean and degraded sides compose it."""
-    fx = measures._windowed_frames(x)
+    fx = measures._frames(x)
     keep = measures._loud_frames(fx)
-    fy = measures._windowed_frames(y)
-    return measures._overlap_add(fx[keep]), measures._overlap_add(fy[keep])
+    fy = measures._frames(y)
+    return (
+        measures._overlap_add(measures._windowed_frames(fx, keep)),
+        measures._overlap_add(measures._windowed_frames(fy, keep)),
+    )
 
 
 def loop_stoi(clean, degraded):
@@ -302,6 +307,44 @@ def test_a_score_over_several_segment_blocks_matches_the_loop():
     assert frames - SEGMENT + 1 > 3 * measures._STOI_BLOCK
     want_value, want_frames = loop_stoi_score(x, y)
     assert (value.hex(), frames) == (want_value.hex(), want_frames)
+
+
+BLOCK = dsp._FRAME_BLOCK
+
+
+@pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_stoi_is_bit_identical_to_the_loop_at_frame_block_edges(n_frames):
+    # Every frame is loud, so the compacted signals have n_frames frames too.
+    rng = np.random.default_rng(n_frames)
+    n = FRAME + (n_frames - 1) * HOP + HOP - 1
+    clean = speechlike(n=n).samples + 0.05 * rng.normal(size=n)
+    degraded = clean + 0.3 * rng.normal(size=n)
+    x, y = dsp.Waveform(clean, 10000), dsp.Waveform(degraded, 10000)
+    got = outcome(measures.stoi, x, y)
+    want = outcome(loop_stoi, x, y)
+    if n_frames < SEGMENT:
+        assert got is want is TooShortError
+    else:
+        assert (got.value.hex(), got.n_frames_used) == (want[0].hex(), want[1])
+        assert got.n_frames_used == n_frames
+
+
+def test_stoi_memory_is_one_power_matrix_and_one_signal_plus_a_bounded_block():
+    # 60 s at 10 kHz: whole-utterance frames and spectra would add about 27 MB more.
+    rng = np.random.default_rng(8)
+    clean = speechlike(n=600000)
+    degraded = dsp.Waveform(clean.samples + 0.3 * rng.normal(size=600000), 10000)
+    measures.stoi(speechlike(), speechlike())  # build the cached window and bands first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        measures.stoi(clean, degraded)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n_frames = 1 + (600000 - FRAME) // HOP
+    power = n_frames * (512 // 2 + 1) * 8
+    assert peak <= power + clean.samples.nbytes + 2_000_000
 
 
 def test_samples_whose_frame_energies_overflow_are_a_degenerate_signal():
