@@ -230,7 +230,9 @@ def load_wav(path: str | Path, channel: int = 0) -> Waveform:
         samples /= INT16_FULL_SCALE
     if samples.size == 0:
         raise EmptyInputError(f"{path}: file contains no audio samples")
-    if not np.all(np.isfinite(samples)):
+    # Waveform checks every sample too. Of the two encodings only float32 can
+    # hold NaN or infinity, and this check names the file as a FormatError.
+    if data.dtype == np.float32 and not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite samples (NaN or infinity)")
     return Waveform(samples, int(rate))
 

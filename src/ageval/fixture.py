@@ -11,7 +11,6 @@ the corpus byte for byte.
 
 from __future__ import annotations
 
-import csv
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import am, dsp
 from .errors import ConfigError
+from .harness import _csv_text
 
 SAMPLE_RATE = 16000
 DEFAULT_SEED = 0
@@ -234,20 +234,10 @@ def make_fixture_corpus(
             raise
 
     manifest_path = out / "manifest.csv"
+    columns = [
+        "utt_id", "clean_path", "degraded_path", "wer", "snr_db", "noise_type", "se_algo",
+        "condition",
+    ]
     with open(manifest_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "utt_id",
-                "clean_path",
-                "degraded_path",
-                "wer",
-                "snr_db",
-                "noise_type",
-                "se_algo",
-                "condition",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(_csv_text([[name, *(row[name] for row in rows)] for name in columns]))
     return manifest_path

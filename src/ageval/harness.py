@@ -221,6 +221,33 @@ def _csv_records(
         raise error(f"{path}:{reader.line_num}: {fault} ({exc})") from exc
 
 
+def _csv_quotes(text: str) -> bool:
+    """Whether csv.writer's default dialect quotes a cell holding text."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_cell(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _csv_quotes(cell) else cell
+
+
+def _csv_text(columns: Sequence[Sequence[str]]) -> str:
+    """The CSV text of the records that columns' cells form, one record per row.
+
+    These are the bytes csv.writer's default dialect writes: a cell holding
+    ',', '"', CR or LF is quoted, each '"' in it doubled, and every record
+    ends in \\r\\n. Each column is searched once, as one joined text, and its
+    cells are quoted one by one only when that text holds such a character;
+    repr float cells never do. A record has two fields at least: csv.writer
+    quotes a record of one empty field, which this join would leave blank.
+    """
+    assert len(columns) >= 2, "records need two fields or more"
+    columns = [
+        list(map(_csv_cell, column)) if _csv_quotes("".join(column)) else column
+        for column in columns
+    ]
+    return "\r\n".join([*map(",".join, zip(*columns)), ""])
+
+
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a CSV manifest: utt_id, clean_path, degraded_path, optional wer, tags.
 
@@ -569,9 +596,11 @@ def _repr_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-# Rows whose cells write_scores_csv formats at a time. Formatting every row at
-# once kept all the cell strings alive together: for 30k rows, about 7 MB more
-# peak resident memory in correlate.
+# Rows whose cells and text write_scores_csv and write_skip_log build at a
+# time. Formatting every row at once kept all the cell strings alive
+# together: for 30k rows, about 7 MB more peak resident memory in correlate.
+# A chunk's text is held once, while it is written: emit_report on 20k rows
+# of three measures peaks at 3.0 MB under tracemalloc.
 _WRITE_CHUNK_ROWS = 4096
 
 
@@ -582,7 +611,10 @@ def write_scores_csv(
 
     Floats are written as their repr, a missing value or tag as an empty
     cell, and every record ends in \\r\\n; a table of no rows writes the
-    header "utt_id,wer" alone. Each measure of curves also gets
+    header "utt_id,wer" alone. A cell holding a comma, a double quote, CR or
+    LF (an utt_id, a tag name or a tag value) is quoted, with each quote
+    doubled: the bytes csv.writer writes, from the one writer of every CSV
+    file ageval writes. Each measure of curves also gets
     scatter_<measure>.csv beside path: one (m, wer, f(m)) row, f the curve,
     per WER-bearing row that carries the measure, in table order. One pass
     writes every file, a chunk of rows at a time, and a scatter file's m and
@@ -593,8 +625,8 @@ def write_scores_csv(
     tag_cols = sorted(table.tags)
     has_wer = ~np.isnan(table.wer)
     with contextlib.ExitStack() as stack:
-        writer = csv.writer(stack.enter_context(open(path, "w", newline="")))
-        writer.writerow(["utt_id", "wer", *measure_cols, *tag_cols])
+        fh = stack.enter_context(open(path, "w", newline=""))
+        fh.write(_csv_text([[name] for name in ("utt_id", "wer", *measure_cols, *tag_cols)]))
         scatters = []
         for measure, params in (curves or {}).items():
             values = table.measures[measure]
@@ -603,34 +635,24 @@ def write_scores_csv(
             # fitted, placed in table rows so that a chunk of rows slices it
             mapped = np.full(len(table), np.nan)
             mapped[carriers] = map_logistic(params, values[carriers])
-            fh = stack.enter_context(open(path.parent / f"scatter_{measure}.csv", "w", newline=""))
-            # The bytes csv.writer writes for repr(float) cells, none of
-            # which needs quoting.
-            fh.write("m,wer,f(m)\r\n")
-            scatters.append((fh, measure, carriers, mapped))
+            scatter_path = path.parent / f"scatter_{measure}.csv"
+            scatter = stack.enter_context(open(scatter_path, "w", newline=""))
+            scatter.write(_csv_text([["m"], ["wer"], ["f(m)"]]))
+            scatters.append((scatter, measure, carriers, mapped))
         for start in range(0, len(table), _WRITE_CHUNK_ROWS):
             rows = slice(start, start + _WRITE_CHUNK_ROWS)
             wer_cells = _repr_cells(table.wer[rows])
             measure_cells = {m: _repr_cells(table.measures[m][rows]) for m in measure_cols}
-            writer.writerows(
-                zip(
-                    table.utt_ids[rows],
-                    wer_cells,
-                    *measure_cells.values(),
-                    *(table.tags[t][rows] for t in tag_cols),
-                )
-            )
-            for fh, measure, carriers, mapped in scatters:
+            tag_cells = [table.tags[t][rows] for t in tag_cols]
+            cells = [table.utt_ids[rows], wer_cells, *measure_cells.values(), *tag_cells]
+            fh.write(_csv_text(cells))
+            for scatter, measure, carriers, mapped in scatters:
                 keep = carriers[rows]
                 selected = keep.tolist()
-                fh.writelines(
-                    f"{m},{w},{f!r}\r\n"
-                    for m, w, f in zip(
-                        itertools.compress(measure_cells[measure], selected),
-                        itertools.compress(wer_cells, selected),
-                        mapped[rows][keep].tolist(),
-                    )
-                )
+                m_cells = list(itertools.compress(measure_cells[measure], selected))
+                w_cells = list(itertools.compress(wer_cells, selected))
+                f_cells = list(map(repr, mapped[rows][keep].tolist()))
+                scatter.write(_csv_text([m_cells, w_cells, f_cells]))
 
 
 def load_scores_csv(path: str | Path) -> ScoreTable:
@@ -757,9 +779,15 @@ def emit_report(
 
 
 def write_skip_log(skipped: Sequence[tuple[str, str]], path: str | Path) -> None:
-    """Write the (utt_id, reason) pairs for rows that could not be scored."""
+    """Write the (utt_id, reason) pairs for rows that could not be scored.
+
+    The file is CSV with the header "utt_id,reason", written by the one
+    writer of every file ageval writes (see write_scores_csv): a cell holding
+    a comma, a double quote, CR or LF is quoted, each quote doubled, and
+    every record ends in \\r\\n.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["utt_id", "reason"])
-        for utt_id, reason in skipped:
-            writer.writerow([utt_id, reason])
+        fh.write(_csv_text([["utt_id"], ["reason"]]))
+        for start in range(0, len(skipped), _WRITE_CHUNK_ROWS):
+            utt_ids, reasons = zip(*skipped[start : start + _WRITE_CHUNK_ROWS])
+            fh.write(_csv_text([utt_ids, reasons]))

@@ -1,6 +1,7 @@
 """WAV round trips, PCM scaling and resampling."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,11 +67,21 @@ def test_load_wav_accepts_float32(tmp_path):
 
 
 def test_load_wav_rejects_non_finite_samples(tmp_path):
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         path = tmp_path / "bad.wav"
         wavfile.write(path, 16000, np.array([0.1, bad, -0.2], dtype=np.float32))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="non-finite samples"):
             dsp.load_wav(path)
+
+
+def test_load_wav_scans_pcm16_samples_once_and_keeps_their_bits(tmp_path):
+    # A PCM16 sample cannot be NaN or infinite: only Waveform checks it.
+    every = np.arange(-32768, 32768).astype(np.int16)
+    wavfile.write(tmp_path / "all.wav", 16000, every)
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+        samples = dsp.load_wav(tmp_path / "all.wav").samples
+    assert isfinite.call_count == 1
+    assert samples.tobytes() == (every.astype(np.float64) / 32768.0).tobytes()
 
 
 def test_waveform_rejects_non_finite_samples():

@@ -848,6 +848,51 @@ def test_ungrouped_scatter_files_equal_the_csv_writer_bytes(tmp_path, rows):
         assert_scatter_files_match_csv_writer(rows, out)
 
 
+# the one CSV writer against csv.writer ----------------------------------
+
+
+def csv_writer_text(records):
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows(records)
+    return fh.getvalue()
+
+
+@st.composite
+def csv_records(draw):
+    """A width of 2 or more and records of that many cells, some of them text csv.writer quotes."""
+    width = draw(st.integers(2, 5))
+    cell = st.one_of(st.text(), st.text(st.sampled_from(',"\r\n \x00a')))
+    return width, draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+
+
+@given(width_and_records=csv_records())
+@settings(max_examples=300, deadline=None)
+def test_csv_text_is_the_text_csv_writer_writes(width_and_records):
+    width, records = width_and_records
+    columns = [[record[j] for record in records] for j in range(width)]
+    assert harness._csv_text(columns) == csv_writer_text(records)
+
+
+def test_the_skip_log_writes_the_bytes_of_csv_writer(tmp_path):
+    with pytest.raises(errors.AlignmentError) as alignment:
+        measures.aligned_length(100, 90, 0.02, "frame")
+    skipped = [
+        ("u1", harness._reason(alignment.value)),  # the message holds a comma
+        ("u,2", 'FormatError: d.wav: not a readable RIFF/WAVE file ("x")'),
+        ("u3", "OSError: a lone\rcarriage return"),
+        ("u4", "OSError: one\nline feed"),
+        ("u5", "NumericError: plain"),
+    ]
+    expected = csv_writer_text([("utt_id", "reason"), *skipped]).encode()
+    assert "," in skipped[0][1] and b'"' in expected
+    for chunk_rows in CHUNK_ROWS:
+        with mock.patch.object(harness, "_WRITE_CHUNK_ROWS", chunk_rows):
+            harness.write_skip_log(skipped, tmp_path / "skipped.csv")
+        assert (tmp_path / "skipped.csv").read_bytes() == expected
+    harness.write_skip_log([], tmp_path / "none.csv")
+    assert (tmp_path / "none.csv").read_bytes() == b"utt_id,reason\r\n"
+
+
 def fit_over_carriers(rows, measure):
     carriers = [r for r in rows if r.wer_percent is not None and measure in r.values]
     m_values = [r.values[measure] for r in carriers]

@@ -215,29 +215,37 @@ def loop_outcome(rows, group_key, out):
 # the columnar path against the oracles ---------------------------------------
 
 extreme_values = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.5e308, -1.5e308, 1.7e308])
+# Text that csv.writer quotes (a comma, a quote, CR, LF) or that a parser
+# might strip or trip on: outer spaces, NUL and non-ASCII characters.
+odd_text = st.text(st.sampled_from(',"\r\n \x00éa語'), max_size=4)
 
 
 @st.composite
 def score_rows(draw):
     """Rows with any subset of measures, missing WER, absent or odd tags, sometimes a constant
-    measure, and a few values near the float64 limits that overflow a mean or a fit."""
+    measure, and a few values near the float64 limits that overflow a mean or a fit; utt_ids,
+    the tag's name and its values hold odd text. Returns the rows and the tag's name."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     constant = draw(st.sampled_from([None, None, "age", "stoi"]))
     partial, no_wer = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])), draw(st.sampled_from([0.0, 0.1, 0.5]))
+    tag_name = draw(st.one_of(st.just("g"), odd_text.filter(str.strip)))
+    # "" is no tag value: from_rows drops it as absent
+    tag_values = [None, "a", "a", "b", "b", " ", "c,d", *draw(st.lists(odd_text.filter(bool), max_size=2))]
     rows = []
     for i in range(draw(st.integers(0, 40))):
         names = ("age", "entropy", "stoi") if rng.random() >= partial else (("age",), ("entropy", "stoi"))[i % 2]
         values = {m: 0.25 if m == constant else rng.uniform(-5.0, 5.0) for m in names}
         wer = None if rng.random() < no_wer else rng.uniform(0.0, 120.0)
-        tag = draw(st.sampled_from([None, "a", "a", "b", "b", " ", "c,d"]))
-        rows.append(harness.ScoreRow(f"u{i}", values, wer, {} if tag is None else {"g": tag}))
+        tag = draw(st.sampled_from(tag_values))
+        utt_id = f"{draw(odd_text)}u{i}{draw(odd_text)}"
+        rows.append(harness.ScoreRow(utt_id, values, wer, {} if tag is None else {tag_name: tag}))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3])) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
         if draw(st.booleans()):
             rows[i].values[draw(st.sampled_from(sorted(rows[i].values)))] = draw(extreme_values)
         else:
             rows[i] = dataclasses.replace(rows[i], wer_percent=draw(st.sampled_from([1e300, 1.5e308])))
-    return rows
+    return rows, tag_name
 
 
 # write_scores_csv's chunk sizes to test: 2 makes NaN cells, rows without a
@@ -251,9 +259,11 @@ def assert_columnar_outcome_in_every_chunk_size(table, group_key, out, want):
             assert columnar_outcome(table, group_key, out / f"chunks{chunk_rows}") == want
 
 
-@given(rows=score_rows(), group_key=st.sampled_from([None, "g"]))
+@given(rows_and_tag=score_rows(), grouped=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_the_columnar_path_writes_the_bytes_of_the_row_path(rows, group_key):
+def test_the_columnar_path_writes_the_bytes_of_the_row_path(rows_and_tag, grouped):
+    rows, tag_name = rows_and_tag
+    group_key = tag_name if grouped else None
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         table = harness.ScoreTable.from_rows(rows)
