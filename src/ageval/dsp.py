@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 import scipy.io.wavfile
 import scipy.signal
 from scipy.fft import dct
@@ -336,6 +336,20 @@ def _frame_geometry(waveform: Waveform, spec: FrameSpec) -> tuple[int, int]:
     return frame_len, frame_shift
 
 
+def _strided_frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """Read-only view of the windows of x along its last axis: length samples every hop.
+
+    Shape x.shape[:-1] + (1 + (x.shape[-1] - length) // hop, length); x must
+    hold one window. The rows of sliding_window_view(x, length)[::hop],
+    without its per-call checks.
+    """
+    n = 1 + (x.shape[-1] - length) // hop
+    step = x.strides[-1]
+    return as_strided(
+        x, x.shape[:-1] + (n, length), x.strides[:-1] + (hop * step, step), writeable=False
+    )
+
+
 def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:
     """Cut a signal into overlapping windowed frames, rows of shape (n_frames, frame_len).
 
@@ -347,7 +361,7 @@ def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:
     x = waveform.samples
     if spec.preemphasis > 0.0:
         x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
-    return sliding_window_view(x, frame_len)[::frame_shift] * _window(spec.window_kind, frame_len)
+    return _strided_frames(x, frame_len, frame_shift) * _window(spec.window_kind, frame_len)
 
 
 def _power_spectra(
@@ -449,14 +463,17 @@ def fbank(
         # rows come from a copy of its samples after a zero, which keeps
         # y[0] = x[0]; the later rows are a view of x.
         first = min(n_frames, _FRAME_BLOCK)
-        head = np.concatenate(([0.0], x[: (first - 1) * shift + frame_len]))
-        head_frames = sliding_window_view(head, frame_len + 1)[::shift]
+        head_len = (first - 1) * shift + frame_len
+        head = np.empty(head_len + 1)
+        head[0] = 0.0
+        head[1:] = x[:head_len]
+        head_frames = _strided_frames(head, frame_len + 1, shift)
         _power_spectra(head_frames, window, fspec.fft_size, power[:first], a)
         if n_frames > first:
-            rest = sliding_window_view(x, frame_len + 1)[first * shift - 1 :: shift]
+            rest = _strided_frames(x[first * shift - 1 :], frame_len + 1, shift)
             _power_spectra(rest, window, fspec.fft_size, power[first:], a)
     else:
-        _power_spectra(sliding_window_view(x, frame_len)[::shift], window, fspec.fft_size, power)
+        _power_spectra(_strided_frames(x, frame_len, shift), window, fspec.fft_size, power)
     # One product over the whole utterance: per-block products give other bits.
     out = power @ _mel_filterbank(mspec, sr, fspec.fft_size).T
     np.maximum(out, LOG_FLOOR, out=out)
@@ -475,13 +492,20 @@ def mfcc(
 
 
 def splice_array(values: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Concatenate each row with its left/right neighbors, replicating edges."""
+    """Concatenate each row with its left/right neighbors, replicating edges.
+
+    Returns a new array; row n is the flattened rows n-left .. n+right of an
+    edge-padded copy of values, read through one strided window.
+    """
     if left < 0 or right < 0:
         raise ValidationError("context sizes must be nonnegative")
     n = values.shape[0]
-    offsets = np.arange(-left, right + 1)
-    idx = np.clip(np.arange(n)[:, None] + offsets[None, :], 0, n - 1)
-    return values[idx].reshape(n, -1)
+    padded = np.empty((left + n + right,) + values.shape[1:], dtype=values.dtype)
+    padded[:left] = values[0]
+    padded[left : left + n] = values
+    padded[left + n :] = values[-1]
+    row = values[0].size
+    return _strided_frames(padded.reshape(-1), (left + 1 + right) * row, row).copy()
 
 
 def splice(features: FeatureMatrix, left: int, right: int) -> FeatureMatrix:

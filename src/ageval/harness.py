@@ -20,7 +20,6 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -335,11 +334,11 @@ def _first_frames(features: FeatureMatrix, n: int) -> FeatureMatrix:
 class CleanReference:
     """The clean side of scoring, shared by the rows that name one clean file.
 
-    score_manifest builds one per run of consecutive entries with the same
-    clean_path and hands it to score_utterance for each entry of the run.
+    score_manifest builds one per clean_path and hands it to score_utterance
+    for each entry that names that file, wherever it sits in the manifest.
     The waveform and its features are computed on first use, the posteriors
     once per aligned frame count and STOI's clean side once per aligned
-    sample count. A step that raises keeps nothing, so every row of the run
+    sample count. A step that raises keeps nothing, so every row of the file
     meets the same error. The state lives as long as the object.
     """
 
@@ -415,12 +414,12 @@ def score_utterance(
     )
 
 
-def _score_run(
-    run: Sequence[ManifestEntry], model: AcousticModel | None, cfg: RunConfig
+def _score_group(
+    group: Sequence[ManifestEntry], model: AcousticModel | None, cfg: RunConfig
 ) -> list[ScoreRow | tuple[str, str]]:
-    clean = CleanReference(run[0].clean_path, model)
+    clean = CleanReference(group[0].clean_path, model)
     outcomes: list[ScoreRow | tuple[str, str]] = []
-    for entry in run:
+    for entry in group:
         try:
             outcomes.append(score_utterance(entry, model, cfg, clean))
         except (AgevalError, OSError) as exc:
@@ -437,33 +436,40 @@ def score_manifest(
     or OSError while scoring one row skips that row only. Returns (table,
     skipped): the scored rows as one ScoreTable, and the (utt_id, reason)
     pairs of the skipped ones, the reason starting with the error type.
-    Consecutive entries with the same clean_path form a run that loads the
-    clean file and computes its clean side once, so a manifest sorted by
-    clean_path scores fastest. Worker count above one fans whole runs out to
-    a pool of at most one process per run, each on one BLAS thread, so
-    workers x BLAS threads do not oversubscribe the cores; results are
-    identical to the single-process path. The single-process path sets the
-    process's OpenBLAS thread count to 1 while it scores and then restores
-    it, so it holds other BLAS work in the process to one thread meanwhile,
-    and it is not safe to call from two threads at once.
+    The entries that share a clean_path form a group, wherever they sit in
+    the manifest, which loads the clean file and computes its clean side
+    once. Worker count above one fans whole groups out to a pool of at most
+    one process per group, each on one BLAS thread, so workers x BLAS
+    threads do not oversubscribe the cores; results are identical to the
+    single-process path. The single-process path sets the process's
+    OpenBLAS thread count to 1 while it scores and then restores it, so it
+    holds other BLAS work in the process to one thread meanwhile, and it is
+    not safe to call from two threads at once.
     """
     _check_model(model, cfg)
-    runs = [list(run) for _, run in itertools.groupby(entries, key=attrgetter("clean_path"))]
-    if cfg.workers == 1 or len(runs) <= 1:
+    # Entry indices by clean_path, in the order each path first appears.
+    positions: dict[str, list[int]] = {}
+    for i, entry in enumerate(entries):
+        positions.setdefault(entry.clean_path, []).append(i)
+    groups = [[entries[i] for i in group] for group in positions.values()]
+    if cfg.workers == 1 or len(groups) <= 1:
         # One BLAS thread, as in the pool's workers: a second one only spins.
         with _one_blas_thread():
-            outcomes = [o for run in runs for o in _score_run(run, model, cfg)]
+            scored = [_score_group(group, model, cfg) for group in groups]
     else:
-        scorer = partial(_score_run, model=model, cfg=cfg)
+        scorer = partial(_score_group, model=model, cfg=cfg)
         # About 16 tasks per worker, so that the last tasks even out the
-        # workers' loads. For 64 long one-row runs on 2 workers, the rows/s
-        # of repeated runs spread 9% (IQR/median) with 8 runs per task and
+        # workers' loads. For 64 long one-row groups on 2 workers, the rows/s
+        # of repeated runs spread 9% (IQR/median) with 8 groups per task and
         # 3.5% with 2.
-        chunksize = max(1, len(runs) // (16 * cfg.workers))
+        chunksize = max(1, len(groups) // (16 * cfg.workers))
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(cfg.workers, len(runs)), initializer=_set_blas_threads, initargs=(1,)
+            max_workers=min(cfg.workers, len(groups)), initializer=_set_blas_threads, initargs=(1,)
         ) as pool:
-            outcomes = [o for run in pool.map(scorer, runs, chunksize=chunksize) for o in run]
+            scored = list(pool.map(scorer, groups, chunksize=chunksize))
+    order = itertools.chain.from_iterable(positions.values())
+    by_index = dict(zip(order, itertools.chain.from_iterable(scored)))
+    outcomes = [by_index[i] for i in range(len(entries))]
     rows = [o for o in outcomes if isinstance(o, ScoreRow)]
     skipped = [o for o in outcomes if not isinstance(o, ScoreRow)]
     return ScoreTable.from_rows(rows), skipped

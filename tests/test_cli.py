@@ -346,7 +346,7 @@ def kill_this_process(*args, **kwargs):
 
 
 def test_a_dead_pool_worker_exits_with_code_one(tmp_path, mini_corpus, monkeypatch, capfd):
-    monkeypatch.setattr(harness, "_score_run", kill_this_process)
+    monkeypatch.setattr(harness, "_score_group", kill_this_process)
     code = main(["score", "--manifest", str(mini_corpus), "--model",
                  str(mini_corpus.parent / "model.json"), "--workers", "2",
                  "--out", str(tmp_path / "out")])

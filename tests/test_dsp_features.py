@@ -327,6 +327,33 @@ def test_splice_shape_and_center_property(n, d, left, right):
     assert np.array_equal(out[:, left * d : (left + 1) * d], vals)
 
 
+def gather_splice(values, left, right):
+    """Splicing as an index gather: row n takes rows clip(n - left .. n + right)."""
+    n = values.shape[0]
+    offsets = np.arange(-left, right + 1)
+    idx = np.clip(np.arange(n)[:, None] + offsets[None, :], 0, n - 1)
+    return values[idx].reshape(n, -1)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=130),
+    d=st.integers(min_value=1, max_value=40),
+    left=st.integers(min_value=0, max_value=4),
+    right=st.integers(min_value=0, max_value=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_splice_array_is_bit_identical_to_the_index_gather(n, d, left, right, seed):
+    vals = np.random.default_rng(seed).normal(size=(n, d))
+    got = dsp.splice_array(vals, left, right)
+    want = gather_splice(vals, left, right)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a fresh array the caller owns, like the gather's
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert not np.shares_memory(got, vals)
+
+
 def test_splice_rejects_negative_context():
     feats = dsp.FeatureMatrix(np.zeros((3, 2)), "fbank", 10.0)
     with pytest.raises(ValidationError):

@@ -367,15 +367,16 @@ def test_a_mutated_degraded_wav_is_scored_or_skipped_with_a_typed_reason(
         assert table.utt_ids == [entry.utt_id]
 
 
-# runs of rows sharing a clean file -------------------------------------------
+# groups of rows sharing a clean file -----------------------------------------
 
 @pytest.fixture
 def shuffled_entries(mini_corpus, tmp_path):
     """Manifest rows out of clean-file order, plus one degraded file 1% short.
 
-    Runs by clean file: [0, cut] [2] [1] [4] [3] [6, 7] [5]; the first run
-    holds two aligned lengths, and utt000, utt001 and utt002 each come back
-    in a later run.
+    Consecutive rows of one clean file: [0, cut] [2] [1] [4] [3] [6, 7] [5],
+    so utt000, utt001 and utt002 each come back after another file's rows.
+    Groups by clean file: [0, cut, 1] [2, 3] [4, 5] [6, 7]; the first holds
+    two aligned lengths.
     """
     entries = harness.load_manifest(mini_corpus)
     degraded = dsp.load_wav(entries[0].degraded_path)
@@ -409,7 +410,21 @@ def test_runs_score_each_row_as_score_utterance_does(mini_corpus, shuffled_entri
     assert table_bits(table) == table_bits(harness.ScoreTable.from_rows(single))
 
 
+def test_rows_and_skips_keep_manifest_order_across_interleaved_clean_files(mini_corpus, tmp_path):
+    entries = harness.load_manifest(mini_corpus)
+    model = am.load_model(mini_corpus.parent / "model.json")
+    missing = str(tmp_path / "gone.wav")
+    gone = [dataclasses.replace(entries[i], utt_id=f"gone{i}", clean_path=missing) for i in (0, 1)]
+    # groups by clean file: [gone0, gone1] [0, 1] [2, 3]
+    manifest = [gone[0], entries[0], entries[2], gone[1], entries[1], entries[3]]
+    for workers in (1, 2):
+        table, skipped = harness.score_manifest(manifest, model, harness.RunConfig(workers=workers))
+        assert table.utt_ids == [entries[i].utt_id for i in (0, 2, 1, 3)]
+        assert [utt_id for utt_id, _ in skipped] == ["gone0", "gone1"]
+
+
 def test_the_clean_side_is_computed_once_per_run(mini_corpus, shuffled_entries, monkeypatch):
+    """Once per clean file, in any row order."""
     model = am.load_model(mini_corpus.parent / "model.json")
     calls = {"fbank": 0, "forward": 0, "resample": 0, "load_wav": 0, "score_utterance": 0}
 
@@ -426,15 +441,15 @@ def test_the_clean_side_is_computed_once_per_run(mini_corpus, shuffled_entries, 
                          (harness, "load_wav"), (harness, "score_utterance")):
         counted(module, name)
     table, _ = harness.score_manifest(shuffled_entries, model, harness.RunConfig())
-    n_rows, n_runs = len(table), 7
+    n_rows, n_clean_files = len(table), 4
     assert n_rows == 9
-    # the clean side once per run; posteriors and the STOI clean side once
-    # more for the run's second aligned length
+    # the clean side once per clean file; posteriors and the STOI clean side
+    # once more for utt000's second aligned length
     assert calls == {
-        "fbank": n_rows + n_runs,
-        "forward": n_rows + n_runs + 1,
-        "resample": n_rows + n_runs + 1,
-        "load_wav": n_rows + n_runs,
+        "fbank": n_rows + n_clean_files,
+        "forward": n_rows + n_clean_files + 1,
+        "resample": n_rows + n_clean_files + 1,
+        "load_wav": n_rows + n_clean_files,
         "score_utterance": n_rows,
     }
 
@@ -532,15 +547,15 @@ def test_the_pool_starts_no_more_workers_than_runs(monkeypatch):
     assert [utt_id for utt_id, _ in skipped] == ["u0", "u1", "u2", "u3"]
 
 
-def blas_threads_of_each_row(run, model, cfg):
-    """Stands in for harness._score_run: the pool worker's BLAS thread counts per row."""
+def blas_threads_of_each_row(group, model, cfg):
+    """Stands in for harness._score_group: the pool worker's BLAS thread counts per row."""
     counts = [getter() for _, getter in am._openblas_thread_controls()]
-    return [(entry.utt_id, counts) for entry in run]
+    return [(entry.utt_id, counts) for entry in group]
 
 
 def test_pool_workers_use_one_blas_thread(monkeypatch):
     entries = [harness.ManifestEntry(f"u{i}", f"c{i}.wav", f"d{i}.wav") for i in range(4)]
-    monkeypatch.setattr(harness, "_score_run", blas_threads_of_each_row)
+    monkeypatch.setattr(harness, "_score_group", blas_threads_of_each_row)
     original = am._set_blas_threads(2)  # what a forked worker would inherit
     try:
         table, skipped = harness.score_manifest(
@@ -559,7 +574,7 @@ def test_serial_scoring_uses_one_blas_thread_and_restores_the_callers_count(monk
     cfg = harness.RunConfig(measures=("stoi",))
     several_runs = [harness.ManifestEntry(f"u{i}", f"c{i}.wav", f"d{i}.wav") for i in range(3)]
     one_run = [harness.ManifestEntry(f"v{i}", "c.wav", f"d{i}.wav") for i in range(3)]
-    monkeypatch.setattr(harness, "_score_run", blas_threads_of_each_row)
+    monkeypatch.setattr(harness, "_score_group", blas_threads_of_each_row)
     original = am._set_blas_threads(2)  # the caller's count
     try:
         found = len(am._openblas_thread_controls())
@@ -569,10 +584,10 @@ def test_serial_scoring_uses_one_blas_thread_and_restores_the_callers_count(monk
             assert skipped == [(e.utt_id, [1] * found) for e in entries]
             assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found
 
-        def fail(run, model, cfg):
+        def fail(group, model, cfg):
             raise RuntimeError("stop")
 
-        monkeypatch.setattr(harness, "_score_run", fail)
+        monkeypatch.setattr(harness, "_score_group", fail)
         with pytest.raises(RuntimeError):
             harness.score_manifest(several_runs, None, cfg)
         assert [getter() for _, getter in am._openblas_thread_controls()] == [2] * found

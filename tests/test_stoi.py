@@ -309,6 +309,77 @@ def test_a_score_over_several_segment_blocks_matches_the_loop():
     assert (value.hex(), frames) == (want_value.hex(), want_frames)
 
 
+def counted_clean_terms(monkeypatch):
+    """Record the blocks measures._clean_segment_terms builds from here on."""
+    calls = []
+    real = measures._clean_segment_terms
+
+    def counted(seg_x):
+        calls.append(seg_x.shape[0])
+        return real(seg_x)
+
+    monkeypatch.setattr(measures, "_clean_segment_terms", counted)
+    return calls
+
+
+def noisy_versions(clean, n, count):
+    rng = np.random.default_rng(n)
+    return [
+        dsp.Waveform(clean.samples[:n] + 0.1 * (k + 1) * rng.normal(size=n), clean.sample_rate_hz)
+        for k in range(count)
+    ]
+
+
+def n_segment_blocks(reference, n):
+    n_segments = reference.side(n)[1].shape[1] - SEGMENT + 1
+    return -(-n_segments // measures._STOI_BLOCK)
+
+
+def test_a_reference_keeps_a_lengths_clean_terms_from_its_second_score(monkeypatch):
+    clean = speechlike(n=60000)
+    versions = noisy_versions(clean, 60000, 3)
+    want = [measures.stoi(clean, degraded) for degraded in versions]
+    reference = measures.StoiReference(clean)
+    calls = counted_clean_terms(monkeypatch)
+    got, built = [], []
+    for degraded in versions:
+        got.append(measures.stoi(reference, degraded))
+        built.append(len(calls))
+    assert [(s.value.hex(), s.n_frames_used) for s in got] == [
+        (s.value.hex(), s.n_frames_used) for s in want
+    ]
+    blocks = n_segment_blocks(reference, 60000)
+    assert blocks > 3
+    # built one block at a time and dropped, built and kept, then reused
+    assert built == [blocks, 2 * blocks, 2 * blocks]
+
+
+def test_a_reference_scored_once_per_length_keeps_no_clean_terms():
+    clean = speechlike()
+    reference = measures.StoiReference(clean)
+    for n in (30000, 29800):
+        measures.stoi(reference, noisy_versions(clean, n, 1)[0])
+    assert sorted(reference._terms) == [29800, 30000]
+    assert all(terms is None for terms in reference._terms.values())
+
+
+def test_a_reference_keeps_clean_terms_for_each_length_it_serves(monkeypatch):
+    clean = speechlike()
+    reference = measures.StoiReference(clean)
+    calls = counted_clean_terms(monkeypatch)
+    lengths = (30000, 29800)
+    versions = {n: noisy_versions(clean, n, 3) for n in lengths}
+    for k in range(2):
+        for n in lengths:
+            measures.stoi(reference, versions[n][k])
+    blocks = sum(n_segment_blocks(reference, n) for n in lengths)
+    assert len(calls) == 2 * blocks
+    for n in lengths:
+        assert len(reference._terms[n]) == n_segment_blocks(reference, n)
+        measures.stoi(reference, versions[n][2])
+    assert len(calls) == 2 * blocks
+
+
 BLOCK = dsp._FRAME_BLOCK
 
 
