@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 import scipy.io.wavfile
 import scipy.signal
 from scipy.fft import dct
@@ -341,13 +340,18 @@ def _strided_frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
 
     Shape x.shape[:-1] + (1 + (x.shape[-1] - length) // hop, length); x must
     hold one window. The rows of sliding_window_view(x, length)[::hop],
-    without its per-call checks.
+    without its per-call checks: the ndarray constructor over x's buffer
+    (a C-contiguous copy when x is not C-contiguous), which takes about a
+    third of as_strided's time per call.
     """
+    x = np.ascontiguousarray(x)
     n = 1 + (x.shape[-1] - length) // hop
     step = x.strides[-1]
-    return as_strided(
-        x, x.shape[:-1] + (n, length), x.strides[:-1] + (hop * step, step), writeable=False
+    frames = np.ndarray(
+        x.shape[:-1] + (n, length), x.dtype, buffer=x, strides=x.strides[:-1] + (hop * step, step)
     )
+    frames.flags.writeable = False
+    return frames
 
 
 def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -522,6 +522,42 @@ class Correlation:
     curves: dict[str, LogisticParams]
 
 
+# Values per (items, points) array that correlate_by_group and _curves fit
+# at a time: items of one length are stacked, at most this many values (and
+# at least one item) per stack.
+_FIT_CHUNK_VALUES = 16384
+
+
+def _in_stacks(
+    table: ScoreTable,
+    items: Sequence[tuple[str, np.ndarray]],
+    fit: Callable[[np.ndarray, np.ndarray, list[str]], list],
+) -> list:
+    """fit's outcome for each (measure, rows) item, items of one length fitted as one stack.
+
+    rows are the table rows of an item's points, in order. fit gets the
+    (g, n) stacks of measure values and of WER, gathered from the table one
+    chunk of items at a time, and the g measure names, and returns one
+    outcome per item.
+    """
+    outcomes: list = [None] * len(items)
+    lengths: dict[int, list[int]] = {}
+    for i, (_, rows) in enumerate(items):
+        lengths.setdefault(len(rows), []).append(i)
+    for n, members in lengths.items():
+        per_stack = max(1, _FIT_CHUNK_VALUES // max(n, 1))
+        for start in range(0, len(members), per_stack):
+            chunk = members[start : start + per_stack]
+            m, wer = np.empty((len(chunk), n)), np.empty((len(chunk), n))
+            for row, i in enumerate(chunk):
+                measure, rows = items[i]
+                np.take(table.measures[measure], rows, out=m[row])
+                np.take(table.wer, rows, out=wer[row])
+            for i, outcome in zip(chunk, fit(m, wer, [items[i][0] for i in chunk])):
+                outcomes[i] = outcome
+    return outcomes
+
+
 def _curves(table: ScoreTable, whole: GroupReport | None) -> dict[str, LogisticParams]:
     """Each measure's fit over every WER-bearing row that carries it.
 
@@ -529,18 +565,77 @@ def _curves(table: ScoreTable, whole: GroupReport | None) -> dict[str, LogisticP
     when every WER-bearing row carries it, so its fit is over these very rows
     in this order, and its params are the curve.
     """
-    has_wer = ~np.isnan(table.wer)
+    with_wer = np.flatnonzero(~np.isnan(table.wer))
     curves: dict[str, LogisticParams] = {}
-    for measure, values in sorted(table.measures.items()):
+    items = []
+    for measure, values in table.measures.items():
         if whole is not None and measure in whole.correlations:
             curves[measure] = whole.correlations[measure].params
             continue
-        carriers = has_wer & ~np.isnan(values)
+        carried = ~np.isnan(values[with_wer])
+        items.append((measure, with_wer if carried.all() else with_wer[carried]))
+    fits = _in_stacks(table, items, lambda m, wer, _: fit_logistic(m, wer))
+    for (measure, _), fit in zip(items, fits):
+        if isinstance(fit, LogisticParams):
+            curves[measure] = fit
+    return {measure: curves[measure] for measure in sorted(curves)}
+
+
+def _group_reports(
+    table: ScoreTable, group_key: str | None
+) -> tuple[dict[str, GroupReport], dict[str, str]]:
+    """correlate_by_group's GroupReports and skipped map: every group's means, then
+    its fits, made in stacks across groups."""
+    skipped: dict[str, str] = {}
+    # (name, n_rows, n_with_wer, means, {measure: item}) of each group to report
+    groups: list[tuple[str, int, int, dict[str, float], dict[str, int]]] = []
+    items: list[tuple[str, np.ndarray]] = []  # (measure, WER-bearing rows) to evaluate
+    for name, members in _groups(table, group_key).items():
+        wer = table.wer[members]
+        has_wer = ~np.isnan(wer)
+        n_with_wer = int(np.count_nonzero(has_wer))
+        if n_with_wer < 3:
+            skipped[name] = f"only {n_with_wer} rows with wer, need 3"
+            continue
+        rows = members[has_wer]
+        means: dict[str, float] = {}
+        fits: dict[str, int] = {}
+        for measure in sorted(table.measures):
+            values = table.measures[measure][members]
+            carried = ~np.isnan(values)
+            if not carried.any():
+                continue
+            try:
+                means[measure] = _finite_mean(values[carried], measure)
+            except NumericError as exc:
+                skipped[f"{name}/{measure}"] = _reason(exc)
+                continue
+            n_carried = int(np.count_nonzero(carried[has_wer]))
+            if n_carried < n_with_wer:
+                skipped[f"{name}/{measure}"] = f"carried by {n_carried} of {n_with_wer} rows with wer"
+            else:
+                fits[measure] = len(items)
+                items.append((measure, rows))
         try:
-            curves[measure] = fit_logistic(values[carriers], table.wer[carriers])
-        except AgevalError:
-            pass
-    return curves
+            means["wer"] = _finite_mean(wer[has_wer], "wer")
+        except NumericError as exc:
+            skipped[f"{name}/wer"] = _reason(exc)
+        groups.append((name, len(members), n_with_wer, means, fits))
+    outcomes = _in_stacks(table, items, lambda m, wer, names: evaluate_measure(np.stack((m, wer), -1), names))
+    reports: dict[str, GroupReport] = {}
+    for name, n_rows, n_with_wer, means, fits in groups:
+        correlations: dict[str, CorrelationReport] = {}
+        for measure, item in fits.items():
+            outcome = outcomes[item]
+            if isinstance(outcome, AgevalError):
+                skipped[f"{name}/{measure}"] = _reason(outcome)
+            else:
+                correlations[measure] = outcome
+        if not correlations:
+            skipped.setdefault(name, "no measure produced a report")
+            continue
+        reports[name] = GroupReport(n_rows, n_with_wer, means, correlations)
+    return reports, skipped
 
 
 def correlate_by_group(table: ScoreTable, group_key: str | None = None) -> Correlation:
@@ -552,42 +647,14 @@ def correlate_by_group(table: ScoreTable, group_key: str | None = None) -> Corre
     WER-bearing rows, group/measure fits that raise any AgevalError, and
     group/column means that leave the float64 range (the measure then gets
     no fit) are reported in the skipped map. A measure is fitted in a group
-    when every WER-bearing row of the group carries it. Each measure's
-    scatter curve is fitted here too, once: an ungrouped run takes it from
-    the "all" group's fit. If nothing is reportable, EmptyReportError is
-    raised.
+    when every WER-bearing row of the group carries it; a measure that only
+    some of them carry is skipped with the count that does. The fits of all
+    groups are made in stacks of equal-length items (see evaluate_measure).
+    Each measure's scatter curve is fitted here too, once: an ungrouped run
+    takes it from the "all" group's fit. If nothing is reportable,
+    EmptyReportError is raised.
     """
-    reports: dict[str, GroupReport] = {}
-    skipped: dict[str, str] = {}
-    for name, members in _groups(table, group_key).items():
-        wer = table.wer[members]
-        has_wer = ~np.isnan(wer)
-        n_with_wer = int(np.count_nonzero(has_wer))
-        if n_with_wer < 3:
-            skipped[name] = f"only {n_with_wer} rows with wer, need 3"
-            continue
-        columns = {m: table.measures[m][members] for m in sorted(table.measures)}
-        columns = {m: values for m, values in columns.items() if not np.isnan(values).all()}
-        means: dict[str, float] = {}
-        for column, values in (*columns.items(), ("wer", wer)):
-            try:
-                means[column] = _finite_mean(values[~np.isnan(values)], column)
-            except NumericError as exc:
-                skipped[f"{name}/{column}"] = _reason(exc)
-        wer_values = wer[has_wer]
-        correlations: dict[str, CorrelationReport] = {}
-        for measure in sorted(columns.keys() & means.keys()):
-            values = columns[measure][has_wer]
-            if np.isnan(values).any():
-                continue
-            try:
-                correlations[measure] = evaluate_measure(np.column_stack((values, wer_values)), measure)
-            except AgevalError as exc:
-                skipped[f"{name}/{measure}"] = _reason(exc)
-        if not correlations:
-            skipped.setdefault(name, "no measure produced a report")
-            continue
-        reports[name] = GroupReport(len(members), n_with_wer, means, correlations)
+    reports, skipped = _group_reports(table, group_key)
     if not reports:
         raise EmptyReportError("no group had enough usable data")
     whole = reports.get("all") if group_key is None else None

@@ -4,17 +4,23 @@ The evaluation procedure: fit f(m) = 100 / (1 + exp(a*m + b)) to the
 (measure, WER) points by least squares, then report the magnitude of the
 Pearson correlation between f(m) and WER, plus a rank correlation on the raw
 points and the RMSE of the mapped values.
+
+fit_logistic and evaluate_measure also take a stack of equal-length items
+and return one outcome per item: its result, or the error it raises on its
+own. One item is a stack of one, so both forms share one implementation,
+and every item of a stack gets the bits of its one-item call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import (
+    AgevalError,
     DegenerateFitError,
     NumericError,
     ShapeMismatchError,
@@ -31,6 +37,8 @@ _FIT_MAX_ITERATIONS = 200
 _FIT_REL_TOL = 1e-12
 _FIT_MAX_HALVINGS = 60
 _WER_LOGIT_CLAMP = (0.1, 99.9)
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,44 @@ def _as_float_vector(values: Sequence[float] | np.ndarray, name: str) -> np.ndar
     return arr
 
 
+def _one(outcomes: list[_T | AgevalError]) -> _T:
+    """The outcome of a stack of one item: its result, or its error raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, AgevalError):
+        raise outcome
+    return outcome
+
+
+def _keep(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The items (leading-axis entries) of each array where mask holds."""
+    if mask.all():
+        return arrays
+    return tuple(x[mask] for x in arrays)
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[AgevalError | None]]:
+    """Pearson correlation of each row of two (k, n) stacks, n >= 2.
+
+    Returns the coefficients and, per row, None or the error pearson raises
+    on that row alone (where the row's coefficient is meaningless).
+    """
+    errors: list[AgevalError | None] = [None] * len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        yc = y - y.mean(axis=-1, keepdims=True)
+        sxx, syy, sxy = np.sum(xc**2, axis=-1), np.sum(yc**2, axis=-1), np.sum(xc * yc, axis=-1)
+    constant = (x.min(axis=-1) == x.max(axis=-1)) | (y.min(axis=-1) == y.max(axis=-1))
+    in_range = np.isfinite(sxy) & (0.0 < sxx) & (sxx < np.inf) & (0.0 < syy) & (syy < np.inf)
+    for i in np.flatnonzero(constant):
+        errors[i] = UndefinedCorrelationError("correlation is undefined for a constant sequence")
+    for i in np.flatnonzero(~constant & ~in_range):
+        errors[i] = NumericError("values too large or too close together for a correlation")
+    valid = ~constant & in_range
+    r = np.zeros(len(x))
+    r[valid] = sxy[valid] / (np.sqrt(sxx[valid]) * np.sqrt(syy[valid]))
+    return r, errors
+
+
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation coefficient of two equal-length sequences.
 
@@ -83,32 +129,33 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
         raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     if xv.shape[0] < 2:
         raise TooFewPointsError("correlation needs at least 2 points")
-    if xv.min() == xv.max() or yv.min() == yv.max():
-        raise UndefinedCorrelationError("correlation is undefined for a constant sequence")
-    with np.errstate(over="ignore", invalid="ignore"):
-        xc = xv - xv.mean()
-        yc = yv - yv.mean()
-        sxx, syy, sxy = np.sum(xc**2), np.sum(yc**2), np.sum(xc * yc)
-    if not (np.isfinite(sxy) and 0.0 < sxx < np.inf and 0.0 < syy < np.inf):
-        raise NumericError("values too large or too close together for a correlation")
-    return float(sxy / (np.sqrt(sxx) * np.sqrt(syy)))
+    r, (error,) = _pearson_rows(xv[None], yv[None])
+    if error is not None:
+        raise error
+    return float(r[0])
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n in ascending order, tied values sharing the mean of their ranks.
+    """Ranks 1..n in ascending order along the last axis, tied values sharing the mean of their ranks.
 
-    Equals scipy.stats.rankdata(values, method="average") exactly: a tie group
-    occupying ranks i+1..j gets (i + 1 + j) / 2, an exact half-integer. Any
-    NaN makes every rank NaN, as rankdata does.
+    Equals scipy.stats.rankdata(values, method="average") on each row
+    exactly: a tie group occupying ranks i+1..j gets (i + 1 + j) / 2, an
+    exact half-integer. Any NaN makes every rank of its row NaN, as rankdata
+    does.
     """
-    if np.isnan(values).any():
-        return np.full(values.shape, np.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], values.size)
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    first = np.ones(values.shape, dtype=bool)  # the first sorted position of each tie group
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=first[..., 1:])
+    last = np.ones(values.shape, dtype=bool)  # ... and the last
+    last[..., :-1] = first[..., 1:]
+    positions = np.arange(n)
+    starts = np.maximum.accumulate(np.where(first, positions, 0), axis=-1)
+    ends = np.flip(np.minimum.accumulate(np.flip(np.where(last, positions + 1, n), -1), axis=-1), -1)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, (starts + 1 + ends) / 2.0, axis=-1)
+    ranks[np.isnan(values).any(axis=-1)] = np.nan
     return ranks
 
 
@@ -121,7 +168,7 @@ def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -
     return pearson(_average_ranks(xv), _average_ranks(yv))
 
 
-def _logistic(a: float, b: float, m: np.ndarray) -> np.ndarray:
+def _logistic(a: float | np.ndarray, b: float | np.ndarray, m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         # the exponent is clamped, so overflow in a*m is harmless
         t = np.clip(a * m + b, -_EXP_CLAMP, _EXP_CLAMP)
@@ -136,9 +183,98 @@ def map_logistic(params: LogisticParams, m: float | np.ndarray) -> float | np.nd
     return out
 
 
+def _fit_rows(m: np.ndarray, w: np.ndarray) -> list[LogisticParams | AgevalError]:
+    """fit_logistic on each row of two C-contiguous (g, n) stacks.
+
+    Each step and sum runs over the last axis, which gives every item the
+    bits of its fit alone; each item leaves the stack where its own fit
+    ends, so a later step never sees it.
+    """
+    g, n = m.shape
+    if n < 3:
+        return [TooFewPointsError("logistic fit needs at least 3 points") for _ in range(g)]
+    outcomes: list[LogisticParams | AgevalError] = [None] * g  # type: ignore[list-item]
+    w = np.clip(w, 0.0, 100.0)
+    z = np.log(100.0 / np.clip(w, *_WER_LOGIT_CLAMP) - 1.0)
+    with np.errstate(all="ignore"):
+        # Overflow here leaves a sum, slope or offset non-finite: checked below.
+        m_mean = m.mean(axis=1)
+        m_center = m - m_mean[:, None]
+        z_mean = z.mean(axis=1)
+        covariance = np.sum(m_center * (z - z_mean[:, None]), axis=1)
+        variance = np.sum(m_center**2, axis=1)
+        a = covariance / variance
+        b = z_mean - a * m_mean
+    constant = m.min(axis=1) == m.max(axis=1)
+    start = np.isfinite(covariance) & np.isfinite(variance) & np.isfinite(a) & np.isfinite(b)
+    for i in np.flatnonzero(constant):
+        outcomes[i] = DegenerateFitError("measure values are all identical")
+    for i in np.flatnonzero(~constant & ~start):
+        outcomes[i] = NumericError("measure values out of range for the logistic fit's start")
+    live = np.arange(g)
+    live, m, w, a, b = _keep(~constant & start, live, m, w, a, b)
+    # f and loss always belong to the current (a, b): an accepted step keeps
+    # the candidate's, so each (a, b) is mapped once.
+    f = _logistic(a[:, None], b[:, None], m)
+    loss = np.sum((w - f) ** 2, axis=1)
+
+    def settle(done: np.ndarray, make) -> None:
+        for k in done.nonzero()[0]:
+            outcomes[live[k]] = make(k)
+
+    for _ in range(_FIT_MAX_ITERATIONS):
+        if not live.size:
+            break
+        residual = w - f
+        dfdt = -f * (1.0 - f / 100.0)
+        jac = np.empty(m.shape + (2,))
+        np.multiply(dfdt, m, out=jac[..., 0])
+        jac[..., 1] = dfdt
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        settle(~finite, lambda k: NumericError("measure values too large for the logistic fit"))
+        live, m, w, a, b, f, loss, jac, residual = _keep(finite, live, m, w, a, b, f, loss, jac, residual)
+        step = np.array([np.linalg.lstsq(j, r, rcond=None)[0] for j, r in zip(jac, residual)])
+        step = step.reshape(len(live), 2)
+        del jac, residual
+        # An item whose step is accepted takes the candidate's a, b, f and
+        # loss in place: the halvings read only the items still halving.
+        start_loss = loss.copy()
+        accepted = np.zeros(len(live), dtype=bool)
+        invalid = np.zeros(len(live), dtype=bool)
+        todo = np.arange(len(live))
+        for _ in range(_FIT_MAX_HALVINGS):
+            with np.errstate(all="ignore"):  # as on Python floats
+                try_a = a[todo] + step[todo, 0]
+                try_b = b[todo] + step[todo, 1]
+            finite = np.isfinite(try_a) & np.isfinite(try_b)
+            invalid[todo[~finite]] = True
+            todo, try_a, try_b = _keep(finite, todo, try_a, try_b)
+            rows = todo if len(todo) < len(live) else slice(None)
+            try_f = _logistic(try_a[:, None], try_b[:, None], m[rows])
+            try_loss = np.sum((w[rows] - try_f) ** 2, axis=1)
+            better = try_loss <= loss[todo]
+            done = todo[better]
+            a[done], b[done], f[done], loss[done] = _keep(better, try_a, try_b, try_f, try_loss)
+            accepted[done] = True
+            todo = todo[~better]
+            if not todo.size:
+                break
+            step[todo] = step[todo] / 2.0
+        settle(invalid, lambda k: ValidationError("logistic parameters must be finite"))
+        # no halving lowered the loss: the fit ends where it is
+        settle(~accepted & ~invalid, lambda k: LogisticParams(float(a[k]), float(b[k])))
+        with np.errstate(all="ignore"):  # as on Python floats
+            relative_drop = (start_loss - loss) / np.maximum(start_loss, 1e-300)
+        converged = accepted & (relative_drop < _FIT_REL_TOL)
+        settle(converged, lambda k: LogisticParams(float(a[k]), float(b[k])))
+        live, m, w, a, b, f, loss = _keep(accepted & ~converged, live, m, w, a, b, f, loss)
+    settle(np.ones(len(live), dtype=bool), lambda k: LogisticParams(float(a[k]), float(b[k])))
+    return outcomes
+
+
 def fit_logistic(
     m: Sequence[float] | np.ndarray, wer: Sequence[float] | np.ndarray
-) -> LogisticParams:
+) -> LogisticParams | list[LogisticParams | AgevalError]:
     """Least-squares fit of the logistic WER mapping.
 
     Initialization comes from ordinary least squares in the logit domain
@@ -149,62 +285,75 @@ def fit_logistic(
     Measure values whose start or Jacobian overflows float64 raise
     NumericError, without a numpy warning, and a step to non-finite
     parameters raises ValidationError.
+
+    m and wer of shape (g, n) are a stack of g items, each fitted as above:
+    the result is a list of g outcomes, an item's LogisticParams or the
+    AgevalError its fit alone raises, with the bits of that fit.
     """
-    mv = _as_float_vector(m, "m")
+    mv = np.asarray(m, dtype=np.float64)
+    if mv.ndim == 2:
+        wv = np.asarray(wer, dtype=np.float64)
+        if wv.shape != mv.shape:
+            raise ShapeMismatchError(f"shape mismatch: m {mv.shape} vs wer {wv.shape}")
+        return _fit_rows(np.ascontiguousarray(mv), np.ascontiguousarray(wv))
+    mv = _as_float_vector(mv, "m")
     wv = _as_float_vector(wer, "wer")
     if mv.shape[0] != wv.shape[0]:
         raise ShapeMismatchError(f"length mismatch: {mv.shape[0]} vs {wv.shape[0]}")
-    if mv.shape[0] < 3:
-        raise TooFewPointsError("logistic fit needs at least 3 points")
-    if mv.min() == mv.max():
-        raise DegenerateFitError("measure values are all identical")
-    wv = np.clip(wv, 0.0, 100.0)
+    return _one(_fit_rows(mv[None], wv[None]))
 
-    clamped = np.clip(wv, *_WER_LOGIT_CLAMP)
-    z = np.log(100.0 / clamped - 1.0)
-    with np.errstate(all="ignore"):
-        # Overflow here leaves a sum, slope or offset non-finite: checked below.
-        m_center = mv - mv.mean()
-        covariance = np.sum(m_center * (z - z.mean()))
-        variance = np.sum(m_center**2)
-        a = float(covariance / variance)
-        b = float(z.mean() - a * mv.mean())
-    if not np.all(np.isfinite([covariance, variance, a, b])):
-        raise NumericError("measure values out of range for the logistic fit's start")
-    # f and loss always belong to the current (a, b): an accepted step keeps
-    # the candidate's, so each (a, b) is mapped once.
-    f = _logistic(a, b, mv)
-    loss = float(np.sum((wv - f) ** 2))
 
-    for _ in range(_FIT_MAX_ITERATIONS):
-        residual = wv - f
-        dfdt = -f * (1.0 - f / 100.0)
-        jac = np.column_stack((dfdt * mv, dfdt))
-        if not np.all(np.isfinite(jac)):
-            raise NumericError("measure values too large for the logistic fit")
-        delta, *_ = np.linalg.lstsq(jac, residual, rcond=None)
-        step = delta
-        for _ in range(_FIT_MAX_HALVINGS):
-            new_a, new_b = a + float(step[0]), b + float(step[1])
-            if not (math.isfinite(new_a) and math.isfinite(new_b)):
-                raise ValidationError("logistic parameters must be finite")
-            new_f = _logistic(new_a, new_b, mv)
-            new_loss = float(np.sum((wv - new_f) ** 2))
-            if new_loss <= loss:
-                break
-            step = step / 2.0
-        else:
-            break  # no halving lowered the loss
-        relative_drop = (loss - new_loss) / max(loss, 1e-300)
-        a, b, f, loss = new_a, new_b, new_f, new_loss
-        if relative_drop < _FIT_REL_TOL:
-            break
-    return LogisticParams(a, b)
+def _evaluate_rows(pts: np.ndarray, names: Sequence[str]) -> list[CorrelationReport | AgevalError]:
+    """evaluate_measure on each item of a (g, n, 2) stack of pairs."""
+    g, n = pts.shape[:2]
+    if n < 3:
+        return [TooFewPointsError(f"need at least 3 scored points, got {n}") for _ in range(g)]
+    # One contiguous array per column, the layout a list of pairs gave, so
+    # every sum runs over the same memory layout as before.
+    m, wer = np.ascontiguousarray(pts[..., 0]), np.ascontiguousarray(pts[..., 1])
+    fits = fit_logistic(m, wer)
+    outcomes: list[CorrelationReport | AgevalError] = list(fits)  # type: ignore[arg-type]
+    fitted = np.array([isinstance(fit, LogisticParams) for fit in fits], dtype=bool)
+    live, m, wer = _keep(fitted, np.arange(g), m, wer)
+    params = [fits[i] for i in live]
+    a = np.array([p.a for p in params])
+    b = np.array([p.b for p in params])
+
+    def settle(errors: list[AgevalError | None], *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+        for i, error in zip(live, errors):
+            if error is not None:
+                outcomes[i] = error
+        return _keep(np.array([error is None for error in errors], dtype=bool), live, *arrays)
+
+    mapped = _logistic(a[:, None], b[:, None], m)
+    rho_signed, errors = _pearson_rows(mapped, wer)
+    live, m, wer, mapped, rho_signed = settle(errors, m, wer, mapped, rho_signed)
+    with np.errstate(over="ignore"):
+        rmse = np.sqrt(np.mean((wer - mapped) ** 2, axis=1))
+    errors = [None if math.isfinite(r) else NumericError("wer values too large for the mapped RMSE")
+              for r in rmse.tolist()]
+    live, m, wer, rho_signed, rmse = settle(errors, m, wer, rho_signed, rmse)
+    rho_rank, errors = _pearson_rows(_average_ranks(m), _average_ranks(wer))
+    live, rho_signed, rmse, rho_rank = settle(errors, rho_signed, rmse, rho_rank)
+    for i, rho, rms, rank in zip(live, rho_signed.tolist(), rmse.tolist(), rho_rank.tolist()):
+        try:
+            outcomes[i] = CorrelationReport(
+                measure_name=names[i],
+                n_points=n,
+                params=fits[i],  # type: ignore[arg-type]
+                rho_magnitude=abs(rho),
+                rho_signed=rho,
+                spearman=rank,
+                rmse_mapped=rms,
+            )
+        except AgevalError as exc:
+            outcomes[i] = exc
+    return outcomes
 
 
 def evaluate_measure(
-    scores: Iterable[tuple[float, float]] | np.ndarray, measure_name: str
-) -> CorrelationReport:
+    scores: Iterable[tuple[float, float]] | np.ndarray, measure_name: str | Sequence[str]
+) -> CorrelationReport | list[CorrelationReport | AgevalError]:
     """Fit the logistic mapping to (measure, WER) pairs and summarize agreement.
 
     scores is a sequence of pairs or an (n, 2) array; anything else raises
@@ -214,33 +363,28 @@ def evaluate_measure(
     pairs. Degenerate inputs (constant m or constant WER) raise the same
     errors as the underlying fit and correlation, and WER values so large
     that a sum leaves the float64 range raise NumericError.
+
+    With measure_name a sequence of g names, scores is a stack of g items
+    of n pairs, shape (g, n, 2), and the result is a list of g outcomes:
+    an item's CorrelationReport, or the AgevalError it raises on its own.
+    The stack makes one fit_logistic call, for all of its items.
     """
+    stacked = not isinstance(measure_name, str)
     try:
         pts = np.asarray(scores if isinstance(scores, np.ndarray) else list(scores), np.float64)
     except ValueError as exc:  # ragged pairs, or a cell that is not a number
         raise ShapeMismatchError(f"scores must be (measure, wer) pairs ({exc})") from exc
     if pts.shape == (0,):  # an empty sequence
-        pts = pts.reshape(0, 2)
+        pts = pts.reshape((0, 0, 2) if stacked else (0, 2))
+    if stacked:
+        names = list(measure_name)
+        if pts.ndim != 3 or pts.shape[2] != 2 or pts.shape[0] != len(names):
+            raise ShapeMismatchError(
+                f"scores must be a ({len(names)}, n, 2) stack for {len(names)} names, got shape {pts.shape}"
+            )
+        return _evaluate_rows(pts, names)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ShapeMismatchError(f"scores must be an (n, 2) array, got shape {pts.shape}")
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 scored points, got {len(pts)}")
-    # One contiguous array per column, the layout a list of pairs gave, so
-    # every sum runs over the same memory layout as before.
-    m, wer = np.ascontiguousarray(pts.T)
-    params = fit_logistic(m, wer)
-    mapped = np.asarray(map_logistic(params, m))
-    rho_signed = pearson(mapped, wer)
-    with np.errstate(over="ignore"):
-        rmse = float(np.sqrt(np.mean((wer - mapped) ** 2)))
-    if not np.isfinite(rmse):
-        raise NumericError("wer values too large for the mapped RMSE")
-    return CorrelationReport(
-        measure_name=measure_name,
-        n_points=len(pts),
-        params=params,
-        rho_magnitude=abs(rho_signed),
-        rho_signed=rho_signed,
-        spearman=spearman(m, wer),
-        rmse_mapped=rmse,
-    )
+    return _one(_evaluate_rows(pts[None], [measure_name]))

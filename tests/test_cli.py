@@ -426,12 +426,14 @@ def write_grid_scores(path, n_groups):
 
 
 def count_fits(monkeypatch):
-    """Count fit_logistic calls through both bindings that reach it, as perfbench's tracer does."""
+    """Count the items fit_logistic fits through both bindings that reach it: one per call,
+    or a stack's size."""
     calls = []
     fit = stats.fit_logistic
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        m = np.asarray(args[0])
+        calls.extend([args] * (len(m) if m.ndim == 2 else 1))
         return fit(*args, **kwargs)
 
     for module in (stats, harness):
@@ -456,6 +458,25 @@ def test_correlate_fits_each_group_and_each_curve_once(tmp_path, monkeypatch, gr
     calls.clear()
     harness.emit_report(correlation, tmp_path / "again")
     assert calls == []
+
+
+def test_correlate_reports_a_partly_carried_measure_as_skipped(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "utt_id,wer,age,stoi,g\n"
+        "u1,10.0,0.5,0.9,x\n"
+        "u2,30.0,1.5,0.7,x\n"
+        "u3,55.0,2.5,,x\n"
+        "u4,70.0,3.5,0.4,x\n"
+        "u5,90.0,4.5,0.2,x\n"
+    )
+    out = tmp_path / "out"
+    assert main(["correlate", "--scores", str(scores), "--group-by", "g", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["skipped"] == {"x/stoi": "carried by 4 of 5 rows with wer"}
+    assert sorted(report["groups"]["x"]["means"]) == ["age", "stoi", "wer"]
+    assert sorted(report["groups"]["x"]["correlations"]) == ["age"]
+    assert "skipped group x/stoi: carried by 4 of 5 rows with wer" in capsys.readouterr().err
 
 
 def test_correlate_treats_a_dotted_out_path_as_a_directory(tmp_path):

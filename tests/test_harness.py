@@ -655,6 +655,24 @@ def test_only_shared_measures_are_reported():
     assert sorted(reports["all"].correlations) == ["age"]
 
 
+def test_a_measure_that_only_some_rows_with_wer_carry_is_skipped_with_their_count():
+    rows = synthetic_rows()
+    rows[2].values.pop("stoi")  # group x: 4 of its 5 rows with wer carry stoi
+    rows[5] = dataclasses.replace(rows[5], wer_percent=None)
+    rows[5].values.pop("stoi")  # group y: only a row without wer lacks stoi
+    reports, skipped = group_reports(as_table(rows), "algo")
+    assert skipped == {"x/stoi": "carried by 4 of 5 rows with wer"}
+    assert sorted(reports["x"].means) == ["age", "stoi", "wer"]
+    assert sorted(reports["x"].correlations) == ["age"]
+    assert sorted(reports["y"].correlations) == ["age", "stoi"]
+    assert reports["y"].correlations["stoi"].n_points == 4
+    # a measure no row with wer carries is counted too
+    for i in (0, 1, 3, 4):
+        rows[i].values.pop("stoi")
+    rows[0] = dataclasses.replace(rows[0], wer_percent=None, values={"age": 0.5, "stoi": 0.25})
+    assert group_reports(as_table(rows), "algo")[1] == {"x/stoi": "carried by 0 of 4 rows with wer"}
+
+
 def test_groups_without_enough_wer_rows_are_skipped():
     rows = synthetic_rows()
     rows[:3] = [

@@ -24,6 +24,8 @@ from ageval.errors import (
     NumericError,
     ShapeMismatchError,
     TooFewPointsError,
+    UndefinedCorrelationError,
+    ValidationError,
 )
 
 # the row-at-a-time oracles ---------------------------------------------------
@@ -90,6 +92,78 @@ def loop_fit_logistic(m, wer):
     return params
 
 
+def loop_pearson(x, y):
+    """pearson on one pair of sequences, as a 1-D computation."""
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.ndim != 1 or yv.ndim != 1:
+        raise ShapeMismatchError("x and y must be 1-D")
+    if xv.shape[0] != yv.shape[0]:
+        raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    if xv.shape[0] < 2:
+        raise TooFewPointsError("correlation needs at least 2 points")
+    if xv.min() == xv.max() or yv.min() == yv.max():
+        raise UndefinedCorrelationError("correlation is undefined for a constant sequence")
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xv - xv.mean()
+        yc = yv - yv.mean()
+        sxx, syy, sxy = np.sum(xc**2), np.sum(yc**2), np.sum(xc * yc)
+    if not (np.isfinite(sxy) and 0.0 < sxx < np.inf and 0.0 < syy < np.inf):
+        raise NumericError("values too large or too close together for a correlation")
+    return float(sxy / (np.sqrt(sxx) * np.sqrt(syy)))
+
+
+def loop_average_ranks(values):
+    """Average ranks of one 1-D array, tie groups found on its stable sort."""
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def loop_spearman(x, y):
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.shape[0] != yv.shape[0]:
+        raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    return loop_pearson(loop_average_ranks(xv), loop_average_ranks(yv))
+
+
+def loop_evaluate_measure(scores, measure_name):
+    """evaluate_measure on one item, through the oracles above."""
+    try:
+        pts = np.asarray(scores if isinstance(scores, np.ndarray) else list(scores), np.float64)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"scores must be (measure, wer) pairs ({exc})") from exc
+    if pts.shape == (0,):
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeMismatchError(f"scores must be an (n, 2) array, got shape {pts.shape}")
+    if len(pts) < 3:
+        raise TooFewPointsError(f"need at least 3 scored points, got {len(pts)}")
+    m, wer = np.ascontiguousarray(pts.T)
+    params = loop_fit_logistic(m, wer)
+    mapped = loop_map_logistic(params, m)
+    rho_signed = loop_pearson(mapped, wer)
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean((wer - mapped) ** 2)))
+    if not np.isfinite(rmse):
+        raise NumericError("wer values too large for the mapped RMSE")
+    return stats.CorrelationReport(
+        measure_name=measure_name,
+        n_points=len(pts),
+        params=params,
+        rho_magnitude=abs(rho_signed),
+        rho_signed=rho_signed,
+        spearman=loop_spearman(m, wer),
+        rmse_mapped=rmse,
+    )
+
 def loop_correlate_by_group(rows, group_key=None):
     """correlate_by_group over ScoreRow objects, one list per group and column."""
     if group_key is not None and not any(group_key in row.tags for row in rows):
@@ -115,12 +189,15 @@ def loop_correlate_by_group(rows, group_key=None):
                 means[column] = harness._finite_mean(values, column)
             except NumericError as exc:
                 skipped[f"{name}/{column}"] = harness._reason(exc)
-        shared = set.intersection(*(set(r.values) for r in with_wer))
         correlations = {}
-        for measure in sorted(shared & means.keys()):
+        for measure in sorted(means.keys() - {"wer"}):
+            carriers = [r for r in with_wer if measure in r.values]
+            if len(carriers) < len(with_wer):
+                skipped[f"{name}/{measure}"] = f"carried by {len(carriers)} of {len(with_wer)} rows with wer"
+                continue
             pairs = [(r.values[measure], r.wer_percent) for r in with_wer]
             try:
-                correlations[measure] = stats.evaluate_measure(pairs, measure)
+                correlations[measure] = loop_evaluate_measure(pairs, measure)
             except AgevalError as exc:
                 skipped[f"{name}/{measure}"] = harness._reason(exc)
         if not correlations:
@@ -208,8 +285,7 @@ def columnar_outcome(table, group_key, out):
 
 
 def loop_outcome(rows, group_key, out):
-    with mock.patch.object(stats, "fit_logistic", loop_fit_logistic):  # evaluate_measure's fit
-        return outcome(loop_correlate_and_emit, rows, group_key, out)
+    return outcome(loop_correlate_and_emit, rows, group_key, out)
 
 
 # the columnar path against the oracles ---------------------------------------
@@ -248,14 +324,17 @@ def score_rows(draw):
     return rows, tag_name
 
 
-# write_scores_csv's chunk sizes to test: 2 makes NaN cells, rows without a
-# WER and scatter carriers straddle chunks.
-CHUNK_ROWS = (2, harness._WRITE_CHUNK_ROWS)
+# write_scores_csv's chunk sizes to test, each with a size of the stacks
+# correlate_by_group fits: 2 makes NaN cells, rows without a WER and scatter
+# carriers straddle chunks, and 1 value fits one item per stack, 40 values
+# a few short items per stack.
+CHUNK_SIZES = ((2, 1), (3, 40), (harness._WRITE_CHUNK_ROWS, harness._FIT_CHUNK_VALUES))
 
 
 def assert_columnar_outcome_in_every_chunk_size(table, group_key, out, want):
-    for chunk_rows in CHUNK_ROWS:
-        with mock.patch.object(harness, "_WRITE_CHUNK_ROWS", chunk_rows):
+    for chunk_rows, fit_values in CHUNK_SIZES:
+        with mock.patch.object(harness, "_WRITE_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(harness, "_FIT_CHUNK_VALUES", fit_values):
             assert columnar_outcome(table, group_key, out / f"chunks{chunk_rows}") == want
 
 
@@ -292,6 +371,172 @@ def test_fit_logistic_is_bit_identical_to_the_loop(m, wer):
         return float(params.a).hex(), float(params.b).hex()
 
     assert fit(stats.fit_logistic) == fit(loop_fit_logistic)
+
+
+
+# stacks of items against the row-at-a-time oracles ---------------------------
+
+
+def item_points(rng, n, kind):
+    """n (measure, wer) pairs of one kind of item: a fit that converges (fast or slow), ties,
+    signed zeros, or one that fails at a given step (the start, the correlation, the RMSE)."""
+    severity = rng.uniform(0.0, 1.0, n)
+    m = rng.uniform(0.2, 4.0) * severity + rng.normal(0.0, rng.uniform(0.0, 0.6), n)
+    wer = 100.0 / (1.0 + np.exp(-rng.uniform(2.0, 20.0) * (severity - 0.5))) + rng.normal(0.0, 6.0, n)
+    if kind == "ties":
+        m, wer = np.round(m, 1), np.round(wer, -1)
+    elif kind == "signed zeros":
+        m = rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+        wer = rng.choice([-0.0, 0.0, 50.0, 100.0], n)
+    elif kind == "constant measure":
+        m[:] = 0.25
+    elif kind == "constant wer":
+        wer[:] = 30.0
+    elif kind == "wer out of range":
+        wer = rng.uniform(-60.0, 180.0, n)
+    elif kind == "infinite wer":
+        wer[rng.integers(0, n)] = rng.choice([math.inf, -math.inf])
+    elif kind == "huge wer":
+        wer[rng.integers(0, n)] = 1e300
+    elif kind == "rmse overflow":  # its square overflows, its centred square does not
+        wer[rng.integers(0, n)] = 1.35e154
+    elif kind == "near 1e307":
+        m[rng.integers(0, n)] = 1e307
+    elif kind == "all near 1e307":
+        m = 1e307 * (1.0 + m / 8.0)
+    elif kind == "near 1e-200":
+        m = 1e-200 * m
+    elif kind == "near 1e-150":
+        m = 1e-150 * m
+    elif kind == "two values":
+        m = rng.integers(0, 2, n).astype(float)
+        m[:2] = (0.0, 1.0)
+    return np.column_stack((m, wer))
+
+
+ITEM_KINDS = ("logistic", "logistic", "logistic", "ties", "signed zeros", "constant measure",
+              "constant wer", "wer out of range", "infinite wer", "huge wer", "rmse overflow", "near 1e307",
+              "all near 1e307", "near 1e-200", "near 1e-150", "two values")
+
+
+@st.composite
+def item_stacks(draw):
+    """A (g, n, 2) stack of g = 1..40 items of n = 3..400 pairs, each of its own kind, and g names."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(3, 12), st.integers(3, 400)))
+    kinds = draw(st.lists(st.sampled_from(ITEM_KINDS), min_size=1, max_size=40))
+    return np.stack([item_points(rng, n, kind) for kind in kinds]), [f"m{k}" for k in range(len(kinds))]
+
+
+def bits(outcome):
+    """A result's every float by float.hex, or an error's type and message."""
+    if isinstance(outcome, AgevalError):
+        return type(outcome), str(outcome)
+    if isinstance(outcome, stats.LogisticParams):
+        return float(outcome.a).hex(), float(outcome.b).hex()
+    return (outcome.measure_name, outcome.n_points, bits(outcome.params),
+            *(float(v).hex() for v in (outcome.rho_magnitude, outcome.rho_signed,
+                                       outcome.spearman, outcome.rmse_mapped)))
+
+
+def oracle(fn, *args):
+    try:
+        return fn(*args)
+    except AgevalError as exc:
+        return exc
+
+
+@given(stack=item_stacks())
+@settings(max_examples=150, deadline=None)
+def test_each_item_of_a_stack_gets_the_report_it_gets_alone(stack):
+    points, names = stack
+    got = stats.evaluate_measure(points, names)
+    assert len(got) == len(names)
+    for item, name, outcome in zip(points, names, got):
+        assert bits(outcome) == bits(oracle(loop_evaluate_measure, item, name))
+    # the one-item form is the stack of one
+    assert bits(oracle(stats.evaluate_measure, points[0], names[0])) == bits(got[0])
+
+
+@given(stack=item_stacks())
+@settings(max_examples=100, deadline=None)
+def test_each_item_of_a_stack_gets_the_fit_it_gets_alone(stack):
+    points, _ = stack
+    got = stats.fit_logistic(points[..., 0], points[..., 1])
+    for item, outcome in zip(points, got):
+        assert bits(outcome) == bits(oracle(loop_fit_logistic, item[:, 0], item[:, 1]))
+
+
+def test_one_stack_holds_items_that_fail_at_every_step():
+    rng = np.random.default_rng(3)
+    kinds = ("logistic", "constant measure", "near 1e307", "near 1e-200", "constant wer", "huge wer",
+             "rmse overflow", "ties")
+    points = np.stack([item_points(rng, 25, kind) for kind in kinds])
+    got = stats.evaluate_measure(points, list(kinds))
+    assert [bits(outcome) for outcome in got] == [
+        bits(oracle(loop_evaluate_measure, item, kind)) for item, kind in zip(points, kinds)]
+    assert [bits(outcome) if isinstance(outcome, AgevalError) else "report" for outcome in got] == [
+        "report",
+        (DegenerateFitError, "measure values are all identical"),
+        (NumericError, "measure values out of range for the logistic fit's start"),
+        (NumericError, "measure values out of range for the logistic fit's start"),
+        (UndefinedCorrelationError, "correlation is undefined for a constant sequence"),
+        (NumericError, "values too large or too close together for a correlation"),
+        (NumericError, "wer values too large for the mapped RMSE"),
+        "report",
+    ]
+
+
+def test_a_step_to_non_finite_parameters_fails_its_item_alone():
+    """lstsq patched to step two items of a stack to infinity, one at its first and one at
+    its third Gauss-Newton step: each fails as it does alone, the others fit as they do alone."""
+    rng = np.random.default_rng(11)
+    points = np.stack([item_points(rng, 30, "logistic") for _ in range(5)])
+    markers = {points[1, 0, 0]: 1, points[3, 0, 0]: 3}  # the first measure value marks an item
+    lstsq = np.linalg.lstsq
+    steps = {}
+
+    def lstsq_to_infinity(jac, residual, rcond):
+        m0 = jac[0, 0] / jac[0, 1]
+        marker = next((v for v in markers if abs(m0 - v) <= 1e-12 * abs(v)), None)
+        steps[marker] = steps.get(marker, 0) + 1
+        if marker is not None and steps[marker] == markers[marker]:
+            return np.array([math.inf, 0.0]), None, None, None
+        return lstsq(jac, residual, rcond=rcond)
+
+    with mock.patch.object(np.linalg, "lstsq", lstsq_to_infinity):
+        got = stats.evaluate_measure(points, list("abcde"))
+        steps.clear()
+        want = [oracle(loop_evaluate_measure, item, name) for item, name in zip(points, "abcde")]
+    assert [type(outcome) for outcome in got] == [stats.CorrelationReport, ValidationError] * 2 + [
+        stats.CorrelationReport]
+    assert [bits(outcome) for outcome in got] == [bits(outcome) for outcome in want]
+
+
+rank_values = st.sampled_from([0.0, -0.0, 1.0, 1.0, -1.0, math.inf, -math.inf, 1e300, 1e-300, 5e-324])
+
+
+@given(rows=st.lists(st.lists(rank_values, min_size=6, max_size=6), min_size=1, max_size=12),
+       nan_row=st.integers(-1, 11))
+@settings(max_examples=200, deadline=None)
+def test_ranks_of_a_stack_are_the_ranks_of_each_row(rows, nan_row):
+    values = np.array(rows)
+    if 0 <= nan_row < len(rows):
+        values[nan_row, nan_row % 6] = math.nan
+    ranks = stats._average_ranks(values)
+    for row, row_ranks in zip(values, ranks):
+        assert [v.hex() for v in row_ranks.tolist()] == [v.hex() for v in loop_average_ranks(row).tolist()]
+
+
+@given(x=st.lists(st.one_of(st.floats(-5.0, 5.0), rank_values), min_size=2, max_size=20),
+       y=st.lists(st.one_of(st.floats(-5.0, 5.0), rank_values), min_size=20, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_pearson_and_spearman_equal_their_oracles(x, y):
+    y = y[: len(x)]
+    for fn, loop_fn in ((stats.pearson, loop_pearson), (stats.spearman, loop_spearman)):
+        got, want = oracle(fn, x, y), oracle(loop_fn, x, y)
+        assert (bits(got) if isinstance(got, AgevalError) else got.hex()) == (
+            bits(want) if isinstance(want, AgevalError) else want.hex())
 
 
 # the table itself -------------------------------------------------------------

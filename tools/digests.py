@@ -9,6 +9,12 @@ runs, under --out (which must not exist yet):
 - score-workers2/   the same with `--workers 2`
 - correlate/        `ageval correlate` on score/scores.csv, ungrouped
 - correlate-snr_db/ the same with `--group-by snr_db`
+- correlate-groups/ `ageval correlate --group-by cond` on groups.csv, a
+  seeded synthetic scores file written there first: 50 groups of 10-70
+  rows, a few without wer, and two of 5500 rows with wer, so fits come in
+  many stacks of equal-length items, and the large groups' items in
+  several; one group has only 2 rows with wer, one a constant measure and
+  one a measure value of 1e307, and every row carries every measure
 
 and prints one `<sha256>  <path under --out>` line per file, sorted by path.
 Two checkouts write the same bytes when their outputs are equal, for example
@@ -20,9 +26,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -35,6 +44,38 @@ def _run(argv: list[str]) -> None:
         code = ageval(argv)
     if code != 0:
         raise SystemExit(f"ageval {' '.join(argv)} exited with code {code}")
+
+
+def _write_group_scores(path: Path, seed: int) -> None:
+    """The correlate-groups/ input: measures tracking a latent severity, WER, one tag."""
+    rng = np.random.default_rng([seed, 19])
+    sizes = [*rng.integers(10, 71, 50).tolist(), 5500, 5500]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["utt_id", "wer", "age", "entropy", "stoi", "cond"])
+        for g, size in enumerate(sizes):
+            severity = rng.uniform(0.0, 1.0, size)
+            values = np.column_stack((
+                0.3 + 2.5 * severity + rng.normal(0.0, 0.25, size),
+                0.2 + 1.5 * severity + rng.normal(0.0, 0.3, size),
+                0.95 - 0.6 * severity + rng.normal(0.0, 0.08, size),
+            ))
+            wer = 100.0 / (1.0 + np.exp(-rng.uniform(4.0, 12.0) * (severity - 0.5))) + rng.normal(0.0, 6.0, size)
+            wer = np.clip(wer, 0.0, 100.0)
+            # rows without wer: a few in each small group, all but 2 in group g002;
+            # the two large groups fit 6 items of 5500 points, 2 per stack
+            if g < 50:
+                wer[rng.uniform(0.0, 1.0, size) < 0.1] = np.nan
+            if g == 2:
+                wer[2:] = np.nan
+            if g == 3:
+                values[:, 1] = 0.75  # a constant measure: its fit is skipped
+            if g == 4:
+                values[0, 0] = 1e307  # its mean is finite, its fit's start is not
+            for i in range(size):
+                cells = [repr(float(v)) for v in values[i]]
+                writer.writerow([f"g{g:03d}_{i:04d}", "" if np.isnan(wer[i]) else repr(float(wer[i])),
+                                 *cells, f"g{g:03d}"])
 
 
 def main() -> int:
@@ -54,6 +95,10 @@ def main() -> int:
     _run(["correlate", "--scores", scores, "--out", str(out / "correlate")])
     _run(["correlate", "--scores", scores, "--group-by", "snr_db",
           "--out", str(out / "correlate-snr_db")])
+    groups = out / "correlate-groups"
+    groups.mkdir()
+    _write_group_scores(groups / "groups.csv", args.seed)
+    _run(["correlate", "--scores", str(groups / "groups.csv"), "--group-by", "cond", "--out", str(groups)])
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
