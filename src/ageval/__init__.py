@@ -31,7 +31,6 @@ from .dsp import (
     mvn,
     resample,
     save_wav,
-    splice,
 )
 from .errors import AgevalError
 from .fixture import make_fixture_corpus
@@ -109,7 +108,6 @@ __all__ = [
     "score_manifest",
     "score_utterance",
     "spearman",
-    "splice",
     "stoi",
     "train_toy",
     "write_scores_csv",

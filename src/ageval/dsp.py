@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
-import scipy.io.wavfile
 import scipy.signal
 from scipy.fft import dct
 
@@ -35,6 +34,10 @@ LOG_FLOOR = 1e-10  # applied to filterbank outputs before the natural log
 
 WINDOW_KINDS = ("hamming", "hann", "rectangular")
 FEATURE_KINDS = ("fbank", "mfcc", "spliced")
+
+# WAVE format tags, and an extensible format's subformat GUID after its tag (RFC 2361).
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 # Columns with |std| <= this relative threshold are treated as constant by mvn.
 _CONST_COLUMN_TOL = 1e-12
@@ -149,52 +152,31 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _check_riff_layout(fh: BinaryIO, path: str | Path) -> None:
-    """Walk the chunk headers of an open RIFF/WAVE file; FormatError for a broken layout.
+def _parse_fmt(body: bytes, path: str | Path) -> tuple[str | None, int, int, int]:
+    """(sample dtype, channels, rate, block align) of a fmt chunk, from its first 40 bytes.
 
-    Rejected: a file that does not start as a RIFF/WAVE form; a data chunk
-    whose declared end lies past the end of the file, or that is not a
-    whole number of the fmt chunk's sample frames; a file that ends inside
-    a chunk header before the form's declared end; and no data chunk. On
-    these scipy.io.wavfile.read returns short or misaligned data with a
-    warning. The chunks are walked as scipy walks them; the handle is left
-    at the start of the file.
+    The dtype is '<i2' for PCM16, '<f4' for float32 and None for another
+    encoding. A sample is block align // channels bytes wide; its bits only
+    rule out PCM of 8 bits or less and floats of other than 32 or 64 bits.
+    An extensible format stands for its subformat.
     """
-    file_end = os.fstat(fh.fileno()).st_size
-    head = fh.read(12)
-    if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
-    form_end = 8 + int.from_bytes(head[4:8], "little")
-    block_align = 0
-    has_data = False
-    pos = 12
-    while pos < form_end:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise FormatError(
-                f"{path}: truncated: the file ends at byte {file_end}, "
-                f"inside its {form_end}-byte RIFF form"
-            )
-        chunk_id, size = header[:4], int.from_bytes(header[4:], "little")
-        if chunk_id == b"fmt " and size >= 16:
-            block_align = int.from_bytes(fh.read(14)[12:], "little")
-        elif chunk_id == b"data":
-            if pos + 8 + size > file_end:
-                raise FormatError(
-                    f"{path}: truncated: the data chunk ends at byte {pos + 8 + size}, "
-                    f"past the end of the file at byte {file_end}"
-                )
-            if block_align and size % block_align:
-                raise FormatError(
-                    f"{path}: data chunk of {size} bytes is not a whole number "
-                    f"of {block_align}-byte sample frames"
-                )
-            has_data = True
-        pos += 8 + size + size % 2
-        fh.seek(pos)
-    if not has_data:
-        raise FormatError(f"{path}: no data chunk")
-    fh.seek(0)
+    if len(body) < 16:
+        raise FormatError(f"{path}: fmt chunk of {len(body)} bytes, expected at least 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if tag == _EXTENSIBLE:
+        if len(body) < 40 or int.from_bytes(body[16:18], "little") < 22 or body[28:] != _GUID_TAIL:
+            raise FormatError(f"{path}: extensible fmt chunk without a standard subformat")
+        tag = int.from_bytes(body[24:28], "little")
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise FormatError(f"{path}: format tag {tag:#06x} is neither PCM nor IEEE float")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise FormatError(f"{path}: byte rate {byte_rate} is not {rate} Hz x {block_align} bytes")
+    width = block_align // channels if channels else 0
+    if tag == _PCM and width == 2 and not 1 <= bits <= 8 and bits <= 64:
+        return "<i2", channels, rate, block_align
+    if tag == _IEEE_FLOAT and width == 4 and bits in (32, 64):
+        return "<f4", channels, rate, block_align
+    return None, channels, rate, block_align
 
 
 def load_wav(path: str | Path, channel: int = 0) -> Waveform:
@@ -202,45 +184,80 @@ def load_wav(path: str | Path, channel: int = 0) -> Waveform:
 
     Multichannel input is reduced by selecting one channel (default 0).
     PCM16 samples are scaled by 1/32768 so full scale maps into [-1, 1).
-    A truncated file, a broken chunk layout and a non-finite sample in the
+    The last data chunk is read as the fmt chunk before it declares, at the
+    last fmt chunk's rate; other chunks are skipped. A truncated file, a
+    broken chunk layout, another encoding and a non-finite sample in the
     selected channel are a FormatError.
     """
     with open(path, "rb") as fh:
-        _check_riff_layout(fh, path)
-        try:
-            rate, data = scipy.io.wavfile.read(fh)
-        except Exception as exc:
-            raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
-    if data.dtype not in (np.int16, np.float32):
-        raise FormatError(
-            f"{path}: unsupported sample encoding {data.dtype}, expected PCM16 or float32"
-        )
-    if data.ndim not in (1, 2):
-        raise FormatError(f"{path}: unsupported array layout {data.shape}")
-    n_channels = data.shape[1] if data.ndim == 2 else 1
-    if not 0 <= channel < n_channels:
-        raise FormatError(
-            f"{path}: channel {channel} out of range for {n_channels}-channel file"
-        )
-    if data.ndim == 2:
-        data = data[:, channel]
-    samples = data.astype(np.float64)
-    if data.dtype == np.int16:
-        samples /= INT16_FULL_SCALE
-    if samples.size == 0:
+        file_end = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != b"RIFF" or head[8:] != b"WAVE":
+            raise FormatError(f"{path}: not a RIFF/WAVE file")
+        form_end = 8 + int.from_bytes(head[4:8], "little")
+        fmt = data = None
+        pos = 12
+        while pos < form_end:
+            header = fh.read(8)
+            if len(header) < 8:
+                raise FormatError(
+                    f"{path}: truncated: the file ends at byte {file_end}, "
+                    f"inside its {form_end}-byte RIFF form"
+                )
+            chunk_id, size = header[:4], int.from_bytes(header[4:], "little")
+            if chunk_id == b"fmt ":
+                fmt = _parse_fmt(fh.read(min(size, 40)), path)
+            elif chunk_id == b"data":
+                data = (pos + 8, size, fmt)
+            pos += 8 + size + size % 2
+            fh.seek(pos)
+        if data is None:
+            raise FormatError(f"{path}: no data chunk")
+        offset, size, data_fmt = data
+        if data_fmt is None:
+            raise FormatError(f"{path}: data chunk before any fmt chunk")
+        dtype, n_channels, _, block_align = data_fmt
+        if offset + size > file_end:
+            raise FormatError(
+                f"{path}: truncated: the data chunk ends at byte {offset + size}, "
+                f"past the end of the file at byte {file_end}"
+            )
+        if block_align and size % block_align:
+            raise FormatError(
+                f"{path}: data chunk of {size} bytes is not a whole number "
+                f"of {block_align}-byte sample frames"
+            )
+        if dtype is None:
+            raise FormatError(f"{path}: unsupported sample encoding, expected PCM16 or float32")
+        count = size // np.dtype(dtype).itemsize
+        if count % n_channels:
+            raise FormatError(f"{path}: {count} samples do not split into {n_channels} channels")
+        if not 0 <= channel < n_channels:
+            raise FormatError(f"{path}: channel {channel} out of range for {n_channels}-channel file")
+        fh.seek(offset)
+        raw = np.fromfile(fh, dtype=dtype, count=count)[channel::n_channels]
+    if raw.size == 0:
         raise EmptyInputError(f"{path}: file contains no audio samples")
     # Waveform checks every sample too. Of the two encodings only float32 can
     # hold NaN or infinity, and this check names the file as a FormatError.
-    if data.dtype == np.float32 and not np.all(np.isfinite(data)):
+    if dtype == "<f4" and not np.all(np.isfinite(raw)):
         raise FormatError(f"{path}: non-finite samples (NaN or infinity)")
-    return Waveform(samples, int(rate))
+    samples = raw.astype(np.float64)
+    if dtype == "<i2":
+        samples /= INT16_FULL_SCALE
+    return Waveform(samples, fmt[2])
 
 
 def save_wav(waveform: Waveform, path: str | Path) -> None:
     """Write a Waveform as mono PCM16 little-endian, clipping to [-1, 1]."""
     q = np.round(np.clip(waveform.samples, -1.0, 1.0) * INT16_FULL_SCALE)
-    q = np.clip(q, -32768, 32767).astype(np.int16)
-    scipy.io.wavfile.write(str(path), waveform.sample_rate_hz, q)
+    q = np.clip(q, -32768, 32767).astype("<i2")
+    rate = waveform.sample_rate_hz
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + q.nbytes, b"WAVE", b"fmt ", 16, _PCM,
+                         1, rate, 2 * rate, 2, 16, b"data", q.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(q.tobytes())
 
 
 def mix_at_snr(
@@ -399,19 +416,10 @@ def _hz_to_mel(f: np.ndarray | float) -> np.ndarray:
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def _mel_to_hz(m: np.ndarray | float) -> np.ndarray:
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 def _mel_edges(mel_spec: MelSpec) -> np.ndarray:
     """The n_filters + 2 equally spaced mel points: each filter's lower edge, center, upper edge."""
     low, high = _hz_to_mel(mel_spec.low_freq_hz), _hz_to_mel(mel_spec.high_freq_hz)
     return np.linspace(low, high, mel_spec.n_filters + 2)
-
-
-def mel_center_frequencies_hz(mel_spec: MelSpec) -> np.ndarray:
-    """Center frequency in Hz of each triangular mel filter."""
-    return _mel_to_hz(_mel_edges(mel_spec)[1:-1])
 
 
 def mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.ndarray:
@@ -510,12 +518,6 @@ def splice_array(values: np.ndarray, left: int, right: int) -> np.ndarray:
     padded[left + n :] = values[-1]
     row = values[0].size
     return _strided_frames(padded.reshape(-1), (left + 1 + right) * row, row).copy()
-
-
-def splice(features: FeatureMatrix, left: int, right: int) -> FeatureMatrix:
-    """Context splicing: row n becomes the concatenation of rows n-left .. n+right."""
-    out = splice_array(features.values, left, right)
-    return FeatureMatrix(out, "spliced", features.frame_shift_ms)
 
 
 def mvn(features: FeatureMatrix) -> FeatureMatrix:

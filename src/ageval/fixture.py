@@ -136,8 +136,8 @@ def make_fixture_corpus(
     Layout: clean/*.wav, degraded/*.wav, labels/*.txt, model.json,
     manifest.csv. The manifest has one row per (utterance, SNR) pair with the
     surrogate WER filled in and tags snr_db, noise_type, se_algo, condition.
-    An n_utts below 1, an empty grid, a non-finite SNR or two SNRs that
-    format to one file name raise ConfigError before any file is written.
+    A negative seed, an n_utts below 1, an empty grid, a non-finite SNR or two
+    SNRs that format to one file name raise ConfigError before any file is written.
 
     While the model trains, one helper thread writes, re-reads and
     featurizes the degraded rows in manifest order; their WERs follow once
@@ -145,6 +145,8 @@ def make_fixture_corpus(
     memory until then, about 32 KB per second of degraded audio (26 MB for
     20 utterances at 30 SNRs).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if n_utts < 1:
         raise ConfigError(f"n_utts must be at least 1, got {n_utts}")
     _check_snr_grid(snr_grid)

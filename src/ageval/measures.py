@@ -246,16 +246,13 @@ def _stoi_degraded(
     keep: np.ndarray,
     env_x: np.ndarray,
     y: np.ndarray,
-    clean_terms: Iterable[_CleanTerms] | None = None,
+    clean_terms: Iterable[_CleanTerms],
 ) -> tuple[float, int]:
     """Degraded side of the STOI core: (value, frames used) for a 10 kHz y of the clean length.
 
-    clean_terms holds the clean terms of env_x's segment blocks in order; by
-    default each block's terms are built from env_x just before its use.
+    clean_terms holds the clean terms of env_x's segment blocks in order.
     """
     env_y = _band_envelopes(_overlap_add(_windowed_frames(_frames(y), keep)))
-    if clean_terms is None:
-        clean_terms = map(_clean_segment_terms, _segment_blocks(env_x))
     segment_means = [
         _segment_correlations(terms, seg_y)
         for terms, seg_y in zip(clean_terms, _segment_blocks(env_y))

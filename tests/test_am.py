@@ -112,7 +112,7 @@ def test_forward_splices_context_internally():
     model = random_model(rng, left=2, right=2)
     flat = am.AcousticModel(model.layers, 25, 4, 0, 0)
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (10, 5)), "fbank", 10.0)
-    spliced = dsp.splice(feats, 2, 2)
+    spliced = dsp.FeatureMatrix(dsp.splice_array(feats.values, 2, 2), "spliced", 10.0)
     a = am.forward(model, feats)
     b = am.forward(flat, spliced)
     assert np.array_equal(a.values, b.values)

@@ -215,6 +215,12 @@ def test_malformed_numbers_exit_with_code_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --snrs")
 
 
+def test_the_fixture_command_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["fixture", "--out", str(tmp_path / "fx"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "fx").exists()
+
+
 def test_tolerance_flag_also_governs_stoi(tmp_path, mini_corpus):
     corpus = mini_corpus.parent
     entry = harness.load_manifest(mini_corpus)[0]
@@ -380,6 +386,28 @@ def test_a_freed_block_is_reused_without_page_faults():
                           check=True, capture_output=True, text=True, timeout=120)
     # glibc's defaults map such a block afresh, which took about 400 faults.
     assert int(done.stdout) < 100
+
+
+# Imports the command line, runs the command its arguments name and prints the
+# exit code and every scipy.io module then loaded.
+_SCIPY_IO_PROBE = """
+import sys
+from ageval import cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(name for name in sys.modules if name.split(".")[:2] == ["scipy", "io"]))
+"""
+
+
+def test_import_and_a_score_run_load_no_scipy_io_module(mini_corpus, tmp_path):
+    src = str(Path(ageval.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    args = ["score", "--manifest", str(mini_corpus), "--model", str(mini_corpus.parent / "model.json"),
+            "--workers", "1", "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", _SCIPY_IO_PROBE, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "scores.csv").exists()
 
 
 def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch):

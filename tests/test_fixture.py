@@ -200,6 +200,12 @@ def test_an_empty_snr_grid_is_rejected_before_any_file_is_written(tmp_path):
     assert not (tmp_path / "corpus").exists()
 
 
+def test_a_negative_seed_is_rejected_before_any_directory_is_made(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+        make_fixture_corpus(tmp_path / "corpus", seed=-1, snr_grid=(5.0,), n_utts=1, epochs=1)
+    assert not (tmp_path / "corpus").exists()
+
+
 @pytest.mark.parametrize("snr_grid, message", [
     ((5.0, float("nan")), "SNR nan dB is not finite"),
     ((5.0, float("inf")), "SNR inf dB is not finite"),

@@ -186,7 +186,9 @@ def loop_stoi_score(x, y):
 
 def split_stoi_score(x, y):
     """The STOI core on same-length 10 kHz signals: the clean side, then the degraded side."""
-    return measures._stoi_degraded(*measures._stoi_clean(x), y)
+    keep, env_x = measures._stoi_clean(x)
+    clean_terms = map(measures._clean_segment_terms, measures._segment_blocks(env_x))
+    return measures._stoi_degraded(keep, env_x, y, clean_terms)
 
 
 def split_remove_silent_frames(x, y):
