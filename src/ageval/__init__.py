@@ -23,9 +23,7 @@ from .dsp import (
     MelSpec,
     Waveform,
     fbank,
-    frame_signal,
     load_wav,
-    mel_filterbank,
     mfcc,
     mix_at_snr,
     mvn,
@@ -90,14 +88,12 @@ __all__ = [
     "fit_logistic",
     "forward",
     "frame_error_rate",
-    "frame_signal",
     "load_manifest",
     "load_model",
     "load_scores_csv",
     "load_wav",
     "make_fixture_corpus",
     "map_logistic",
-    "mel_filterbank",
     "mfcc",
     "mix_at_snr",
     "mvn",

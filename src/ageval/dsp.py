@@ -268,7 +268,8 @@ def mix_at_snr(
     The noise is read cyclically starting at noise_offset and extended to the
     clean signal's length. Power is the mean squared amplitude over the full
     mixed extent, so the measured SNR of the result matches snr_db by
-    construction.
+    construction. An SNR that gives no finite, nonzero noise gain is a
+    ValidationError.
     """
     if clean.sample_rate_hz != noise.sample_rate_hz:
         raise SampleRateMismatchError(
@@ -285,8 +286,28 @@ def mix_at_snr(
     p_segment = float(np.mean(segment**2))
     if p_segment == 0.0:
         raise DegenerateSignalError("selected noise segment has zero power")
-    gain = float(np.sqrt(p_clean / (p_segment * 10.0 ** (snr_db / 10.0))))
+    gain = _noise_gain(snr_db, p_clean, p_segment)
     return Waveform(clean.samples + gain * segment, clean.sample_rate_hz)
+
+
+def _noise_gain(snr_db: float, p_clean: float = 1.0, p_noise: float = 1.0) -> float:
+    """The noise amplitude gain that puts p_clean snr_db dB above gain**2 * p_noise.
+
+    ValidationError unless snr_db is finite and the gain,
+    sqrt(p_clean / (p_noise * 10 ** (snr_db / 10))), is a finite, nonzero
+    float. At unit powers that holds for |snr_db| below about 3080 dB.
+    """
+    if not math.isfinite(snr_db):
+        raise ValidationError(f"SNR {snr_db} dB is not finite")
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    noise_power = p_noise * ratio
+    gain = float(np.sqrt(p_clean / noise_power)) if noise_power > 0.0 else math.inf
+    if not 0.0 < gain < math.inf:
+        raise ValidationError(f"SNR {snr_db} dB gives no finite, nonzero noise gain")
+    return gain
 
 
 def resample(waveform: Waveform, target_hz: int) -> Waveform:
@@ -339,30 +360,33 @@ def _window(kind: str, length: int) -> np.ndarray:
     return np.ones(length)
 
 
-def _frame_geometry(waveform: Waveform, spec: FrameSpec) -> tuple[int, int]:
-    """(frame length, frame shift) in samples; the signal must hold one frame."""
-    sr = waveform.sample_rate_hz
-    frame_len = spec.frame_length_samples(sr)
-    frame_shift = spec.frame_shift_samples(sr)
+def _frame_count(n: int, length: int, hop: int) -> int:
+    """Frames of length samples every hop in n samples, n >= length: 1 + (n - length) // hop."""
+    return 1 + (n - length) // hop
+
+
+def _frame_geometry(n: int, sample_rate_hz: int, spec: FrameSpec) -> tuple[int, int, int]:
+    """(frame length, frame shift, frame count) of n samples; they must hold one frame."""
+    frame_len = spec.frame_length_samples(sample_rate_hz)
+    frame_shift = spec.frame_shift_samples(sample_rate_hz)
     if frame_len < 1 or frame_shift < 1:
         raise ConfigError("frame length and shift must be at least one sample")
-    n = waveform.samples.size
     if n < frame_len:
         raise TooShortError(f"signal of {n} samples is shorter than one {frame_len}-sample frame")
-    return frame_len, frame_shift
+    return frame_len, frame_shift, _frame_count(n, frame_len, frame_shift)
 
 
 def _strided_frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     """Read-only view of the windows of x along its last axis: length samples every hop.
 
-    Shape x.shape[:-1] + (1 + (x.shape[-1] - length) // hop, length); x must
-    hold one window. The rows of sliding_window_view(x, length)[::hop],
-    without its per-call checks: the ndarray constructor over x's buffer
-    (a C-contiguous copy when x is not C-contiguous), which takes about a
-    third of as_strided's time per call.
+    Shape x.shape[:-1] + (_frame_count(x.shape[-1], length, hop), length); x
+    must hold one window. The rows of sliding_window_view(x, length)[::hop],
+    without its per-call checks: the ndarray constructor over x's buffer (a
+    C-contiguous copy when x is not C-contiguous), which takes about a third
+    of as_strided's time per call.
     """
     x = np.ascontiguousarray(x)
-    n = 1 + (x.shape[-1] - length) // hop
+    n = _frame_count(x.shape[-1], length, hop)
     step = x.strides[-1]
     frames = np.ndarray(
         x.shape[:-1] + (n, length), x.dtype, buffer=x, strides=x.strides[:-1] + (hop * step, step)
@@ -371,45 +395,32 @@ def _strided_frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     return frames
 
 
-def frame_signal(waveform: Waveform, spec: FrameSpec) -> np.ndarray:
-    """Cut a signal into overlapping windowed frames, rows of shape (n_frames, frame_len).
-
-    Preemphasis y[t] = x[t] - a*x[t-1] runs over the whole signal first (the
-    first sample is kept as-is), then frames are extracted and windowed. The
-    frame count is 1 + floor((len - frame_len) / shift).
-    """
-    frame_len, frame_shift = _frame_geometry(waveform, spec)
-    x = waveform.samples
-    if spec.preemphasis > 0.0:
-        x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
-    return _strided_frames(x, frame_len, frame_shift) * _window(spec.window_kind, frame_len)
-
-
 def _power_spectra(
-    frames: np.ndarray,
-    window: np.ndarray,
-    fft_size: int,
-    out: np.ndarray,
-    preemphasis: float = 0.0,
-) -> None:
-    """Fill out, shape (frames, fft_size // 2 + 1), with |rfft(frame * window)|^2.
+    x: np.ndarray, window: np.ndarray, hop: int, fft_size: int, preemphasis: float = 0.0
+) -> np.ndarray:
+    """|rfft(frame * window, fft_size)|^2 of each frame of x, shape (frames, fft_size // 2 + 1).
 
-    frames is a strided view; _FRAME_BLOCK of its rows are windowed and
-    transformed at a time. With preemphasis a > 0, each row holds the sample
-    before its frame first, and the frame is row[1:] - a * row[:-1].
+    Frames are window.size samples every hop of the 1-D signal x, which must
+    hold one frame. With preemphasis a > 0 the frames are cut from
+    y[t] = x[t] - a * x[t - 1], where x[-1] = 0, so y[0] = x[0]. Only the
+    power matrix grows with x: _FRAME_BLOCK frames at a time, the samples
+    they span are preemphasised, framed, windowed and transformed.
     """
-    for start in range(0, frames.shape[0], _FRAME_BLOCK):
-        block = frames[start : start + _FRAME_BLOCK]
+    frame_len = window.size
+    power = np.empty((_frame_count(x.size, frame_len, hop), fft_size // 2 + 1))
+    for start in range(0, power.shape[0], _FRAME_BLOCK):
+        rows = power[start : start + _FRAME_BLOCK]
+        lo = start * hop
+        hi = lo + (rows.shape[0] - 1) * hop + frame_len
+        span = x[lo:hi]
         if preemphasis > 0.0:
-            # In place; x + (-a * y) has the bits of x - a * y.
-            windowed = block[:, :-1] * -preemphasis
-            windowed += block[:, 1:]
-            windowed *= window
-        else:
-            windowed = block * window
-        rows = out[start : start + _FRAME_BLOCK]
+            # (x[t - 1] * -a) + x[t] has the bits of x[t] - a * x[t - 1].
+            prev = x[lo - 1 : hi - 1] if lo else np.concatenate(([0.0], x[: hi - 1]))
+            span = prev * -preemphasis + span
+        windowed = _strided_frames(span, frame_len, hop) * window
         np.abs(np.fft.rfft(windowed, n=fft_size), out=rows)
         np.square(rows, out=rows)
+    return power
 
 
 def _hz_to_mel(f: np.ndarray | float) -> np.ndarray:
@@ -422,18 +433,9 @@ def _mel_edges(mel_spec: MelSpec) -> np.ndarray:
     return np.linspace(low, high, mel_spec.n_filters + 2)
 
 
-def mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.ndarray:
-    """Triangular mel filterbank matrix of shape (n_filters, fft_size // 2 + 1).
-
-    Filters are triangular in the mel domain between adjacent mel-spaced
-    centers, evaluated at the FFT bin frequencies, with unit peak. The caller
-    owns the returned array.
-    """
-    return _mel_filterbank(mel_spec, sample_rate_hz, fft_size).copy()
-
-
 @_constant
 def _mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np.ndarray:
+    """Triangular mel filters with unit peak at the rfft bin frequencies, (n_filters, bins)."""
     edges = _mel_edges(mel_spec)
     bin_mel = _hz_to_mel(np.fft.rfftfreq(fft_size, 1.0 / sample_rate_hz))
     lower = edges[:-2, None]
@@ -459,33 +461,18 @@ def _check_feature_specs(frame_spec: FrameSpec, mel_spec: MelSpec, sample_rate_h
 def fbank(
     waveform: Waveform, frame_spec: FrameSpec | None = None, mel_spec: MelSpec | None = None
 ) -> FeatureMatrix:
-    """Log mel filterbank features: power spectrum -> mel filters -> ln with floor."""
+    """Log mel filterbank features: power spectra -> mel filters -> ln with floor.
+
+    The power spectra are those of the preemphasised, framed and windowed
+    signal that _power_spectra builds block by block from the waveform.
+    """
     fspec = frame_spec if frame_spec is not None else FrameSpec()
     mspec = mel_spec if mel_spec is not None else MelSpec()
     sr = waveform.sample_rate_hz
     _check_feature_specs(fspec, mspec, sr)
-    frame_len, shift = _frame_geometry(waveform, fspec)
-    x = waveform.samples
-    n_frames = 1 + (x.size - frame_len) // shift
+    frame_len, shift, _ = _frame_geometry(waveform.samples.size, sr, fspec)
     window = _window(fspec.window_kind, frame_len)
-    power = np.empty((n_frames, fspec.fft_size // 2 + 1))
-    a = fspec.preemphasis
-    if a > 0.0:
-        # Each row holds a frame and the sample before it. The first block's
-        # rows come from a copy of its samples after a zero, which keeps
-        # y[0] = x[0]; the later rows are a view of x.
-        first = min(n_frames, _FRAME_BLOCK)
-        head_len = (first - 1) * shift + frame_len
-        head = np.empty(head_len + 1)
-        head[0] = 0.0
-        head[1:] = x[:head_len]
-        head_frames = _strided_frames(head, frame_len + 1, shift)
-        _power_spectra(head_frames, window, fspec.fft_size, power[:first], a)
-        if n_frames > first:
-            rest = _strided_frames(x[first * shift - 1 :], frame_len + 1, shift)
-            _power_spectra(rest, window, fspec.fft_size, power[first:], a)
-    else:
-        _power_spectra(_strided_frames(x, frame_len, shift), window, fspec.fft_size, power)
+    power = _power_spectra(waveform.samples, window, shift, fspec.fft_size, fspec.preemphasis)
     # One product over the whole utterance: per-block products give other bits.
     out = power @ _mel_filterbank(mspec, sr, fspec.fft_size).T
     np.maximum(out, LOG_FLOOR, out=out)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import am, dsp
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .harness import _csv_text
 
 SAMPLE_RATE = 16000
@@ -96,9 +96,7 @@ def _frame_labels(
     n_samples: int, spans: Sequence[tuple[int, int, int]], frame_spec: dsp.FrameSpec
 ) -> np.ndarray:
     """Class of each analysis frame, decided by the sample at the frame center."""
-    frame_len = frame_spec.frame_length_samples(SAMPLE_RATE)
-    shift = frame_spec.frame_shift_samples(SAMPLE_RATE)
-    n_frames = 1 + (n_samples - frame_len) // shift
+    frame_len, shift, n_frames = dsp._frame_geometry(n_samples, SAMPLE_RATE, frame_spec)
     centers = frame_len // 2 + shift * np.arange(n_frames)
     labels = np.full(n_frames, SILENCE_CLASS, dtype=np.int64)
     for start, end, tone_class in spans:
@@ -111,13 +109,19 @@ def _snr_name(snr_db: float) -> str:
 
 
 def _check_snr_grid(snr_grid: Sequence[float]) -> None:
-    """Raise ConfigError unless the grid is non-empty, finite and names each file once."""
+    """Raise ConfigError unless the grid is non-empty, mixable and names each file once.
+
+    An SNR is mixable when mix_at_snr's rule gives it a finite, nonzero noise
+    gain at unit powers.
+    """
     if len(snr_grid) == 0:
         raise ConfigError("the SNR grid must hold at least one SNR")
     seen: dict[str, float] = {}
     for snr_db in snr_grid:
-        if not np.isfinite(snr_db):
-            raise ConfigError(f"SNR {snr_db} dB is not finite")
+        try:
+            dsp._noise_gain(snr_db)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
         name = _snr_name(snr_db)
         if name in seen:
             raise ConfigError(f"SNRs {seen[name]} and {snr_db} dB both give file names snr{name}")
@@ -136,8 +140,9 @@ def make_fixture_corpus(
     Layout: clean/*.wav, degraded/*.wav, labels/*.txt, model.json,
     manifest.csv. The manifest has one row per (utterance, SNR) pair with the
     surrogate WER filled in and tags snr_db, noise_type, se_algo, condition.
-    A negative seed, an n_utts below 1, an empty grid, a non-finite SNR or two
-    SNRs that format to one file name raise ConfigError before any file is written.
+    A negative seed, an n_utts below 1, an empty grid, an SNR with no finite,
+    nonzero noise gain at unit powers or two SNRs that format to one file
+    name raise ConfigError before any file is written.
 
     While the model trains, one helper thread writes, re-reads and
     featurizes the degraded rows in manifest order; their WERs follow once

@@ -165,9 +165,7 @@ def _third_octave_bands() -> np.ndarray:
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
     """Square-root band energies per frame, shape (bands, frames)."""
-    frames = _frames(x)
-    power = np.empty((frames.shape[0], _STOI_FFT // 2 + 1))
-    _power_spectra(frames, _stoi_window(), _STOI_FFT, power)
+    power = _power_spectra(x, _stoi_window(), _STOI_HOP, _STOI_FFT)
     # One product over the whole signal: per-block products give other bits.
     envelopes = _third_octave_bands() @ power.T
     return np.sqrt(envelopes, out=envelopes)

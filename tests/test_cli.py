@@ -77,6 +77,24 @@ def test_mix_command_writes_the_requested_snr(tmp_path):
     assert abs(snr - 10.0) < 0.1
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_the_mix_command_names_an_snr_without_a_finite_gain(tmp_path, capsys, snr):
+    rng = np.random.default_rng(1)
+    dsp.save_wav(dsp.Waveform(rng.normal(0, 0.1, 8000), 16000), tmp_path / "clean.wav")
+    dsp.save_wav(dsp.Waveform(rng.normal(0, 0.1, 8000), 16000), tmp_path / "noise.wav")
+    code = main([
+        "mix",
+        "--clean", str(tmp_path / "clean.wav"),
+        "--noise", str(tmp_path / "noise.wav"),
+        f"--snr={snr}",
+        "--out", str(tmp_path / "mix.wav"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: SNR {float(snr)} dB gives no finite, nonzero noise gain\n"
+    assert not (tmp_path / "mix.wav").exists()
+
+
 def test_full_pipeline_through_the_cli(tmp_path, mini_corpus):
     corpus = mini_corpus.parent
     out = tmp_path / "run"

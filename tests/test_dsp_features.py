@@ -1,4 +1,4 @@
-"""Framing, log mel filterbank, cepstra, splicing and normalization."""
+"""Log mel filterbank (with its framing), cepstra, splicing and normalization."""
 
 import tracemalloc
 
@@ -23,11 +23,9 @@ def noise_wave(n, rate=16000, seed=0, scale=0.1):
 def test_frame_count_matches_closed_form_for_default_spec():
     # 25 ms / 10 ms at 16 kHz: 400-sample frames, 160-sample shift
     rng = np.random.default_rng(2)
-    spec = dsp.FrameSpec()
     for _ in range(100):
         n = int(rng.integers(400, 20000))
-        frames = dsp.frame_signal(noise_wave(n), spec)
-        assert frames.shape == (1 + (n - 400) // 160, 400)
+        assert dsp.fbank(noise_wave(n)).n_frames == 1 + (n - 400) // 160
 
 
 @given(
@@ -43,42 +41,32 @@ def test_frame_count_property(n, frame_ms, shift_ms):
     spec = dsp.FrameSpec(
         frame_length_ms=frame_ms, frame_shift_ms=shift_ms, fft_size=1024
     )
-    frames = dsp.frame_signal(dsp.Waveform(np.ones(n), rate), spec)
-    assert frames.shape == (1 + (n - frame_len) // shift, frame_len)
+    features = dsp.fbank(dsp.Waveform(np.ones(n), rate), spec)
+    assert features.n_frames == 1 + (n - frame_len) // shift
 
 
 def test_signal_shorter_than_one_frame_rejected():
     with pytest.raises(TooShortError):
-        dsp.frame_signal(noise_wave(100), dsp.FrameSpec())
+        dsp.fbank(noise_wave(100))
 
 
 def test_preemphasis_on_constant_signal():
-    # y[t] = x[t] - 0.97 x[t-1] = 0.03 c for t >= 1, and y[0] = x[0] = c
-    spec = dsp.FrameSpec(window_kind="rectangular", preemphasis=0.97)
-    frames = dsp.frame_signal(dsp.Waveform(np.full(3200, 0.5), 16000), spec)
-    assert frames[0, 0] == 0.5
-    assert_allclose(frames[0, 1:], 0.03 * 0.5, rtol=0, atol=1e-15)
-    assert_allclose(frames[1:], 0.03 * 0.5, rtol=0, atol=1e-15)
+    # y[t] = x[t] - 0.97 x[t-1] = 0.03 c for t >= 1, and y[0] = x[0] = c;
+    # one-sample frames every sample make each power row y[t]^2, across blocks
+    x = np.full(3200, 0.5)
+    power = dsp._power_spectra(x, np.ones(1), 1, 1, 0.97)
+    assert power.shape == (3200, 1)
+    assert power[0, 0] == 0.25
+    assert_allclose(np.sqrt(power[1:, 0]), 0.03 * 0.5, rtol=0, atol=1e-15)
 
 
 def test_window_is_applied_per_frame():
     spec = dsp.FrameSpec(window_kind="hamming", preemphasis=0.0)
-    frames = dsp.frame_signal(dsp.Waveform(np.full(800, 0.5), 16000), spec)
-    assert_allclose(frames[0], 0.5 * np.hamming(400), rtol=0, atol=0)
-
-
-def index_matrix_frames(waveform, spec):
-    """Frames gathered through an explicit (n_frames, frame_len) index matrix."""
-    sr = waveform.sample_rate_hz
-    frame_len = spec.frame_length_samples(sr)
-    frame_shift = spec.frame_shift_samples(sr)
-    x = waveform.samples
-    if spec.preemphasis > 0.0:
-        x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
-    n_frames = 1 + (x.size - frame_len) // frame_shift
-    idx = frame_shift * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
-    window = {"hamming": np.hamming, "hann": np.hanning, "rectangular": np.ones}[spec.window_kind]
-    return x[idx] * window(frame_len)
+    power = dsp._power_spectra(np.full(800, 0.5), np.hamming(400), 160, spec.fft_size)
+    want = np.abs(np.fft.rfft(0.5 * np.hamming(400), n=spec.fft_size)) ** 2
+    assert power.shape == (3, spec.fft_size // 2 + 1)
+    for row in power:
+        assert row.tobytes().hex() == want.tobytes().hex()
 
 
 @given(
@@ -94,10 +82,15 @@ def index_matrix_frames(waveform, spec):
 def test_frame_signal_is_bit_identical_to_an_index_matrix_gather(
     n, seed, level, frame_ms, shift_ms, window_kind, preemphasis
 ):
+    # the framing now lives in _power_spectra: its power rows are those of
+    # frames gathered through an explicit index matrix
     spec = dsp.FrameSpec(frame_ms, min(shift_ms, frame_ms), window_kind, preemphasis, 1024)
     wave = noise_wave(n, seed=seed, scale=10.0**level)
-    got = dsp.frame_signal(wave, spec)
-    want = index_matrix_frames(wave, spec)
+    frame_len = spec.frame_length_samples(wave.sample_rate_hz)
+    window = dsp._window(window_kind, frame_len)
+    shift = spec.frame_shift_samples(wave.sample_rate_hz)
+    got = dsp._power_spectra(wave.samples, window, shift, 1024, preemphasis)
+    want = np.abs(np.fft.rfft(index_matrix_frames(wave, spec), n=1024)) ** 2
     assert got.shape == want.shape
     assert got.tobytes().hex() == want.tobytes().hex()
 
@@ -156,7 +149,7 @@ def test_fbank_peaks_at_the_filter_matching_a_pure_tone():
 
 
 def test_mel_filterbank_rows_are_bounded_triangles():
-    fb = dsp.mel_filterbank(dsp.MelSpec(), 16000, 512)
+    fb = dsp._mel_filterbank(dsp.MelSpec(), 16000, 512)
     assert fb.shape == (40, 257)
     # triangles peak at 1 at their centers; sampled on the bin grid the
     # maxima stay at or below that
@@ -190,14 +183,6 @@ def test_fbank_calls_with_equal_specs_share_one_filterbank():
     assert dsp._mel_filterbank(spec, 16000, 512) is dsp._mel_filterbank(
         dsp.MelSpec(n_filters=23, high_freq_hz=6500.0), 16000, 512
     )
-
-
-def test_mel_filterbank_returns_an_array_the_caller_owns():
-    fb = dsp.mel_filterbank(dsp.MelSpec(), 16000, 512)
-    assert fb.flags.writeable
-    fb[0, :] = 7.0
-    assert np.all(dsp.mel_filterbank(dsp.MelSpec(), 16000, 512) <= 1.0 + 1e-12)
-    assert np.all(dsp.fbank(noise_wave(4000, seed=8)).values < 7.0)
 
 
 def test_mfcc_is_the_orthonormal_dct_of_fbank_rows():
@@ -237,11 +222,25 @@ def test_fft_shorter_than_frame_rejected():
 BLOCK = dsp._FRAME_BLOCK
 
 
+def index_matrix_frames(waveform, spec):
+    """Frames gathered through an explicit (n_frames, frame_len) index matrix."""
+    sr = waveform.sample_rate_hz
+    frame_len = spec.frame_length_samples(sr)
+    frame_shift = spec.frame_shift_samples(sr)
+    x = waveform.samples
+    if spec.preemphasis > 0.0:
+        x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
+    n_frames = 1 + (x.size - frame_len) // frame_shift
+    idx = frame_shift * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
+    window = {"hamming": np.hamming, "hann": np.hanning, "rectangular": np.ones}[spec.window_kind]
+    return x[idx] * window(frame_len)
+
+
 def single_pass_fbank(waveform, frame_spec, mel_spec):
     """Log mel energies with every stage run over the whole utterance at once."""
-    frames = dsp.frame_signal(waveform, frame_spec)
+    frames = index_matrix_frames(waveform, frame_spec)
     power = np.abs(np.fft.rfft(frames, n=frame_spec.fft_size)) ** 2
-    filterbank = dsp.mel_filterbank(mel_spec, waveform.sample_rate_hz, frame_spec.fft_size)
+    filterbank = dsp._mel_filterbank(mel_spec, waveform.sample_rate_hz, frame_spec.fft_size)
     return np.log(np.maximum(power @ filterbank.T, dsp.LOG_FLOOR))
 
 
@@ -265,6 +264,38 @@ def test_fbank_is_bit_identical_to_the_single_pass_formula(n_frames, frame_spec)
     got = dsp.fbank(wave, frame_spec, mel_spec).values
     want = single_pass_fbank(wave, frame_spec, mel_spec)
     assert got.shape == (n_frames, mel_spec.n_filters)
+    assert got.tobytes().hex() == want.tobytes().hex()
+
+
+@given(
+    extra=st.integers(min_value=0, max_value=3 * BLOCK * 160),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(-6.0, 1.0),
+    frame_ms=st.sampled_from([16.0, 20.0, 25.0, 32.0]),
+    shift_ms=st.sampled_from([5.0, 8.0, 10.0, 16.0]),
+    window_kind=st.sampled_from(dsp.WINDOW_KINDS),
+    preemphasis=st.sampled_from([0.0, 0.97]),
+    leading_zeros=st.integers(min_value=0, max_value=700),
+    negative_zero=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_fbank_is_bit_identical_to_the_single_pass_formula_on_random_signals(
+    extra, seed, level, frame_ms, shift_ms, window_kind, preemphasis, leading_zeros, negative_zero
+):
+    rate = 16000
+    spec = dsp.FrameSpec(frame_ms, min(shift_ms, frame_ms), window_kind, preemphasis, 1024)
+    frame_len = spec.frame_length_samples(rate)
+    n = frame_len + extra
+    samples = noise_wave(n, seed=seed, scale=10.0**level).samples
+    samples[:leading_zeros] = 0.0
+    if negative_zero:
+        samples[0] = -0.0
+    wave = dsp.Waveform(samples, rate)
+    mel_spec = dsp.MelSpec()
+    got = dsp.fbank(wave, spec, mel_spec).values
+    want = single_pass_fbank(wave, spec, mel_spec)
+    n_frames = 1 + (n - frame_len) // spec.frame_shift_samples(rate)
+    assert got.shape == want.shape == (n_frames, mel_spec.n_filters)
     assert got.tobytes().hex() == want.tobytes().hex()
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ageval import dsp
-from ageval.errors import DegenerateSignalError, SampleRateMismatchError
+from ageval.errors import DegenerateSignalError, SampleRateMismatchError, ValidationError
 
 SNR_GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -72,6 +72,20 @@ def test_noise_offset_wraps_modulo_noise_length():
     assert np.array_equal(a.samples, b.samples)
     c = dsp.mix_at_snr(clean, noise, 5.0, noise_offset=0)
     assert not np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("snr_db, noise_level", [
+    (4000.0, 0.1),  # the power ratio overflows
+    (-4000.0, 0.1),  # the power ratio underflows to zero
+    (float("nan"), 0.1),
+    (-3000.0, 1e-160),  # the scaled noise power underflows to zero: the gain is infinite
+])
+def test_an_snr_without_a_finite_nonzero_gain_is_a_validation_error(snr_db, noise_level):
+    rng = np.random.default_rng(6)
+    clean = dsp.Waveform(rng.normal(0, 0.1, 1000), 16000)
+    noise = dsp.Waveform(rng.normal(0, noise_level, 1000), 16000)
+    with pytest.raises(ValidationError, match=f"SNR {snr_db} dB"):
+        dsp.mix_at_snr(clean, noise, snr_db)
 
 
 def test_zero_clean_rejected():

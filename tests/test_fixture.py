@@ -211,6 +211,8 @@ def test_a_negative_seed_is_rejected_before_any_directory_is_made(tmp_path):
     ((5.0, float("inf")), "SNR inf dB is not finite"),
     ((5.0, 5), "SNRs 5.0 and 5 dB both give file names snr5"),
     ((0.1234567, 0.1234568), "SNRs 0.1234567 and 0.1234568 dB both give file names snr0p123457"),
+    ((5.0, 4000.0), "SNR 4000.0 dB gives no finite, nonzero noise gain"),
+    ((5.0, -4000.0), "SNR -4000.0 dB gives no finite, nonzero noise gain"),
 ])
 def test_a_bad_snr_grid_is_rejected_before_any_file_is_written(tmp_path, snr_grid, message):
     with pytest.raises(ConfigError, match=message):
@@ -227,7 +229,7 @@ def test_the_fixture_command_rejects_no_utterances_before_any_file_is_written(
     assert not (tmp_path / "fx").exists()
 
 
-@pytest.mark.parametrize("snrs", ["5,nan", "5,5.0"])
+@pytest.mark.parametrize("snrs", ["5,nan", "5,5.0", "5,4000", "-4000"])
 def test_the_fixture_command_names_a_bad_snr_grid(tmp_path, capsys, snrs):
     assert cli.main(["fixture", "--out", str(tmp_path / "fx"), f"--snrs={snrs}"]) == 1
     assert capsys.readouterr().err.startswith("error: --snrs: SNR")
