@@ -116,10 +116,6 @@ class AcousticModel:
             )
         object.__setattr__(self, "layers", layers)
 
-    @property
-    def context_width(self) -> int:
-        return self.left_context + self.right_context + 1
-
 
 @dataclass(frozen=True, eq=False)
 class PosteriorMatrix:

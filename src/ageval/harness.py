@@ -41,6 +41,7 @@ from .errors import (
 from .measures import (
     DEFAULT_ALIGNMENT_TOLERANCE,
     MEASURE_NAMES,
+    POSTERIOR_MEASURES,
     StoiReference,
     age,
     aligned_length,
@@ -50,7 +51,6 @@ from .measures import (
 from .stats import CorrelationReport, LogisticParams, evaluate_measure, fit_logistic, map_logistic
 
 _MANIFEST_REQUIRED = ("utt_id", "clean_path", "degraded_path")
-_POSTERIOR_MEASURES = ("age", "entropy")
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class ScoreTable:
 class RunConfig:
     """Settings for one scoring run, whose features are always dsp.fbank's defaults."""
 
-    measures: tuple[str, ...] = ("age", "entropy", "stoi")
+    measures: tuple[str, ...] = MEASURE_NAMES
     alignment_tolerance: float = DEFAULT_ALIGNMENT_TOLERANCE
     workers: int = 1
 
@@ -161,7 +161,7 @@ class RunConfig:
 
     @property
     def needs_model(self) -> bool:
-        return any(m in _POSTERIOR_MEASURES for m in self.measures)
+        return any(m in POSTERIOR_MEASURES for m in self.measures)
 
 
 def _parse_wer(

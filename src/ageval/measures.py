@@ -24,7 +24,9 @@ from .errors import (
     ValidationError,
 )
 
-MEASURE_NAMES = ("age", "entropy", "stoi")
+# The measures scored from acoustic-model posteriors, which need a model.
+POSTERIOR_MEASURES = ("age", "entropy")
+MEASURE_NAMES = (*POSTERIOR_MEASURES, "stoi")
 
 # Posteriors are floored at this value inside the log only; no re-normalization
 # afterwards, so uniform-posterior identities stay exact.
@@ -63,7 +65,7 @@ class MeasureScore:
             raise ValidationError("n_frames_used must be nonnegative")
         if not np.isfinite(self.value):
             raise ValidationError("measure value must be finite")
-        if self.measure_name in ("age", "entropy") and self.value < -1e-12:
+        if self.measure_name in POSTERIOR_MEASURES and self.value < -1e-12:
             raise ValidationError(f"{self.measure_name} must be nonnegative, got {self.value}")
         if self.measure_name == "stoi" and not -1.0 - 1e-12 <= self.value <= 1.0 + 1e-12:
             raise ValidationError(f"stoi must lie in [-1, 1], got {self.value}")
@@ -261,49 +263,46 @@ def _stoi_degraded(
 class StoiReference:
     """STOI's clean side of one clean waveform, built once per aligned sample count.
 
-    For each length n it holds whether the first n clean samples are silent,
-    and the 10 kHz clean signal's keep-mask from silence removal and its band
-    envelopes. From the second score at n on, it also holds the clean terms
-    of every segment block, about 0.57 MB per second of non-silent clean
-    audio; the first score builds them one block at a time and drops them, so
-    a reference scored once per length holds no more than one block. Passing
-    one reference as the clean argument of stoi for several degraded versions
-    of the same clean signal does that work once; the scores equal
-    stoi(reference.clean, ...) bit for bit.
+    side(n) keeps one record per length n: the 10 kHz clean signal's
+    keep-mask from silence removal, its band envelopes and, from the second
+    score at n on, the clean terms of every segment block, about 0.57 MB per
+    second of non-silent clean audio. The first score at n builds the terms
+    one block at a time and drops them, so a reference scored once per length
+    holds no more than one block. Passing one reference as the clean argument
+    of stoi for several degraded versions of the same clean signal does that
+    work once; the scores equal stoi(reference.clean, ...) bit for bit.
     """
 
     def __init__(self, clean: Waveform) -> None:
         self.clean = clean
-        self._silent: dict[int, bool] = {}
-        self._sides: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # None marks a length scored once, whose terms were not kept.
-        self._terms: dict[int, list[_CleanTerms] | None] = {}
+        # n -> [keep-mask, band envelopes, segment terms or None until kept]
+        self._sides: dict[int, list] = {}
 
-    def is_silent(self, n: int) -> bool:
-        """Whether the first n clean samples have zero mean power."""
-        if n not in self._silent:
-            with np.errstate(over="ignore"):
-                self._silent[n] = float(np.mean(self.clean.samples[:n] ** 2)) == 0.0
-        return self._silent[n]
+    def side(self, n: int) -> tuple[np.ndarray, np.ndarray, Iterable[_CleanTerms]]:
+        """(keep-mask, band envelopes, segment terms in order) of the first n clean samples.
 
-    def side(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(keep-mask, band envelopes) of the first n clean samples."""
-        if n not in self._sides:
-            x = _at_stoi_rate(self.clean.samples[:n], self.clean.sample_rate_hz)
-            self._sides[n] = _stoi_clean(x)
-        return self._sides[n]
+        Each call counts as one score at n. A silent prefix raises
+        DegenerateSignalError and keeps nothing. The first call returns the
+        terms as a lazy map; the second builds and keeps them as a list.
+        """
+        record = self._sides.get(n)
+        if record is None:
+            x = _at_stoi_rate(_audible(self.clean.samples[:n]), self.clean.sample_rate_hz)
+            keep, env_x = _stoi_clean(x)
+            self._sides[n] = [keep, env_x, None]
+            return keep, env_x, map(_clean_segment_terms, _segment_blocks(env_x))
+        keep, env_x, terms = record
+        if terms is None:
+            terms = record[2] = list(map(_clean_segment_terms, _segment_blocks(env_x)))
+        return keep, env_x, terms
 
-    def segment_terms(self, n: int) -> Iterable[_CleanTerms]:
-        """The clean terms of each segment block at length n, in order; kept from the second call."""
-        kept = self._terms.get(n)
-        if kept is not None:
-            return kept
-        blocks = map(_clean_segment_terms, _segment_blocks(self.side(n)[1]))
-        if n not in self._terms:
-            self._terms[n] = None
-            return blocks
-        kept = self._terms[n] = list(blocks)
-        return kept
+
+def _audible(samples: np.ndarray) -> np.ndarray:
+    """samples, unless their mean power is zero: then DegenerateSignalError."""
+    with np.errstate(over="ignore"):
+        if float(np.mean(samples**2)) == 0.0:
+            raise DegenerateSignalError("cannot score a silent signal")
+    return samples
 
 
 def _at_stoi_rate(samples: np.ndarray, rate: int) -> np.ndarray:
@@ -334,12 +333,8 @@ def stoi(
             f"clean is {clean.sample_rate_hz} Hz but degraded is {degraded.sample_rate_hz} Hz"
         )
     n = aligned_length(clean.samples.size, degraded.samples.size, tolerance, "sample")
-    y = degraded.samples[:n]
-    with np.errstate(over="ignore"):
-        silent = float(np.mean(y**2)) == 0.0
-    if silent or reference.is_silent(n):
-        raise DegenerateSignalError("cannot score a silent signal")
-    keep, env_x = reference.side(n)
+    y = _audible(degraded.samples[:n])
+    keep, env_x, terms = reference.side(n)
     y = _at_stoi_rate(y, degraded.sample_rate_hz)
-    value, frames = _stoi_degraded(keep, env_x, y, reference.segment_terms(n))
+    value, frames = _stoi_degraded(keep, env_x, y, terms)
     return MeasureScore("stoi", value, frames)

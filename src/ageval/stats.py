@@ -336,18 +336,15 @@ def _evaluate_rows(pts: np.ndarray, names: Sequence[str]) -> list[CorrelationRep
     rho_rank, errors = _pearson_rows(_average_ranks(m), _average_ranks(wer))
     live, rho_signed, rmse, rho_rank = settle(errors, rho_signed, rmse, rho_rank)
     for i, rho, rms, rank in zip(live, rho_signed.tolist(), rmse.tolist(), rho_rank.tolist()):
-        try:
-            outcomes[i] = CorrelationReport(
-                measure_name=names[i],
-                n_points=n,
-                params=fits[i],  # type: ignore[arg-type]
-                rho_magnitude=abs(rho),
-                rho_signed=rho,
-                spearman=rank,
-                rmse_mapped=rms,
-            )
-        except AgevalError as exc:
-            outcomes[i] = exc
+        outcomes[i] = CorrelationReport(
+            measure_name=names[i],
+            n_points=n,
+            params=fits[i],  # type: ignore[arg-type]
+            rho_magnitude=abs(rho),
+            rho_signed=rho,
+            spearman=rank,
+            rmse_mapped=rms,
+        )
     return outcomes
 
 

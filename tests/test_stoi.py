@@ -333,6 +333,7 @@ def noisy_versions(clean, n, count):
 
 
 def n_segment_blocks(reference, n):
+    """The segment blocks at n; call it only after the scores it counts, as side(n) counts as one."""
     n_segments = reference.side(n)[1].shape[1] - SEGMENT + 1
     return -(-n_segments // measures._STOI_BLOCK)
 
@@ -361,8 +362,8 @@ def test_a_reference_scored_once_per_length_keeps_no_clean_terms():
     reference = measures.StoiReference(clean)
     for n in (30000, 29800):
         measures.stoi(reference, noisy_versions(clean, n, 1)[0])
-    assert sorted(reference._terms) == [29800, 30000]
-    assert all(terms is None for terms in reference._terms.values())
+    assert sorted(reference._sides) == [29800, 30000]
+    assert all(record[2] is None for record in reference._sides.values())
 
 
 def test_a_reference_keeps_clean_terms_for_each_length_it_serves(monkeypatch):
@@ -377,9 +378,31 @@ def test_a_reference_keeps_clean_terms_for_each_length_it_serves(monkeypatch):
     blocks = sum(n_segment_blocks(reference, n) for n in lengths)
     assert len(calls) == 2 * blocks
     for n in lengths:
-        assert len(reference._terms[n]) == n_segment_blocks(reference, n)
+        assert len(reference._sides[n][2]) == n_segment_blocks(reference, n)
         measures.stoi(reference, versions[n][2])
     assert len(calls) == 2 * blocks
+
+
+def test_a_silent_clean_prefix_is_rejected_on_every_score_and_kept_nowhere():
+    # Sound only in the last 1% of the clean file, past the aligned length.
+    clean = dsp.Waveform(np.concatenate([np.zeros(30000), speechlike(n=300).samples]), 10000)
+    reference = measures.StoiReference(clean)
+    degraded = noisy_versions(speechlike(), 30000, 1)[0]
+    for _ in range(2):
+        with pytest.raises(DegenerateSignalError, match="cannot score a silent signal"):
+            measures.stoi(reference, degraded)
+    assert reference._sides == {}
+
+
+def test_a_silent_degraded_file_is_rejected_before_any_clean_side_work(monkeypatch):
+    def fail(x):
+        raise AssertionError("the clean side was built for a silent degraded file")
+
+    monkeypatch.setattr(measures, "_stoi_clean", fail)
+    reference = measures.StoiReference(speechlike())
+    with pytest.raises(DegenerateSignalError, match="cannot score a silent signal"):
+        measures.stoi(reference, dsp.Waveform(np.zeros(30000), 10000))
+    assert reference._sides == {}
 
 
 BLOCK = dsp._FRAME_BLOCK

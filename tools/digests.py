@@ -15,6 +15,11 @@ runs, under --out (which must not exist yet):
   many stacks of equal-length items, and the large groups' items in
   several; one group has only 2 rows with wer, one a constant measure and
   one a measure value of 1e307, and every row carries every measure
+- stoi-lengths/     `ageval score --measures stoi` (exit 2) on a manifest
+  written there first: utt000's fixture rows (clean terms kept from the
+  second row on), two rows of utt000_snr0 cut by 1% (a second aligned
+  length, scored twice), one cut by 0.5% (a third, scored once) and one
+  against an all-zero clean file (skipped as silent)
 
 and prints one `<sha256>  <path under --out>` line per file, sorted by path.
 Two checkouts write the same bytes when their outputs are equal, for example
@@ -36,14 +41,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ageval.cli import main as ageval  # noqa: E402
+from ageval.dsp import Waveform, load_wav, save_wav  # noqa: E402
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str], expect: int = 0) -> None:
     # The commands' own messages name --out; only the digests go to stdout.
     with contextlib.redirect_stdout(sys.stderr):
         code = ageval(argv)
-    if code != 0:
-        raise SystemExit(f"ageval {' '.join(argv)} exited with code {code}")
+    if code != expect:
+        raise SystemExit(f"ageval {' '.join(argv)} exited with code {code}, not {expect}")
 
 
 def _write_group_scores(path: Path, seed: int) -> None:
@@ -78,6 +84,35 @@ def _write_group_scores(path: Path, seed: int) -> None:
                                  *cells, f"g{g:03d}"])
 
 
+def _write_stoi_lengths(out: Path, fixture: Path) -> None:
+    """The stoi-lengths/ input: one clean file scored at three aligned lengths, and a silent one."""
+    with open(fixture / "manifest.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    col = {name: i for i, name in enumerate(header)}
+    rows = [row for row in rows if row[col["clean_path"]] == "clean/utt000.wav"]
+    for row in rows:
+        for name in ("clean_path", "degraded_path"):
+            row[col[name]] = "../fixture/" + row[col[name]]
+    snr0 = load_wav(fixture / "degraded" / "utt000_snr0.wav")
+    n, rate = snr0.samples.size, snr0.sample_rate_hz
+    save_wav(Waveform(snr0.samples[: n - n // 100], rate), out / "cut1.wav")
+    save_wav(Waveform(snr0.samples[: n - n // 200], rate), out / "cut05.wav")
+    save_wav(Waveform(np.zeros(n), rate), out / "silent.wav")
+    clean = "../fixture/clean/utt000.wav"
+    for utt_id, clean_path, degraded_path in [
+        ("cut1_a", clean, "cut1.wav"),
+        ("cut1_b", clean, "cut1.wav"),
+        ("cut05", clean, "cut05.wav"),
+        ("silent_clean", "silent.wav", "../fixture/degraded/utt000_snr0.wav"),
+    ]:
+        row = [""] * len(header)
+        row[col["utt_id"]], row[col["clean_path"]], row[col["degraded_path"]] = (
+            utt_id, clean_path, degraded_path)
+        rows.append(row)
+    with open(out / "manifest.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -99,6 +134,11 @@ def main() -> int:
     groups.mkdir()
     _write_group_scores(groups / "groups.csv", args.seed)
     _run(["correlate", "--scores", str(groups / "groups.csv"), "--group-by", "cond", "--out", str(groups)])
+    lengths = out / "stoi-lengths"
+    lengths.mkdir()
+    _write_stoi_lengths(lengths, out / "fixture")
+    _run(["score", "--manifest", str(lengths / "manifest.csv"), "--measures", "stoi",
+          "--out", str(lengths)], expect=2)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
