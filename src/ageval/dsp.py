@@ -314,7 +314,9 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
     """Band-limited polyphase resampling to target_hz.
 
     Same-rate input is returned unchanged. The output length is
-    round(n * target / source).
+    round(n * target / source). Rates whose reduced ratio up/down has a term
+    above 65536 raise ValidationError: the filter would take 20 * max(up, down)
+    + 1 taps.
     """
     if target_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_hz}")
@@ -323,6 +325,10 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
         return waveform
     g = math.gcd(int(target_hz), source_hz)
     up, down = int(target_hz) // g, source_hz // g
+    if max(up, down) > 2**16:
+        raise ValidationError(
+            f"cannot resample {source_hz} Hz to {target_hz} Hz: the ratio {up}/{down} has a term above 65536"
+        )
     y = scipy.signal.resample_poly(waveform.samples, up, down, window=_resample_taps(up, down))
     target_len = int(round(waveform.samples.size * target_hz / source_hz))
     if target_len < 1:

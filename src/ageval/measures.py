@@ -112,11 +112,6 @@ def _stoi_window() -> np.ndarray:
     return np.hanning(_STOI_FRAME + 2)[1:-1]
 
 
-def _frames(x: np.ndarray) -> np.ndarray:
-    """The analysis frames of x as a strided view, shape (frames, _STOI_FRAME)."""
-    return _strided_frames(x, _STOI_FRAME, _STOI_HOP)
-
-
 def _loud_frames(frames: np.ndarray) -> np.ndarray:
     """Keep-mask of the clean frames whose windowed energy is within 40 dB of the loudest one."""
     norms = np.empty(frames.shape[0])
@@ -133,19 +128,15 @@ def _loud_frames(frames: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _windowed_frames(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Windowed copies of the kept frames only."""
+def _compacted(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept frames, windowed and overlap-added into one signal."""
     kept = frames[keep]
     kept *= _stoi_window()
-    return kept
-
-
-def _overlap_add(frames: np.ndarray) -> np.ndarray:
     # A frame is two hops long: hop block b is the first half of frame b plus
     # the second half of frame b - 1.
-    out = np.zeros((frames.shape[0] + 1, _STOI_HOP))
-    out[:-1] += frames[:, :_STOI_HOP]
-    out[1:] += frames[:, _STOI_HOP:]
+    out = np.zeros((kept.shape[0] + 1, _STOI_HOP))
+    out[:-1] += kept[:, :_STOI_HOP]
+    out[1:] += kept[:, _STOI_HOP:]
     return out.reshape(-1)
 
 
@@ -232,32 +223,14 @@ def _stoi_clean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise TooShortError(
             f"signal of {x.size} samples at 10 kHz is shorter than one {_STOI_FRAME}-sample frame"
         )
-    frames = _frames(x)
+    frames = _strided_frames(x, _STOI_FRAME, _STOI_HOP)
     keep = _loud_frames(frames)
-    env_x = _band_envelopes(_overlap_add(_windowed_frames(frames, keep)))
+    env_x = _band_envelopes(_compacted(frames, keep))
     if env_x.shape[1] < _STOI_SEGMENT:
         raise TooShortError(
             f"need at least {_STOI_SEGMENT} non-silent analysis frames, got {env_x.shape[1]}"
         )
     return keep, env_x
-
-
-def _stoi_degraded(
-    keep: np.ndarray,
-    env_x: np.ndarray,
-    y: np.ndarray,
-    clean_terms: Iterable[_CleanTerms],
-) -> tuple[float, int]:
-    """Degraded side of the STOI core: (value, frames used) for a 10 kHz y of the clean length.
-
-    clean_terms holds the clean terms of env_x's segment blocks in order.
-    """
-    env_y = _band_envelopes(_overlap_add(_windowed_frames(_frames(y), keep)))
-    segment_means = [
-        _segment_correlations(terms, seg_y)
-        for terms, seg_y in zip(clean_terms, _segment_blocks(env_y))
-    ]
-    return float(np.mean(np.concatenate(segment_means))), env_x.shape[1]
 
 
 class StoiReference:
@@ -336,5 +309,9 @@ def stoi(
     y = _audible(degraded.samples[:n])
     keep, env_x, terms = reference.side(n)
     y = _at_stoi_rate(y, degraded.sample_rate_hz)
-    value, frames = _stoi_degraded(keep, env_x, y, terms)
-    return MeasureScore("stoi", value, frames)
+    env_y = _band_envelopes(_compacted(_strided_frames(y, _STOI_FRAME, _STOI_HOP), keep))
+    segment_means = [
+        _segment_correlations(clean_terms, seg_y)
+        for clean_terms, seg_y in zip(terms, _segment_blocks(env_y))
+    ]
+    return MeasureScore("stoi", float(np.mean(np.concatenate(segment_means))), env_x.shape[1])

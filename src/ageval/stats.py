@@ -308,8 +308,8 @@ def _evaluate_rows(pts: np.ndarray, names: Sequence[str]) -> list[CorrelationRep
     g, n = pts.shape[:2]
     if n < 3:
         return [TooFewPointsError(f"need at least 3 scored points, got {n}") for _ in range(g)]
-    # One contiguous array per column, the layout a list of pairs gave, so
-    # every sum runs over the same memory layout as before.
+    # One contiguous array per column: contiguous rows give each item the
+    # bits of its one-item call.
     m, wer = np.ascontiguousarray(pts[..., 0]), np.ascontiguousarray(pts[..., 1])
     fits = fit_logistic(m, wer)
     outcomes: list[CorrelationReport | AgevalError] = list(fits)  # type: ignore[arg-type]
@@ -318,25 +318,17 @@ def _evaluate_rows(pts: np.ndarray, names: Sequence[str]) -> list[CorrelationRep
     params = [fits[i] for i in live]
     a = np.array([p.a for p in params])
     b = np.array([p.b for p in params])
-
-    def settle(errors: list[AgevalError | None], *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-        for i, error in zip(live, errors):
-            if error is not None:
-                outcomes[i] = error
-        return _keep(np.array([error is None for error in errors], dtype=bool), live, *arrays)
-
     mapped = _logistic(a[:, None], b[:, None], m)
-    rho_signed, errors = _pearson_rows(mapped, wer)
-    live, m, wer, mapped, rho_signed = settle(errors, m, wer, mapped, rho_signed)
+    rho_signed, rho_errors = _pearson_rows(mapped, wer)
     with np.errstate(over="ignore"):
-        rmse = np.sqrt(np.mean((wer - mapped) ** 2, axis=1))
-    errors = [None if math.isfinite(r) else NumericError("wer values too large for the mapped RMSE")
-              for r in rmse.tolist()]
-    live, m, wer, rho_signed, rmse = settle(errors, m, wer, rho_signed, rmse)
-    rho_rank, errors = _pearson_rows(_average_ranks(m), _average_ranks(wer))
-    live, rho_signed, rmse, rho_rank = settle(errors, rho_signed, rmse, rho_rank)
-    for i, rho, rms, rank in zip(live, rho_signed.tolist(), rmse.tolist(), rho_rank.tolist()):
-        outcomes[i] = CorrelationReport(
+        rmse = np.sqrt(np.mean((wer - mapped) ** 2, axis=1)).tolist()
+    rmse_errors = [None if math.isfinite(r) else NumericError("wer values too large for the mapped RMSE")
+                   for r in rmse]
+    rho_rank, rank_errors = _pearson_rows(_average_ranks(m), _average_ranks(wer))
+    items = zip(live, rho_signed.tolist(), rmse, rho_rank.tolist(), rho_errors, rmse_errors, rank_errors)
+    # An item's outcome is its first error, in the order of a one-item call.
+    for i, rho, rms, rank, rho_error, rmse_error, rank_error in items:
+        outcomes[i] = rho_error or rmse_error or rank_error or CorrelationReport(
             measure_name=names[i],
             n_points=n,
             params=fits[i],  # type: ignore[arg-type]
@@ -382,6 +374,4 @@ def evaluate_measure(
         return _evaluate_rows(pts, names)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ShapeMismatchError(f"scores must be an (n, 2) array, got shape {pts.shape}")
-    if len(pts) < 3:
-        raise TooFewPointsError(f"need at least 3 scored points, got {len(pts)}")
     return _one(_evaluate_rows(pts[None], [measure_name]))

@@ -228,6 +228,19 @@ def test_an_8khz_pair_skips_only_its_row(tmp_path, mini_corpus):
     assert skipped["low"].split(",", 1)[1] == reason
 
 
+def test_a_pair_at_an_odd_rate_skips_its_stoi_row(tmp_path):
+    # Resampling 2000000011 Hz to STOI's 10 kHz would need a 298 GiB filter.
+    samples = 0.1 * np.random.default_rng(0).normal(size=4000)
+    for name in ("clean", "degraded"):
+        dsp.save_wav(dsp.Waveform(samples, 2_000_000_011), tmp_path / f"{name}.wav")
+    write_manifest(tmp_path / "m.csv", [("odd", tmp_path / "clean.wav", tmp_path / "degraded.wav")])
+    assert main(["score", "--manifest", str(tmp_path / "m.csv"), "--measures", "stoi",
+                 "--out", str(tmp_path / "out")]) == 2
+    skipped = read_rows(tmp_path / "out" / "skipped.csv")
+    assert list(skipped) == ["odd"]
+    assert skipped["odd"].split(",", 1)[1].startswith("ValidationError: cannot resample 2000000011 Hz")
+
+
 def test_malformed_numbers_exit_with_code_one(tmp_path, capsys):
     assert main(["fixture", "--out", str(tmp_path / "fx"), "--snrs=abc"]) == 1
     assert capsys.readouterr().err.startswith("error: --snrs")

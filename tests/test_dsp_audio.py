@@ -470,3 +470,30 @@ def test_resample_preserves_sine_amplitude_and_frequency():
 def test_resample_rejects_bad_rate():
     with pytest.raises(ValidationError):
         dsp.resample(tone(200.0), 0)
+
+
+def test_resample_rejects_a_rate_ratio_before_designing_its_filter(monkeypatch):
+    # 2000000011 Hz to 10 kHz would design a filter of 40 billion taps.
+    def fail(up, down):
+        raise AssertionError(f"a filter was designed for {up}/{down}")
+
+    monkeypatch.setattr(dsp, "_resample_taps", fail)
+    wave = dsp.Waveform(np.full(64, 0.1), 2_000_000_011)
+    with pytest.raises(ValidationError, match="^cannot resample 2000000011 Hz to 10000 Hz"):
+        dsp.resample(wave, 10000)
+    with pytest.raises(ValidationError, match="^cannot resample 65537 Hz to 10000 Hz"):
+        dsp.resample(dsp.Waveform(np.full(64, 0.1), 65537), 10000)
+
+
+def test_resample_takes_every_ratio_of_rates_up_to_65536_hz(monkeypatch):
+    designed = []
+
+    def one_tap(up, down):
+        designed.append(max(up, down))
+        return np.ones(1)
+
+    monkeypatch.setattr(dsp, "_resample_taps", one_tap)
+    for source, target in [(65536, 65535), (65535, 1), (96000, 10000), (192000, 10000), (384000, 10000)]:
+        out = dsp.resample(dsp.Waveform(np.full(65536, 0.1), source), target)
+        assert out.samples.size == round(65536 * target / source)
+    assert designed == [65536, 65535, 48, 96, 192]

@@ -15,6 +15,11 @@ runs, under --out (which must not exist yet):
   many stacks of equal-length items, and the large groups' items in
   several; one group has only 2 rows with wer, one a constant measure and
   one a measure value of 1e307, and every row carries every measure
+- correlate-errors/ `ageval correlate --group-by cond` on errors.csv, a
+  seeded scores file of seven 40-row groups, so all items share stacks:
+  two healthy, and one each whose age is constant, whose age holds one
+  1e307, whose wer is constant, whose wer holds one 1e300 (no
+  correlation) and whose wer holds one 1.35e154 (no RMSE)
 - stoi-lengths/     `ageval score --measures stoi` (exit 2) on a manifest
   written there first: utt000's fixture rows (clean terms kept from the
   second row on), two rows of utt000_snr0 cut by 1% (a second aligned
@@ -84,6 +89,34 @@ def _write_group_scores(path: Path, seed: int) -> None:
                                  *cells, f"g{g:03d}"])
 
 
+def _write_error_scores(path: Path, seed: int) -> None:
+    """The correlate-errors/ input: one group per outcome of a correlation item, 40 rows each."""
+    rng = np.random.default_rng([seed, 23])
+    faults = ["healthy", "healthy", "age_constant", "age_1e307", "wer_constant", "wer_1e300", "wer_1e154"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["utt_id", "wer", "age", "entropy", "stoi", "cond"])
+        for g, fault in enumerate(faults):
+            severity = rng.uniform(0.0, 1.0, 40)
+            age = 0.3 + 2.5 * severity + rng.normal(0.0, 0.25, 40)
+            entropy = 0.2 + 1.5 * severity + rng.normal(0.0, 0.3, 40)
+            stoi = 0.95 - 0.6 * severity + rng.normal(0.0, 0.08, 40)
+            wer = np.clip(100.0 * severity + rng.normal(0.0, 6.0, 40), 0.0, 100.0)
+            if fault == "age_constant":
+                age[:] = 0.75
+            elif fault == "age_1e307":
+                age[0] = 1e307
+            elif fault == "wer_constant":
+                wer[:] = 42.0
+            elif fault == "wer_1e300":
+                wer[0] = 1e300
+            elif fault == "wer_1e154":
+                wer[0] = 1.35e154  # its square overflows; the centred sums of 40 rows do not
+            for i in range(40):
+                writer.writerow([f"e{g}_{i:02d}", *(repr(float(v[i])) for v in (wer, age, entropy, stoi)),
+                                 f"e{g}_{fault}"])
+
+
 def _write_stoi_lengths(out: Path, fixture: Path) -> None:
     """The stoi-lengths/ input: one clean file scored at three aligned lengths, and a silent one."""
     with open(fixture / "manifest.csv", newline="") as fh:
@@ -134,6 +167,10 @@ def main() -> int:
     groups.mkdir()
     _write_group_scores(groups / "groups.csv", args.seed)
     _run(["correlate", "--scores", str(groups / "groups.csv"), "--group-by", "cond", "--out", str(groups)])
+    errors = out / "correlate-errors"
+    errors.mkdir()
+    _write_error_scores(errors / "errors.csv", args.seed)
+    _run(["correlate", "--scores", str(errors / "errors.csv"), "--group-by", "cond", "--out", str(errors)])
     lengths = out / "stoi-lengths"
     lengths.mkdir()
     _write_stoi_lengths(lengths, out / "fixture")
