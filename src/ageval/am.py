@@ -32,7 +32,6 @@ from .errors import (
 )
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh", "softmax")
-HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
 
 # The OpenBLAS copies that the numpy and scipy wheels bundle: the package, the
 # file pattern in the "<package>.libs" directory next to it, and the suffix of
@@ -257,20 +256,21 @@ def forward(model: AcousticModel, features: FeatureMatrix) -> PosteriorMatrix:
     return PosteriorMatrix(_softmax_rows(logits))
 
 
-def _loss_and_grads(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    activations: list[str],
-    x: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy over one full batch and its parameter gradients."""
-    n = x.shape[0]
-    hs, logits = _layer_stack(weights, biases, activations, x)
+def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log softmax probability of the labels, and the log-probabilities."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
-    loss = float(-log_p[np.arange(n), labels].mean())
+    return float(-log_p[np.arange(logits.shape[0]), labels].mean()), log_p
+
+
+def _loss_and_grads(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, labels: np.ndarray
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Mean cross-entropy over one full batch and its gradients, for sigmoid hidden layers."""
+    n = x.shape[0]
+    hs, logits = _layer_stack(weights, biases, ["sigmoid"] * len(weights), x)
+    loss, log_p = _mean_nll(logits, labels)
     delta = np.exp(log_p)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
@@ -282,13 +282,7 @@ def _loss_and_grads(
         if li > 0:
             delta = delta @ weights[li]
             a = hs[li]
-            act = activations[li - 1]
-            if act == "sigmoid":
-                delta = delta * a * (1.0 - a)
-            elif act == "tanh":
-                delta = delta * (1.0 - a * a)
-            else:
-                delta = delta * (a > 0)
+            delta = delta * a * (1.0 - a)
     return loss, grads_w, grads_b
 
 
@@ -296,8 +290,8 @@ def cross_entropy_loss(model: AcousticModel, features: FeatureMatrix, labels: Se
     """Mean cross-entropy of the model's posteriors against integer frame labels."""
     x = _model_input(model, features)
     y = _checked_labels(labels, x.shape[0], model.n_classes)
-    loss, _, _ = _loss_and_grads(*_params(model), x, y)
-    return loss
+    _, logits = _layer_stack(*_params(model), x)
+    return _mean_nll(logits, y)[0]
 
 
 def frame_error_rate(model: AcousticModel, features: FeatureMatrix, labels: Sequence[int]) -> float:
@@ -397,29 +391,25 @@ def train_toy(
     features: Sequence[FeatureMatrix],
     labels: Sequence[Sequence[int]],
     hidden_dims: Sequence[int] = (16,),
-    activation: str = "sigmoid",
     learning_rate: float = 0.1,
     epochs: int = 100,
     seed: int = 0,
     n_classes: int | None = None,
     left_context: int = 0,
     right_context: int = 0,
-    on_epoch: Callable[[int, float], None] | None = None,
 ) -> AcousticModel:
     """Full-batch gradient descent on mean cross-entropy; returns the lowest-loss iterate.
 
-    features and labels hold one matrix and one label array per utterance.
-    Each utterance is spliced on its own, so no frame's context crosses an
-    utterance boundary; all frames then form one batch.
+    Every hidden layer is sigmoid. features and labels hold one matrix and
+    one label array per utterance. Each utterance is spliced on its own, so
+    no frame's context crosses an utterance boundary; all frames then form
+    one batch.
 
     Training is deterministic given the seed. With epochs=0 the seeded initial
-    model is returned untouched. on_epoch, when given, is called with
-    (steps_taken, loss_after_those_steps) for every epoch including the last.
-    While it trains, the process's OpenBLAS thread count is 1 (see
-    _one_blas_thread), so it is not safe to call from two threads at once.
+    model is returned untouched. While it trains, the process's OpenBLAS
+    thread count is 1 (see _one_blas_thread), so it is not safe to call from
+    two threads at once.
     """
-    if activation not in HIDDEN_ACTIVATIONS:
-        raise ModelValidationError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
     if learning_rate <= 0:
         raise ValidationError("learning_rate must be positive")
     if epochs < 0:
@@ -441,23 +431,19 @@ def train_toy(
     rng = np.random.default_rng(seed)
     dims = [x.shape[1], *(int(d) for d in hidden_dims), classes]
     weights, biases = _init_layers(rng, dims)
-    acts = [activation] * (len(dims) - 2) + ["softmax"]
+    acts = ["sigmoid"] * (len(dims) - 2) + ["softmax"]
 
     # One BLAS thread: the sums inside the matrix products, and so the model's
     # bytes, would otherwise depend on the thread count.
     with _one_blas_thread():
         # Each pass yields the loss of the current iterate and the gradient for
         # the next step, so epochs steps cost epochs + 1 passes.
-        loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
+        loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y)
         best_loss, best_w, best_b = loss, weights, biases
-        if on_epoch is not None:
-            on_epoch(0, loss)
-        for step in range(epochs):
+        for _ in range(epochs):
             weights = [w - learning_rate * g for w, g in zip(weights, grads_w)]
             biases = [b - learning_rate * g for b, g in zip(biases, grads_b)]
-            loss, grads_w, grads_b = _loss_and_grads(weights, biases, acts, x, y)
-            if on_epoch is not None:
-                on_epoch(step + 1, loss)
+            loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y)
             if loss < best_loss:
                 best_loss, best_w, best_b = loss, weights, biases
 

@@ -55,6 +55,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     print(f"wrote {report_path}")
     for name, reason in sorted(correlation.skipped.items()):
         print(f"skipped group {name}: {reason}", file=sys.stderr)
+    for measure, reason in sorted(correlation.lost_curves.items()):
+        print(f"skipped curve {measure}: {reason}", file=sys.stderr)
     return 0
 
 

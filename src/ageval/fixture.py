@@ -212,7 +212,6 @@ def make_fixture_corpus(
                 clean_features,
                 labels,
                 hidden_dims=(32,),
-                activation="sigmoid",
                 learning_rate=1.0,
                 epochs=epochs,
                 seed=seed + 1,

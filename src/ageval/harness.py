@@ -512,7 +512,8 @@ class Correlation:
     groups holds one GroupReport per reportable group, and skipped the reason
     for each group, group/column or group/measure left out. curves holds each
     measure's logistic fit over every WER-bearing row that carries it, the
-    curve of its scatter file; a measure whose fit raises has none.
+    curve of its scatter file; a measure whose fit raises has none, and
+    lost_curves holds the reason instead.
     """
 
     table: ScoreTable
@@ -520,6 +521,7 @@ class Correlation:
     groups: dict[str, GroupReport]
     skipped: dict[str, str]
     curves: dict[str, LogisticParams]
+    lost_curves: dict[str, str]
 
 
 # Values per (items, points) array that correlate_by_group and _curves fit
@@ -558,8 +560,11 @@ def _in_stacks(
     return outcomes
 
 
-def _curves(table: ScoreTable, whole: GroupReport | None) -> dict[str, LogisticParams]:
-    """Each measure's fit over every WER-bearing row that carries it.
+def _curves(
+    table: ScoreTable, whole: GroupReport | None
+) -> tuple[dict[str, LogisticParams], dict[str, str]]:
+    """Each measure's fit over every WER-bearing row that carries it, and the
+    reason of each fit that raises.
 
     whole is the "all" group of an ungrouped run. It reports a measure only
     when every WER-bearing row carries it, so its fit is over these very rows
@@ -575,10 +580,13 @@ def _curves(table: ScoreTable, whole: GroupReport | None) -> dict[str, LogisticP
         carried = ~np.isnan(values[with_wer])
         items.append((measure, with_wer if carried.all() else with_wer[carried]))
     fits = _in_stacks(table, items, lambda m, wer, _: fit_logistic(m, wer))
+    lost: dict[str, str] = {}
     for (measure, _), fit in zip(items, fits):
         if isinstance(fit, LogisticParams):
             curves[measure] = fit
-    return {measure: curves[measure] for measure in sorted(curves)}
+        else:
+            lost[measure] = _reason(fit)
+    return {measure: curves[measure] for measure in sorted(curves)}, lost
 
 
 def _group_reports(
@@ -651,14 +659,15 @@ def correlate_by_group(table: ScoreTable, group_key: str | None = None) -> Corre
     some of them carry is skipped with the count that does. The fits of all
     groups are made in stacks of equal-length items (see evaluate_measure).
     Each measure's scatter curve is fitted here too, once: an ungrouped run
-    takes it from the "all" group's fit. If nothing is reportable,
-    EmptyReportError is raised.
+    takes it from the "all" group's fit, and a curve fit that raises leaves
+    the measure no scatter file and its reason in lost_curves. If nothing
+    is reportable, EmptyReportError is raised.
     """
     reports, skipped = _group_reports(table, group_key)
     if not reports:
         raise EmptyReportError("no group had enough usable data")
     whole = reports.get("all") if group_key is None else None
-    return Correlation(table, group_key, reports, skipped, _curves(table, whole))
+    return Correlation(table, group_key, reports, skipped, *_curves(table, whole))
 
 
 def _repr_cells(values: np.ndarray) -> list[str]:

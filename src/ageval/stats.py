@@ -324,11 +324,13 @@ def _evaluate_rows(pts: np.ndarray, names: Sequence[str]) -> list[CorrelationRep
         rmse = np.sqrt(np.mean((wer - mapped) ** 2, axis=1)).tolist()
     rmse_errors = [None if math.isfinite(r) else NumericError("wer values too large for the mapped RMSE")
                    for r in rmse]
-    rho_rank, rank_errors = _pearson_rows(_average_ranks(m), _average_ranks(wer))
-    items = zip(live, rho_signed.tolist(), rmse, rho_rank.tolist(), rho_errors, rmse_errors, rank_errors)
+    # No rank error can decide an outcome: a fitted m is finite and not
+    # constant, and a constant wer fails the correlation above first.
+    rho_rank, _ = _pearson_rows(_average_ranks(m), _average_ranks(wer))
+    items = zip(live, rho_signed.tolist(), rmse, rho_rank.tolist(), rho_errors, rmse_errors)
     # An item's outcome is its first error, in the order of a one-item call.
-    for i, rho, rms, rank, rho_error, rmse_error, rank_error in items:
-        outcomes[i] = rho_error or rmse_error or rank_error or CorrelationReport(
+    for i, rho, rms, rank, rho_error, rmse_error in items:
+        outcomes[i] = rho_error or rmse_error or CorrelationReport(
             measure_name=names[i],
             n_points=n,
             params=fits[i],  # type: ignore[arg-type]

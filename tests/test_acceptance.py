@@ -150,9 +150,8 @@ def test_c04_training_gradients_match_central_differences():
     labels = rng.integers(0, 4, 14)
     weights = [rng.normal(0, 0.5, (5, 6)), rng.normal(0, 0.5, (4, 5))]
     biases = [rng.normal(0, 0.1, 5), rng.normal(0, 0.1, 4)]
-    acts = ["sigmoid", "softmax"]
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
-    _, grads_w, _ = am._loss_and_grads(weights, biases, acts, x, labels)
+    _, grads_w, _ = am._loss_and_grads(weights, biases, x, labels)
 
     def loss_for(ws):
         layers = (

@@ -217,9 +217,10 @@ def test_layer_chain_dimensions_must_agree():
 
 # loss, gradients, error rate --------------------------------------------
 
-def test_cross_entropy_matches_forward_probabilities():
+@pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
+def test_cross_entropy_matches_forward_probabilities(activation):
     rng = np.random.default_rng(9)
-    model = random_model(rng)
+    model = random_model(rng, activation=activation)
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (12, 5)), "fbank", 10.0)
     labels = rng.integers(0, 4, 12)
     post = am.forward(model, feats).values
@@ -241,7 +242,6 @@ def test_gradients_match_central_differences():
     labels = rng.integers(0, 4, 12)
     weights = [rng.normal(0, 0.5, (5, 6)), rng.normal(0, 0.5, (4, 5))]
     biases = [rng.normal(0, 0.1, 5), rng.normal(0, 0.1, 4)]
-    acts = ["sigmoid", "softmax"]
 
     def model_with(ws):
         layers = (
@@ -251,7 +251,7 @@ def test_gradients_match_central_differences():
         return am.AcousticModel(layers, 6, 4)
 
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
-    loss, grads_w, _ = am._loss_and_grads(weights, biases, acts, x, labels)
+    loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels)
     assert_allclose(loss, am.cross_entropy_loss(model_with(weights), feats, labels),
                     rtol=1e-12)
     step = 1e-5
@@ -312,12 +312,24 @@ def test_train_toy_is_deterministic_per_seed():
     )
 
 
-def test_train_toy_returns_the_lowest_loss_iterate():
+def watch_loss_and_grads(monkeypatch, observe):
+    """Call observe(loss) after each of train_toy's loss-and-gradient passes."""
+    loss_and_grads = am._loss_and_grads
+
+    def watched(*args):
+        result = loss_and_grads(*args)
+        observe(result[0])
+        return result
+
+    monkeypatch.setattr(am, "_loss_and_grads", watched)
+
+
+def test_train_toy_returns_the_lowest_loss_iterate(monkeypatch):
     feats, labels = cluster_data(seed=12, n=40)
     seen = []
+    watch_loss_and_grads(monkeypatch, seen.append)
     model = am.train_toy(
-        [feats], [labels], hidden_dims=(6,), learning_rate=2.5, epochs=40, seed=1,
-        on_epoch=lambda step, loss: seen.append(loss),
+        [feats], [labels], hidden_dims=(6,), learning_rate=2.5, epochs=40, seed=1
     )
     assert len(seen) == 41  # initial loss plus one per epoch
     final = am.cross_entropy_loss(model, feats, labels)
@@ -388,22 +400,28 @@ def test_each_bundled_openblas_copy_is_found():
     assert len(blas_thread_counts()) == len(bundled)
 
 
-def test_train_toy_uses_one_blas_thread_and_restores_the_callers_count():
+def test_train_toy_uses_one_blas_thread_and_restores_the_callers_count(monkeypatch):
     feats, labels = cluster_data()
     original = am._set_blas_threads(2)
     try:
         found = len(blas_thread_counts())
         seen = []
-        am.train_toy([feats], [labels], epochs=2,
-                     on_epoch=lambda step, loss: seen.append(blas_thread_counts()))
+        watch_loss_and_grads(monkeypatch, lambda loss: seen.append(blas_thread_counts()))
+        am.train_toy([feats], [labels], epochs=2)
         assert seen == [[1] * found] * 3
         assert blas_thread_counts() == [2] * found
 
-        def fail(step, loss):
-            raise RuntimeError("stop")
+        passes = []
 
+        def fail_on_the_second_pass(loss):
+            passes.append(loss)
+            if len(passes) == 2:
+                raise RuntimeError("stop")
+
+        watch_loss_and_grads(monkeypatch, fail_on_the_second_pass)
         with pytest.raises(RuntimeError):
-            am.train_toy([feats], [labels], epochs=2, on_epoch=fail)
+            am.train_toy([feats], [labels], epochs=2)
+        assert len(passes) == 2
         assert blas_thread_counts() == [2] * found
     finally:
         if original is not None:

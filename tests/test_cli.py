@@ -352,8 +352,11 @@ def test_a_logistic_fit_out_of_float_range_is_skipped_without_a_warning(tmp_path
     assert sorted(report["groups"]["all"]["correlations"]) == ["stoi"]
     reason = report["skipped"]["all/age"]
     assert reason.startswith("NumericError:")
-    # the skip line is all that reaches stderr
-    assert capsys.readouterr().err == f"skipped group all/age: {reason}\n"
+    # the skip lines are all that reach stderr: the group's fit and the
+    # curve's, the same fit over the same rows
+    assert capsys.readouterr().err == (
+        f"skipped group all/age: {reason}\nskipped curve age: {reason}\n"
+    )
     assert not (tmp_path / "out" / "scatter_age.csv").exists()
 
 
@@ -375,7 +378,10 @@ def test_a_group_mean_out_of_float_range_is_skipped_without_a_warning(tmp_path, 
     assert reason == "NumericError: the mean of age leaves the float64 range"
     assert sorted(report["groups"]["all"]["means"]) == ["stoi", "wer"]
     assert sorted(report["groups"]["all"]["correlations"]) == ["stoi"]
-    assert capsys.readouterr().err == f"skipped group all/age: {reason}\n"
+    assert capsys.readouterr().err == (
+        f"skipped group all/age: {reason}\n"
+        "skipped curve age: NumericError: measure values out of range for the logistic fit's start\n"
+    )
 
 
 def kill_this_process(*args, **kwargs):
@@ -536,6 +542,26 @@ def test_correlate_reports_a_partly_carried_measure_as_skipped(tmp_path, capsys)
     assert sorted(report["groups"]["x"]["means"]) == ["age", "stoi", "wer"]
     assert sorted(report["groups"]["x"]["correlations"]) == ["age"]
     assert "skipped group x/stoi: carried by 4 of 5 rows with wer" in capsys.readouterr().err
+
+
+def test_correlate_names_a_measure_whose_scatter_curve_fit_raises(tmp_path, capsys):
+    scores = write_grid_scores(tmp_path / "scores.csv", 2)
+    lines = scores.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "1e307"  # one age cell of group 0 overflows the fits that include it
+    lines[1] = ",".join(cells)
+    scores.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["correlate", "--scores", str(scores), "--group-by", "snr_db", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["groups"]["5"]["correlations"]) == ["age", "entropy", "stoi"]
+    assert sorted(report["skipped"]) == ["0/age"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipped group 0/age: {report['skipped']['0/age']}",
+        "skipped curve age: NumericError: measure values out of range for the logistic fit's start",
+    ]
+    assert not (out / "scatter_age.csv").exists()
+    assert (out / "scatter_entropy.csv").exists() and (out / "scatter_stoi.csv").exists()
 
 
 def test_correlate_treats_a_dotted_out_path_as_a_directory(tmp_path):

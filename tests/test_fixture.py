@@ -38,7 +38,7 @@ def sequential_fixture(out, seed, snr_grid, n_utts, epochs):
     with am._one_blas_thread():
         model = am.train_toy(
             [dsp.mvn(dsp.fbank(w, fspec, mspec)) for w in clean_waves], labels,
-            hidden_dims=(32,), activation="sigmoid", learning_rate=1.0, epochs=epochs,
+            hidden_dims=(32,), learning_rate=1.0, epochs=epochs,
             seed=seed + 1, n_classes=fixture.N_TONE_CLASSES + 1, left_context=2,
             right_context=2,
         )
