@@ -81,7 +81,6 @@ class AcousticModel:
 
     layers: tuple[LayerSpec, ...]
     input_dim: int
-    n_classes: int
     left_context: int = 0
     right_context: int = 0
 
@@ -109,11 +108,12 @@ class AcousticModel:
                 raise ModelValidationError("softmax is only allowed on the final layer")
         if layers[-1].activation != "softmax":
             raise ModelValidationError("final layer activation must be softmax")
-        if layers[-1].out_dim != self.n_classes:
-            raise ModelValidationError(
-                f"final layer has {layers[-1].out_dim} outputs but n_classes is {self.n_classes}"
-            )
         object.__setattr__(self, "layers", layers)
+
+    @property
+    def n_classes(self) -> int:
+        """The number of state classes: the final layer's width."""
+        return self.layers[-1].out_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,30 +160,37 @@ def save_model(model: AcousticModel, path: str | Path) -> None:
             for layer in model.layers
         ],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _json_int(record: dict, name: str, where: str) -> int:
+    """record[name], which must be a JSON integer; where prefixes the FormatError."""
+    value = record[name]
+    if type(value) is not int:
+        raise FormatError(f"{where}{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def load_model(path: str | Path) -> AcousticModel:
     """Read a JSON model file written by save_model.
 
-    Undecodable text, invalid JSON and malformed or out-of-range fields raise
-    FormatError naming the path.
+    Undecodable text, invalid JSON, a count (input_dim, a context size, a
+    layer's in_dim or out_dim) that is not a JSON integer and malformed or
+    out-of-range fields raise FormatError naming the path.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON text ({exc})") from exc
     try:
         raw_layers = payload["layers"]
-        input_dim = int(payload["input_dim"])
-        left = int(payload["left_context"])
-        right = int(payload["right_context"])
-        if not raw_layers:
-            raise ModelValidationError(f"{path}: model has no layers")
+        input_dim = _json_int(payload, "input_dim", f"{path}: ")
+        left = _json_int(payload, "left_context", f"{path}: ")
+        right = _json_int(payload, "right_context", f"{path}: ")
         layers = []
         for i, raw in enumerate(raw_layers):
-            out_dim = int(raw["out_dim"])
-            in_dim = int(raw["in_dim"])
+            out_dim = _json_int(raw, "out_dim", f"{path}: layer {i} ")
+            in_dim = _json_int(raw, "in_dim", f"{path}: layer {i} ")
             weight = np.asarray(raw["weight"], dtype=np.float64)
             if weight.size != out_dim * in_dim:
                 raise FormatError(
@@ -195,13 +202,7 @@ def load_model(path: str | Path) -> AcousticModel:
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
-    return AcousticModel(
-        layers=tuple(layers),
-        input_dim=input_dim,
-        n_classes=layers[-1].out_dim,
-        left_context=left,
-        right_context=right,
-    )
+    return AcousticModel(tuple(layers), input_dim, left, right)
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
@@ -450,10 +451,4 @@ def train_toy(
     layers = tuple(
         LayerSpec(w, b, act) for w, b, act in zip(best_w, best_b, acts)
     )
-    return AcousticModel(
-        layers=layers,
-        input_dim=features[0].dim,
-        n_classes=classes,
-        left_context=left_context,
-        right_context=right_context,
-    )
+    return AcousticModel(layers, features[0].dim, left_context, right_context)

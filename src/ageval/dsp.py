@@ -372,11 +372,18 @@ def _frame_count(n: int, length: int, hop: int) -> int:
 
 
 def _frame_geometry(n: int, sample_rate_hz: int, spec: FrameSpec) -> tuple[int, int, int]:
-    """(frame length, frame shift, frame count) of n samples; they must hold one frame."""
+    """(frame length, frame shift, frame count) of n samples at sample_rate_hz.
+
+    Frame length and shift must be at least one sample and fft_size at least
+    the frame length (ConfigError), and the n samples must hold one frame
+    (TooShortError).
+    """
     frame_len = spec.frame_length_samples(sample_rate_hz)
     frame_shift = spec.frame_shift_samples(sample_rate_hz)
     if frame_len < 1 or frame_shift < 1:
         raise ConfigError("frame length and shift must be at least one sample")
+    if spec.fft_size < frame_len:
+        raise ConfigError(f"fft_size {spec.fft_size} is smaller than the {frame_len}-sample frame")
     if n < frame_len:
         raise TooShortError(f"signal of {n} samples is shorter than one {frame_len}-sample frame")
     return frame_len, frame_shift, _frame_count(n, frame_len, frame_shift)
@@ -452,18 +459,6 @@ def _mel_filterbank(mel_spec: MelSpec, sample_rate_hz: int, fft_size: int) -> np
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def _check_feature_specs(frame_spec: FrameSpec, mel_spec: MelSpec, sample_rate_hz: int) -> None:
-    frame_len = frame_spec.frame_length_samples(sample_rate_hz)
-    if frame_spec.fft_size < frame_len:
-        raise ConfigError(
-            f"fft_size {frame_spec.fft_size} is smaller than the {frame_len}-sample frame"
-        )
-    if mel_spec.high_freq_hz > sample_rate_hz / 2.0:
-        raise ConfigError(
-            f"mel high edge {mel_spec.high_freq_hz} Hz exceeds Nyquist for {sample_rate_hz} Hz audio"
-        )
-
-
 def fbank(
     waveform: Waveform, frame_spec: FrameSpec | None = None, mel_spec: MelSpec | None = None
 ) -> FeatureMatrix:
@@ -475,7 +470,8 @@ def fbank(
     fspec = frame_spec if frame_spec is not None else FrameSpec()
     mspec = mel_spec if mel_spec is not None else MelSpec()
     sr = waveform.sample_rate_hz
-    _check_feature_specs(fspec, mspec, sr)
+    if mspec.high_freq_hz > sr / 2.0:
+        raise ConfigError(f"mel high edge {mspec.high_freq_hz} Hz exceeds Nyquist for {sr} Hz audio")
     frame_len, shift, _ = _frame_geometry(waveform.samples.size, sr, fspec)
     window = _window(fspec.window_kind, frame_len)
     power = _power_spectra(waveform.samples, window, shift, fspec.fft_size, fspec.preemphasis)

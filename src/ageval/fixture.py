@@ -39,14 +39,12 @@ _PEAK_WIDTH_HZ = (350.0, 500.0, 700.0, 800.0)
 _MAX_HARMONIC_HZ = 6800.0
 
 
-def _tone_segment(
-    rng: np.random.Generator, tone_class: int, n_samples: int, sample_rate_hz: int
-) -> np.ndarray:
+def _tone_segment(rng: np.random.Generator, tone_class: int, n_samples: int) -> np.ndarray:
     """One amplitude-modulated harmonic tone with the class's spectral envelope, unit peak."""
     f0 = _F0_HZ[tone_class]
     peak = _PEAK_HZ[tone_class]
     width = _PEAK_WIDTH_HZ[tone_class]
-    t = np.arange(n_samples) / sample_rate_hz
+    t = np.arange(n_samples) / SAMPLE_RATE
     signal = np.zeros(n_samples)
     harmonic = 1
     while harmonic * f0 < _MAX_HARMONIC_HZ:
@@ -57,7 +55,7 @@ def _tone_segment(
     mod_rate = rng.uniform(2.5, 8.0)
     depth = rng.uniform(0.35, 0.6)
     signal *= 1.0 + depth * np.sin(2.0 * np.pi * mod_rate * t + rng.uniform(0.0, 2.0 * np.pi))
-    edge = min(int(0.01 * sample_rate_hz), n_samples // 4)
+    edge = min(int(0.01 * SAMPLE_RATE), n_samples // 4)
     if edge > 0:
         ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
         signal[:edge] *= ramp
@@ -85,18 +83,16 @@ def _synth_utterance(
         tone_class = int(rng.integers(0, N_TONE_CLASSES))
         n = int(rng.uniform(0.18, 0.30) * sr)
         amplitude = rng.uniform(0.12, 0.22)
-        pieces.append(_tone_segment(rng, tone_class, n, sr) * amplitude)
+        pieces.append(_tone_segment(rng, tone_class, n) * amplitude)
         spans.append((cursor, cursor + n, tone_class + 1))
         cursor += n
         silence(rng.uniform(0.06, 0.12))
     return np.concatenate(pieces), spans
 
 
-def _frame_labels(
-    n_samples: int, spans: Sequence[tuple[int, int, int]], frame_spec: dsp.FrameSpec
-) -> np.ndarray:
-    """Class of each analysis frame, decided by the sample at the frame center."""
-    frame_len, shift, n_frames = dsp._frame_geometry(n_samples, SAMPLE_RATE, frame_spec)
+def _frame_labels(n_samples: int, spans: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """Class of each fbank frame, decided by the sample at the frame center."""
+    frame_len, shift, n_frames = dsp._frame_geometry(n_samples, SAMPLE_RATE, dsp.FrameSpec())
     centers = frame_len // 2 + shift * np.arange(n_frames)
     labels = np.full(n_frames, SILENCE_CLASS, dtype=np.int64)
     for start, end, tone_class in spans:
@@ -168,9 +164,9 @@ def make_fixture_corpus(
         dsp.save_wav(dsp.Waveform(samples, SAMPLE_RATE), out / "clean" / f"utt{u:03d}.wav")
         # Re-read so every downstream step sees the quantized file content.
         clean_waves.append(dsp.load_wav(out / "clean" / f"utt{u:03d}.wav"))
-        frame_classes = _frame_labels(samples.size, spans, dsp.FrameSpec())
+        frame_classes = _frame_labels(samples.size, spans)
         labels.append(frame_classes)
-        with open(out / "labels" / f"utt{u:03d}.txt", "w") as fh:
+        with open(out / "labels" / f"utt{u:03d}.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{c}\n" for c in frame_classes)
 
     noise = dsp.Waveform(rng.normal(0.0, 1.0, size=int(1.5 * SAMPLE_RATE)), SAMPLE_RATE)
@@ -244,6 +240,6 @@ def make_fixture_corpus(
         "utt_id", "clean_path", "degraded_path", "wer", "snr_db", "noise_type", "se_algo",
         "condition",
     ]
-    with open(manifest_path, "w", newline="") as fh:
+    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_text([[name, *(row[name] for row in rows)] for name in columns]))
     return manifest_path

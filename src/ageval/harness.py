@@ -85,8 +85,9 @@ class ScoreTable:
     wer and each measure are float64 arrays with NaN where a row has no
     value, and a tag is "" where a row lacks it. NaN cannot stand for a
     value: the parsers and from_rows reject non-finite ones. Only columns
-    holding at least one value are kept. Tables are equal when their rows()
-    are.
+    holding at least one value are kept: a measure column of NaN alone and
+    a tag column of "" alone are dropped on construction. Tables are equal
+    when their rows() are.
     """
 
     utt_ids: list[str]
@@ -98,6 +99,10 @@ class ScoreTable:
         n = len(self.utt_ids)
         if any(len(c) != n for c in (self.wer, *self.measures.values(), *self.tags.values())):
             raise ConfigError(f"every score column must hold {n} rows")
+        measures = {m: c for m, c in self.measures.items() if not np.isnan(c).all()}
+        tags = {t: c for t, c in self.tags.items() if any(c)}
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "tags", tags)
 
     def __len__(self) -> int:
         return len(self.utt_ids)
@@ -125,7 +130,7 @@ class ScoreTable:
             for m in sorted({m for r in rows for m in r.values})
         }
         tags = {t: [r.tags.get(t, "") for r in rows] for t in sorted({t for r in rows for t in r.tags})}
-        return cls([r.utt_id for r in rows], wer, measures, {t: c for t, c in tags.items() if any(c)})
+        return cls([r.utt_id for r in rows], wer, measures, tags)
 
     def rows(self) -> Iterator[ScoreRow]:
         """One ScoreRow per row, in table order; dict keys follow column order."""
@@ -260,7 +265,7 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     manifest's directory. A blank file or one with no row is EmptyInputError.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             # Up to the first line that is not blank, to tell a blank file from
             # a blank first record; csv then reads these lines again.
@@ -568,7 +573,11 @@ def _curves(
 
     whole is the "all" group of an ungrouped run. It reports a measure only
     when every WER-bearing row carries it, so its fit is over these very rows
-    in this order, and its params are the curve.
+    in this order, and its params are the curve. A measure the group lacks
+    is fitted here even when the group's fit of it raised: evaluate_measure
+    can fail after its fit succeeded, at the correlation or the RMSE, while
+    the curve needs only the fit, so the group's error does not tell
+    whether a curve exists.
     """
     with_wer = np.flatnonzero(~np.isnan(table.wer))
     curves: dict[str, LogisticParams] = {}
@@ -707,7 +716,7 @@ def write_scores_csv(
     tag_cols = sorted(table.tags)
     has_wer = ~np.isnan(table.wer)
     with contextlib.ExitStack() as stack:
-        fh = stack.enter_context(open(path, "w", newline=""))
+        fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
         fh.write(_csv_text([[name] for name in ("utt_id", "wer", *measure_cols, *tag_cols)]))
         scatters = []
         for measure, params in (curves or {}).items():
@@ -718,7 +727,7 @@ def write_scores_csv(
             mapped = np.full(len(table), np.nan)
             mapped[carriers] = map_logistic(params, values[carriers])
             scatter_path = path.parent / f"scatter_{measure}.csv"
-            scatter = stack.enter_context(open(scatter_path, "w", newline=""))
+            scatter = stack.enter_context(open(scatter_path, "w", newline="", encoding="utf-8"))
             scatter.write(_csv_text([["m"], ["wer"], ["f(m)"]]))
             scatters.append((scatter, measure, carriers, mapped))
         for start in range(0, len(table), _WRITE_CHUNK_ROWS):
@@ -750,7 +759,7 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
     cell is parsed by one float() call; only a failing cell leads further.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         records = _csv_records(fh, path, FormatError, "unreadable CSV")
         _, header = next(records)
         if header is None or "utt_id" not in header:
@@ -801,12 +810,7 @@ def load_scores_csv(path: str | Path) -> ScoreTable:
     if not utt_ids:
         raise EmptyInputError(f"{path}: no score rows")
     columns = {m: np.frombuffer(values) for m, values in measures.items()}
-    return ScoreTable(
-        utt_ids,
-        np.frombuffer(wer),
-        {m: values for m, values in columns.items() if not np.isnan(values).all()},
-        {t: cells for t, cells in tags.items() if any(cells)},
-    )
+    return ScoreTable(utt_ids, np.frombuffer(wer), columns, tags)
 
 
 def _report_to_dict(report: CorrelationReport) -> dict[str, object]:
@@ -856,7 +860,7 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(correlation.table, out / "scores.csv", correlation.curves)
     report_path = out / report_name
-    report_path.write_text(report)
+    report_path.write_text(report, encoding="utf-8")
     return report_path
 
 
@@ -868,7 +872,7 @@ def write_skip_log(skipped: Sequence[tuple[str, str]], path: str | Path) -> None
     a comma, a double quote, CR or LF is quoted, each quote doubled, and
     every record ends in \\r\\n.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_text([["utt_id"], ["reason"]]))
         for start in range(0, len(skipped), _WRITE_CHUNK_ROWS):
             utt_ids, reasons = zip(*skipped[start : start + _WRITE_CHUNK_ROWS])

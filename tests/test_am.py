@@ -1,5 +1,6 @@
 """Feed-forward acoustic model: forward pass, serialization, training."""
 
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,7 @@ def random_model(rng, input_dim=5, hidden=7, n_classes=4, left=1, right=1,
             "softmax",
         ),
     )
-    return am.AcousticModel(layers, input_dim, n_classes, left, right)
+    return am.AcousticModel(layers, input_dim, left, right)
 
 
 def reference_forward(model, feats):
@@ -96,8 +97,7 @@ def test_forward_is_invariant_to_final_logit_shift():
         ),
     )
     shifted = am.AcousticModel(
-        shifted_layers, model.input_dim, model.n_classes,
-        model.left_context, model.right_context,
+        shifted_layers, model.input_dim, model.left_context, model.right_context,
     )
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (8, 5)), "fbank", 10.0)
     assert_allclose(
@@ -110,7 +110,7 @@ def test_forward_is_invariant_to_final_logit_shift():
 def test_forward_splices_context_internally():
     rng = np.random.default_rng(3)
     model = random_model(rng, left=2, right=2)
-    flat = am.AcousticModel(model.layers, 25, 4, 0, 0)
+    flat = am.AcousticModel(model.layers, 25, 0, 0)
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (10, 5)), "fbank", 10.0)
     spliced = dsp.FeatureMatrix(dsp.splice_array(feats.values, 2, 2), "spliced", 10.0)
     a = am.forward(model, feats)
@@ -123,7 +123,7 @@ def test_forward_splices_context_internally():
 
 def test_forward_with_zero_final_layer_is_uniform():
     layers = (am.LayerSpec(np.zeros((6, 3)), np.zeros(6), "softmax"),)
-    model = am.AcousticModel(layers, 3, 6)
+    model = am.AcousticModel(layers, 3)
     feats = dsp.FeatureMatrix(np.random.default_rng(4).normal(0, 1, (5, 3)), "fbank", 10.0)
     assert np.all(am.forward(model, feats).values == 1.0 / 6.0)
 
@@ -140,7 +140,7 @@ def test_forward_flags_numeric_overflow():
         am.LayerSpec(np.full((4, 2), 1e308), np.zeros(4), "relu"),
         am.LayerSpec(np.ones((3, 4)), np.zeros(3), "softmax"),
     )
-    model = am.AcousticModel(layers, 2, 3)
+    model = am.AcousticModel(layers, 2)
     feats = dsp.FeatureMatrix(np.full((2, 2), 10.0), "fbank", 10.0)
     with pytest.raises(NumericError):
         am.forward(model, feats)
@@ -191,19 +191,57 @@ def test_load_model_rejects_wrong_weight_size(tmp_path):
         am.load_model(path)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True], ids=["2.5", "2.0", "str", "true"])
+@pytest.mark.parametrize(
+    "field", ["input_dim", "left_context", "right_context", "in_dim", "out_dim"]
+)
+def test_load_model_takes_counts_only_as_json_integers(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    am.save_model(random_model(np.random.default_rng(8)), path)
+    doc = json.loads(path.read_text())
+    record, where = (doc, "") if field in doc else (doc["layers"][0], "layer 0 ")
+    record[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        am.load_model(path)
+    assert str(info.value) == f"{path}: {where}{field} must be a JSON integer, got {json.dumps(value)}"
+
+
+def test_a_model_file_without_layers_is_a_model_without_layers(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"input_dim": 3, "left_context": 0, "right_context": 0, "layers": []}))
+    with pytest.raises(ModelValidationError, match="^model must have at least one layer$"):
+        am.load_model(path)
+
+
+def test_the_class_count_is_the_final_layers_width(tmp_path):
+    assert [f.name for f in dataclasses.fields(am.AcousticModel)] == [
+        "layers", "input_dim", "left_context", "right_context"
+    ]
+    path = tmp_path / "model.json"
+    am.save_model(random_model(np.random.default_rng(8), n_classes=6), path)
+    loaded = am.load_model(path)
+    feats, labels = cluster_data(seed=15, n=10)
+    trained = am.train_toy([feats], [labels], epochs=2, n_classes=3)
+    for model, n_classes in ((loaded, 6), (trained, 3)):
+        assert model.n_classes == model.layers[-1].out_dim == n_classes
+    with pytest.raises(TypeError):
+        am.AcousticModel(loaded.layers, loaded.input_dim, n_classes=6)
+
+
 def test_hidden_softmax_rejected():
     layers = (
         am.LayerSpec(np.ones((3, 2)), np.zeros(3), "softmax"),
         am.LayerSpec(np.ones((2, 3)), np.zeros(2), "softmax"),
     )
     with pytest.raises(ModelValidationError):
-        am.AcousticModel(layers, 2, 2)
+        am.AcousticModel(layers, 2)
 
 
 def test_final_layer_must_be_softmax():
     layers = (am.LayerSpec(np.ones((3, 2)), np.zeros(3), "sigmoid"),)
     with pytest.raises(ModelValidationError):
-        am.AcousticModel(layers, 2, 3)
+        am.AcousticModel(layers, 2)
 
 
 def test_layer_chain_dimensions_must_agree():
@@ -212,7 +250,7 @@ def test_layer_chain_dimensions_must_agree():
         am.LayerSpec(np.ones((3, 5)), np.zeros(3), "softmax"),
     )
     with pytest.raises(ModelValidationError):
-        am.AcousticModel(layers, 2, 3)
+        am.AcousticModel(layers, 2)
 
 
 # loss, gradients, error rate --------------------------------------------
@@ -248,7 +286,7 @@ def test_gradients_match_central_differences():
             am.LayerSpec(ws[0], biases[0], "sigmoid"),
             am.LayerSpec(ws[1], biases[1], "softmax"),
         )
-        return am.AcousticModel(layers, 6, 4)
+        return am.AcousticModel(layers, 6)
 
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
     loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels)
@@ -272,7 +310,7 @@ def test_gradients_match_central_differences():
 
 def test_frame_error_rate_hand_case():
     layers = (am.LayerSpec(10.0 * np.eye(2), np.zeros(2), "softmax"),)
-    model = am.AcousticModel(layers, 2, 2)
+    model = am.AcousticModel(layers, 2)
     feats = dsp.FeatureMatrix(
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), "fbank", 10.0
     )

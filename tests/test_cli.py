@@ -447,6 +447,35 @@ def test_import_and_a_score_run_load_no_scipy_io_module(mini_corpus, tmp_path):
     assert (tmp_path / "out" / "scores.csv").exists()
 
 
+# Runs the commands its argument lines name, one after another in a working
+# directory of its own, and prints their exit codes.
+_PIPELINE_PROBE = """
+import os, sys
+from ageval import cli
+os.chdir(sys.argv[1])
+print(*(cli.main(line.split()) for line in sys.argv[2:]))
+"""
+
+
+def test_the_pipeline_opens_every_text_file_as_utf8(tmp_path):
+    """EncodingWarning marks a text file opened in the locale's encoding; here it is an error."""
+    src = str(Path(ageval.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    commands = [
+        "fixture --out corpus --seed 0 --utts 2 --snrs=-5,5,15",
+        "score --manifest corpus/manifest.csv --model corpus/model.json --workers 2 --out run",
+        "correlate --scores run/scores.csv --out report",
+        "mix --clean corpus/clean/utt000.wav --noise corpus/clean/utt001.wav --snr 5 --out mix.wav",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _PIPELINE_PROBE, str(tmp_path), *commands],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0 0 0"
+
+
 def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
     cli._keep_freed_heap()

@@ -46,7 +46,7 @@ def test_frame_count_property(n, frame_ms, shift_ms):
 
 
 def test_signal_shorter_than_one_frame_rejected():
-    with pytest.raises(TooShortError):
+    with pytest.raises(TooShortError, match="^signal of 100 samples is shorter than one 400-sample frame$"):
         dsp.fbank(noise_wave(100))
 
 
@@ -213,8 +213,20 @@ def test_mel_high_edge_above_nyquist_rejected():
 
 def test_fft_shorter_than_frame_rejected():
     spec = dsp.FrameSpec(frame_length_ms=40.0, fft_size=512)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^fft_size 512 is smaller than the 640-sample frame$"):
         dsp.fbank(noise_wave(3200), frame_spec=spec)
+
+
+@pytest.mark.parametrize("n, rate, message", [
+    (3200, 8000, "mel high edge 7800.0 Hz exceeds Nyquist for 8000 Hz audio"),
+    # a signal shorter than one frame meets its rate's fault first
+    (100, 8000, "mel high edge 7800.0 Hz exceeds Nyquist for 8000 Hz audio"),
+    (100, 48000, "fft_size 512 is smaller than the 1200-sample frame"),
+])
+def test_the_default_front_end_names_a_rate_it_cannot_frame(n, rate, message):
+    with pytest.raises(ConfigError) as info:
+        dsp.fbank(noise_wave(n, rate=rate))
+    assert str(info.value) == message
 
 
 # block-wise spectra ----------------------------------------------------

@@ -32,7 +32,7 @@ def sequential_fixture(out, seed, snr_grid, n_utts, epochs):
         samples, spans = fixture._synth_utterance(rng)
         dsp.save_wav(dsp.Waveform(samples, fixture.SAMPLE_RATE), out / "clean" / f"utt{u:03d}.wav")
         clean_waves.append(dsp.load_wav(out / "clean" / f"utt{u:03d}.wav"))
-        labels.append(fixture._frame_labels(samples.size, spans, fspec))
+        labels.append(fixture._frame_labels(samples.size, spans))
     noise = dsp.Waveform(rng.normal(0.0, 1.0, size=int(1.5 * fixture.SAMPLE_RATE)),
                          fixture.SAMPLE_RATE)
     with am._one_blas_thread():

@@ -577,6 +577,21 @@ def test_columns_of_another_length_are_a_config_error():
         harness.ScoreTable(["u1"], np.array([1.0, 2.0]), {}, {})
 
 
+def test_a_built_table_drops_its_empty_columns(tmp_path):
+    wer = np.array([10.0, 20.0])
+    full = {"age": np.array([0.5, 1.5])}
+    table = harness.ScoreTable(
+        ["u1", "u2"], wer, {**full, "stoi": np.full(2, np.nan)}, {"algo": ["x", ""], "note": ["", ""]}
+    )
+    assert list(table.measures) == ["age"] and list(table.tags) == ["algo"]
+    bare = harness.ScoreTable(["u1", "u2"], wer, full, {"algo": ["x", ""]})
+    harness.write_scores_csv(table, tmp_path / "table.csv")
+    harness.write_scores_csv(bare, tmp_path / "bare.csv")
+    written = (tmp_path / "table.csv").read_bytes()
+    assert written == (tmp_path / "bare.csv").read_bytes()
+    assert written == b"utt_id,wer,age,algo\r\nu1,10.0,0.5,x\r\nu2,20.0,1.5,\r\n"
+
+
 def test_an_empty_table_writes_the_header_alone(tmp_path):
     harness.write_scores_csv(harness.ScoreTable.from_rows([]), tmp_path / "scores.csv")
     assert (tmp_path / "scores.csv").read_bytes() == b"utt_id,wer\r\n"
