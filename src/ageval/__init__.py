@@ -24,7 +24,6 @@ from .dsp import (
     Waveform,
     fbank,
     load_wav,
-    mfcc,
     mix_at_snr,
     mvn,
     resample,
@@ -94,7 +93,6 @@ __all__ = [
     "load_wav",
     "make_fixture_corpus",
     "map_logistic",
-    "mfcc",
     "mix_at_snr",
     "mvn",
     "pearson",

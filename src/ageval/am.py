@@ -138,10 +138,6 @@ class PosteriorMatrix:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
-
 
 def save_model(model: AcousticModel, path: str | Path) -> None:
     """Serialize a model to JSON with full float round-trip precision."""
@@ -171,12 +167,26 @@ def _json_int(record: dict, name: str, where: str) -> int:
     return value
 
 
+def _json_numbers(record: dict, name: str, count: int, where: str) -> np.ndarray:
+    """record[name], which must be a flat JSON list of count numbers; where prefixes the FormatError."""
+    value = record[name]
+    if type(value) is not list or len(value) != count:
+        got = f"{len(value)} values" if type(value) is list else json.dumps(value)
+        raise FormatError(f"{where}{name} must be a flat list of {count} JSON numbers, got {got}")
+    for j, v in enumerate(value):
+        if type(v) not in (int, float):
+            raise FormatError(f"{where}{name}[{j}] must be a JSON number, got {json.dumps(v)}")
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_model(path: str | Path) -> AcousticModel:
     """Read a JSON model file written by save_model.
 
     Undecodable text, invalid JSON, a count (input_dim, a context size, a
-    layer's in_dim or out_dim) that is not a JSON integer and malformed or
-    out-of-range fields raise FormatError naming the path.
+    layer's in_dim or out_dim) that is not a JSON integer, a layer's weight
+    or bias that is not a flat list of out_dim * in_dim or out_dim JSON
+    numbers, and malformed or out-of-range fields raise FormatError naming
+    the path.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -189,17 +199,12 @@ def load_model(path: str | Path) -> AcousticModel:
         right = _json_int(payload, "right_context", f"{path}: ")
         layers = []
         for i, raw in enumerate(raw_layers):
-            out_dim = _json_int(raw, "out_dim", f"{path}: layer {i} ")
-            in_dim = _json_int(raw, "in_dim", f"{path}: layer {i} ")
-            weight = np.asarray(raw["weight"], dtype=np.float64)
-            if weight.size != out_dim * in_dim:
-                raise FormatError(
-                    f"{path}: layer {i} weight has {weight.size} values, "
-                    f"expected {out_dim} * {in_dim}"
-                )
-            layers.append(
-                LayerSpec(weight.reshape(out_dim, in_dim), np.asarray(raw["bias"]), raw["activation"])
-            )
+            where = f"{path}: layer {i} "
+            out_dim = _json_int(raw, "out_dim", where)
+            in_dim = _json_int(raw, "in_dim", where)
+            weight = _json_numbers(raw, "weight", out_dim * in_dim, where)
+            bias = _json_numbers(raw, "bias", out_dim, where)
+            layers.append(LayerSpec(weight.reshape(out_dim, in_dim), bias, raw["activation"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
     return AcousticModel(tuple(layers), input_dim, left, right)

@@ -1,4 +1,4 @@
-"""Audio ingestion, SNR-controlled mixing, and FBANK/MFCC feature extraction.
+"""Audio ingestion, SNR-controlled mixing, and log mel filterbank (FBANK) features.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so they are safe to call from worker processes. Waveform samples are
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.signal
-from scipy.fft import dct
 
 from .errors import (
     ConfigError,
@@ -33,7 +32,7 @@ INT16_FULL_SCALE = 32768.0
 LOG_FLOOR = 1e-10  # applied to filterbank outputs before the natural log
 
 WINDOW_KINDS = ("hamming", "hann", "rectangular")
-FEATURE_KINDS = ("fbank", "mfcc", "spliced")
+FEATURE_KINDS = ("fbank", "spliced")
 
 # WAVE format tags, and an extensible format's subformat GUID after its tag (RFC 2361).
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -68,10 +67,6 @@ class Waveform:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class FrameSpec:
@@ -105,20 +100,17 @@ class FrameSpec:
 
 @dataclass(frozen=True)
 class MelSpec:
-    """Mel filterbank / cepstrum parameters."""
+    """Mel filterbank parameters: the number of filters and their band edges."""
 
     n_filters: int = 40
     low_freq_hz: float = 20.0
     high_freq_hz: float = 7800.0
-    n_cepstra: int = 13
 
     def __post_init__(self) -> None:
         if self.n_filters < 1:
             raise ValidationError("need at least one mel filter")
         if self.low_freq_hz < 0 or self.low_freq_hz >= self.high_freq_hz:
             raise ValidationError("mel band edges must satisfy 0 <= low < high")
-        if not 1 <= self.n_cepstra <= self.n_filters:
-            raise ValidationError("n_cepstra must be in [1, n_filters]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +171,15 @@ def _parse_fmt(body: bytes, path: str | Path) -> tuple[str | None, int, int, int
     return None, channels, rate, block_align
 
 
-def load_wav(path: str | Path, channel: int = 0) -> Waveform:
+def load_wav(path: str | Path) -> Waveform:
     """Read a RIFF/WAVE file (PCM16 or float32) into a mono Waveform.
 
-    Multichannel input is reduced by selecting one channel (default 0).
+    Multichannel input is read as its first channel.
     PCM16 samples are scaled by 1/32768 so full scale maps into [-1, 1).
     The last data chunk is read as the fmt chunk before it declares, at the
     last fmt chunk's rate; other chunks are skipped. A truncated file, a
     broken chunk layout, another encoding and a non-finite sample in the
-    selected channel are a FormatError.
+    first channel are a FormatError.
     """
     with open(path, "rb") as fh:
         file_end = os.fstat(fh.fileno()).st_size
@@ -232,10 +224,8 @@ def load_wav(path: str | Path, channel: int = 0) -> Waveform:
         count = size // np.dtype(dtype).itemsize
         if count % n_channels:
             raise FormatError(f"{path}: {count} samples do not split into {n_channels} channels")
-        if not 0 <= channel < n_channels:
-            raise FormatError(f"{path}: channel {channel} out of range for {n_channels}-channel file")
         fh.seek(offset)
-        raw = np.fromfile(fh, dtype=dtype, count=count)[channel::n_channels]
+        raw = np.fromfile(fh, dtype=dtype, count=count)[::n_channels]
     if raw.size == 0:
         raise EmptyInputError(f"{path}: file contains no audio samples")
     # Waveform checks every sample too. Of the two encodings only float32 can
@@ -480,16 +470,6 @@ def fbank(
     np.maximum(out, LOG_FLOOR, out=out)
     np.log(out, out=out)
     return FeatureMatrix(out, "fbank", fspec.frame_shift_ms)
-
-
-def mfcc(
-    waveform: Waveform, frame_spec: FrameSpec | None = None, mel_spec: MelSpec | None = None
-) -> FeatureMatrix:
-    """Mel cepstra: orthonormal DCT-II of each fbank row, keeping n_cepstra coefficients."""
-    mspec = mel_spec if mel_spec is not None else MelSpec()
-    base = fbank(waveform, frame_spec, mspec)
-    coeffs = dct(base.values, type=2, norm="ortho", axis=1)[:, : mspec.n_cepstra]
-    return FeatureMatrix(coeffs, "mfcc", base.frame_shift_ms)
 
 
 def splice_array(values: np.ndarray, left: int, right: int) -> np.ndarray:

@@ -207,6 +207,26 @@ def test_load_model_takes_counts_only_as_json_integers(tmp_path, field, value):
     assert str(info.value) == f"{path}: {where}{field} must be a JSON integer, got {json.dumps(value)}"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("weight", [[1, 2, 3], [4, 5, 6]], "weight must be a flat list of 6 JSON numbers, got 2 values"),
+    ("weight", [1, 2, 3, 4, 5, "6"], 'weight[5] must be a JSON number, got "6"'),
+    ("bias", [0, 0, True], "bias[2] must be a JSON number, got true"),
+    ("bias", [[0], [0], [0]], "bias[0] must be a JSON number, got [0]"),
+], ids=["nested weight", "string weight", "bool bias", "nested bias"])
+def test_load_model_takes_weights_and_biases_only_as_flat_lists_of_json_numbers(
+        tmp_path, field, value, message):
+    layer = {"activation": "softmax", "in_dim": 2, "out_dim": 3, "weight": [1, 2, 3, 4, 5, 6], "bias": [0, 0, 0]}
+    doc = {"input_dim": 2, "left_context": 0, "right_context": 0, "layers": [layer]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert am.load_model(path).layers[0].weight.tolist() == [[1, 2], [3, 4], [5, 6]]
+    layer[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        am.load_model(path)
+    assert str(info.value) == f"{path}: layer 0 {message}"
+
+
 def test_a_model_file_without_layers_is_a_model_without_layers(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"input_dim": 3, "left_context": 0, "right_context": 0, "layers": []}))

@@ -95,20 +95,12 @@ def test_waveform_rejects_non_finite_samples():
             dsp.Waveform(np.array([0.1, bad, -0.2]), 16000)
 
 
-def test_load_wav_selects_channel(tmp_path):
+def test_load_wav_reads_a_stereo_file_as_its_first_channel(tmp_path):
     path = tmp_path / "stereo.wav"
     left = (np.arange(10) * 100).astype(np.int16)
     right = -left
     wavfile.write(path, 16000, np.stack([left, right], axis=1))
-    assert_allclose(dsp.load_wav(path, channel=0).samples, left / 32768.0)
-    assert_allclose(dsp.load_wav(path, channel=1).samples, right / 32768.0)
-
-
-def test_load_wav_rejects_bad_channel(tmp_path):
-    path = tmp_path / "mono.wav"
-    wavfile.write(path, 16000, np.zeros(10, dtype=np.int16))
-    with pytest.raises(FormatError):
-        dsp.load_wav(path, channel=1)
+    assert dsp.load_wav(path).samples.tobytes() == (left / 32768.0).tobytes()
 
 
 def test_load_wav_rejects_non_wav_bytes(tmp_path):
@@ -216,7 +208,7 @@ def scipy_check_riff_layout(fh, path):
     fh.seek(0)
 
 
-def scipy_load_wav(path, channel=0):
+def scipy_load_wav(path):
     """load_wav as it was: the walk above, then scipy.io.wavfile.read, then a dtype filter."""
     with open(path, "rb") as fh:
         scipy_check_riff_layout(fh, path)
@@ -228,11 +220,8 @@ def scipy_load_wav(path, channel=0):
             raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     if data.dtype not in (np.int16, np.float32):
         raise FormatError(f"{path}: unsupported sample encoding {data.dtype}")
-    n_channels = data.shape[1] if data.ndim == 2 else 1
-    if not 0 <= channel < n_channels:
-        raise FormatError(f"{path}: channel {channel} out of range")
     if data.ndim == 2:
-        data = data[:, channel]
+        data = data[:, 0]
     # A signaling NaN warns as it is cast; outside a test the warning went to stderr.
     with np.errstate(invalid="ignore"):
         samples = data.astype(np.float64)
@@ -245,10 +234,10 @@ def scipy_load_wav(path, channel=0):
     return dsp.Waveform(samples, int(rate))
 
 
-def load_outcome(load, path, channel):
+def load_outcome(load, path):
     """(rate, sample bytes) of a file load reads, or the type of the AgevalError it raises."""
     try:
-        wave = load(path, channel)
+        wave = load(path)
     except AgevalError as exc:
         return type(exc)
     return wave.sample_rate_hz, wave.samples.tobytes()
@@ -371,15 +360,15 @@ def last_data_chunk_only(data):
     return bytes(out)
 
 
-@given(data=wav_files(), channel=st.sampled_from([0, 0, 0, 1, 2]))
+@given(data=wav_files())
 @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_load_wav_reads_what_the_scipy_reader_read(tmp_path, data, channel):
+def test_load_wav_reads_what_the_scipy_reader_read(tmp_path, data):
     (tmp_path / "f.wav").write_bytes(data)
     (tmp_path / "last.wav").write_bytes(last_data_chunk_only(data))
-    want = load_outcome(scipy_load_wav, tmp_path / "last.wav", channel)
+    want = load_outcome(scipy_load_wav, tmp_path / "last.wav")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = load_outcome(dsp.load_wav, tmp_path / "f.wav", channel)
+        got = load_outcome(dsp.load_wav, tmp_path / "f.wav")
     assert got == want
 
 
@@ -392,12 +381,10 @@ def test_load_wav_reads_extensible_pcm16_and_float32(tmp_path, subformat, sample
     fmt = fmt_body(EXTENSIBLE, 2, 22050, width, 8 * width) + extension(subformat, 8 * width)
     (tmp_path / "ext.wav").write_bytes(riff(chunk(b"fmt ", fmt), chunk(b"data", samples.tobytes())))
     scale = 32768.0 if subformat == PCM else 1.0
-    for channel in (0, 1):
-        wave = dsp.load_wav(tmp_path / "ext.wav", channel)
-        assert wave.sample_rate_hz == 22050
-        assert wave.samples.tobytes() == (samples[channel::2] / scale).astype(np.float64).tobytes()
-        assert load_outcome(scipy_load_wav, tmp_path / "ext.wav", channel) == (
-            wave.sample_rate_hz, wave.samples.tobytes())
+    wave = dsp.load_wav(tmp_path / "ext.wav")
+    assert wave.sample_rate_hz == 22050
+    assert wave.samples.tobytes() == (samples[::2] / scale).astype(np.float64).tobytes()
+    assert load_outcome(scipy_load_wav, tmp_path / "ext.wav") == (wave.sample_rate_hz, wave.samples.tobytes())
 
 
 def test_load_wav_reads_the_last_data_chunk_at_the_last_fmt_chunks_rate(tmp_path):
@@ -411,7 +398,7 @@ def test_load_wav_reads_the_last_data_chunk_at_the_last_fmt_chunks_rate(tmp_path
     wave = dsp.load_wav(tmp_path / "two.wav")
     assert (wave.sample_rate_hz, wave.samples.tobytes()) == (8000, last.astype(np.float64).tobytes())
     # The scipy reader failed on the first data chunk, which has no channels.
-    assert load_outcome(scipy_load_wav, tmp_path / "two.wav", 0) is FormatError
+    assert load_outcome(scipy_load_wav, tmp_path / "two.wav") is FormatError
 
 
 def test_load_wav_skips_metadata_chunks_without_a_warning(tmp_path):
@@ -427,7 +414,7 @@ def test_load_wav_skips_metadata_chunks_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         wave = dsp.load_wav(tmp_path / "meta.wav")
     assert wave.samples.tobytes() == (samples / 32768.0).tobytes()
-    assert load_outcome(scipy_load_wav, tmp_path / "meta.wav", 0) == (16000, wave.samples.tobytes())
+    assert load_outcome(scipy_load_wav, tmp_path / "meta.wav") == (16000, wave.samples.tobytes())
 
 
 def test_waveform_validation():

@@ -270,8 +270,8 @@ def test_unscorable_rows_are_skipped_with_reasons(mini_corpus, tmp_path):
 
 def test_model_feature_mismatch_is_fatal(mini_corpus, tmp_path, capsys):
     entries = harness.load_manifest(mini_corpus)
-    mfcc_shaped = dsp.FeatureMatrix(np.zeros((4, 13)), "mfcc", 10.0)
-    model = am.train_toy([mfcc_shaped], [[0, 1, 0, 1]], epochs=0)
+    narrow = dsp.FeatureMatrix(np.zeros((4, 13)), "fbank", 10.0)
+    model = am.train_toy([narrow], [[0, 1, 0, 1]], epochs=0)
     assert model.input_dim == 13 != dsp.MelSpec.n_filters
     cfg = harness.RunConfig(measures=("age",))
     with pytest.raises(ShapeMismatchError, match="13-dim features, fbank gives 40"):
@@ -294,10 +294,10 @@ def test_an_error_inside_one_row_skips_only_that_row(mini_corpus, monkeypatch, e
     bad = dataclasses.replace(entries[1], utt_id="bad")
     real_load_wav = harness.load_wav
 
-    def load_wav(path, channel=0):
+    def load_wav(path):
         if path == bad.degraded_path:
             raise error("injected")
-        return real_load_wav(path, channel)
+        return real_load_wav(path)
 
     monkeypatch.setattr(harness, "load_wav", load_wav)
     table, skipped = harness.score_manifest([entries[0], bad], model, harness.RunConfig())
