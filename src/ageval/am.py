@@ -55,6 +55,10 @@ class LayerSpec:
         bias = np.asarray(self.bias, dtype=np.float64)
         if weight.ndim != 2:
             raise ModelValidationError(f"layer weight must be 2-D, got shape {weight.shape}")
+        if 0 in weight.shape:
+            raise ModelValidationError(
+                f"layer weight must have at least one row and one column, got shape {weight.shape}"
+            )
         if bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
             raise ModelValidationError(
                 f"layer bias shape {bias.shape} does not match {weight.shape[0]} outputs"
@@ -218,8 +222,24 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
     return np.tanh(z)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1, keepdims=True), taken with one np.maximum per column.
+
+    Max is exact, so each row gets the reduction's number. Only the sign of a
+    tie of +0 and -0 and the payload of a NaN may differ, as numpy's
+    vectorised reduction leaves both unspecified; a tie of zeros puts at
+    least 2 in the row's sum of exponentials, so no log-probability or
+    posterior changes. On a matrix a few columns wide, a few calls over all
+    rows cost far less than one short reduction per row.
+    """
+    top = a[:, :1].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j : j + 1], out=top)
+    return top
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -262,23 +282,58 @@ def forward(model: AcousticModel, features: FeatureMatrix) -> PosteriorMatrix:
     return PosteriorMatrix(_softmax_rows(logits))
 
 
-def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log softmax probability of the labels, and the log-probabilities."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    return float(-log_p[np.arange(logits.shape[0]), labels].mean()), log_p
+def _mean_nll(logits: np.ndarray, picks: np.ndarray) -> float:
+    """Mean negative log softmax probability of the picked entries.
+
+    picks indexes logits.ravel(), one entry per row: row * n_classes + label.
+    logits is turned into the log-probabilities in place.
+    """
+    logits -= _row_max(logits)
+    log_z = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    logits -= log_z
+    return float(-logits.take(picks).mean())
+
+
+class _Workspace:
+    """The frames x width arrays of a loss-and-gradient pass, allocated once per train_toy call.
+
+    Per layer: its output (a hidden layer's activations; the final layer's
+    logits, then log-probabilities) and its delta. Per hidden layer: 1 - a.
+    """
+
+    def __init__(self, n_frames: int, widths: Sequence[int]) -> None:
+        self.outs = [np.empty((n_frames, w)) for w in widths]
+        self.deltas = [np.empty((n_frames, w)) for w in widths]
+        self.complements = [np.empty((n_frames, w)) for w in widths[:-1]]
 
 
 def _loss_and_grads(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, labels: np.ndarray
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    x: np.ndarray,
+    labels: np.ndarray,
+    work: _Workspace,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy over one full batch and its gradients, for sigmoid hidden layers."""
+    """Mean cross-entropy over one full batch and its gradients, for sigmoid hidden layers.
+
+    Every frames x width intermediate is written into work; the returned
+    gradients are fresh arrays. Each matrix product and elementwise step is
+    the one an out-of-place pass would make, in the same order, so the bits
+    do not depend on the workspace.
+    """
     n = x.shape[0]
-    hs, logits = _layer_stack(weights, biases, ["sigmoid"] * len(weights), x)
-    loss, log_p = _mean_nll(logits, labels)
-    delta = np.exp(log_p)
-    delta[np.arange(n), labels] -= 1.0
+    hs = [x]
+    for w, b, z in zip(weights[:-1], biases[:-1], work.outs):
+        np.matmul(hs[-1], w.T, out=z)
+        z += b
+        expit(z, out=z)
+        hs.append(z)
+    logits = np.matmul(hs[-1], weights[-1].T, out=work.outs[-1])
+    logits += biases[-1]
+    picks = np.arange(n) * logits.shape[1] + labels
+    loss = _mean_nll(logits, picks)  # leaves the log-probabilities in logits
+    delta = np.exp(logits, out=work.deltas[-1])
+    delta.reshape(-1)[picks] -= 1.0
     delta /= n
     grads_w: list[np.ndarray] = [np.empty(0)] * len(weights)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(weights)
@@ -286,9 +341,11 @@ def _loss_and_grads(
         grads_w[li] = delta.T @ hs[li]
         grads_b[li] = delta.sum(axis=0)
         if li > 0:
-            delta = delta @ weights[li]
             a = hs[li]
-            delta = delta * a * (1.0 - a)
+            complement = np.subtract(1.0, a, out=work.complements[li - 1])
+            delta = np.matmul(delta, weights[li], out=work.deltas[li - 1])
+            delta *= a
+            delta *= complement
     return loss, grads_w, grads_b
 
 
@@ -297,7 +354,7 @@ def cross_entropy_loss(model: AcousticModel, features: FeatureMatrix, labels: Se
     x = _model_input(model, features)
     y = _checked_labels(labels, x.shape[0], model.n_classes)
     _, logits = _layer_stack(*_params(model), x)
-    return _mean_nll(logits, y)[0]
+    return _mean_nll(logits, np.arange(x.shape[0]) * model.n_classes + y)
 
 
 def frame_error_rate(model: AcousticModel, features: FeatureMatrix, labels: Sequence[int]) -> float:
@@ -420,6 +477,9 @@ def train_toy(
         raise ValidationError("learning_rate must be positive")
     if epochs < 0:
         raise ValidationError("epochs must be nonnegative")
+    hidden = [int(d) for d in hidden_dims]
+    if any(d < 1 for d in hidden):
+        raise ValidationError(f"hidden layer widths must be positive, got {hidden}")
     if not features:
         raise EmptyInputError("no training utterances")
     if len(features) != len(labels) or any(f.dim != features[0].dim for f in features):
@@ -435,21 +495,22 @@ def train_toy(
     x = np.vstack([splice_array(f.values, left_context, right_context) for f in features])
 
     rng = np.random.default_rng(seed)
-    dims = [x.shape[1], *(int(d) for d in hidden_dims), classes]
+    dims = [x.shape[1], *hidden, classes]
     weights, biases = _init_layers(rng, dims)
     acts = ["sigmoid"] * (len(dims) - 2) + ["softmax"]
+    work = _Workspace(x.shape[0], dims[1:])
 
     # One BLAS thread: the sums inside the matrix products, and so the model's
     # bytes, would otherwise depend on the thread count.
     with _one_blas_thread():
         # Each pass yields the loss of the current iterate and the gradient for
         # the next step, so epochs steps cost epochs + 1 passes.
-        loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y)
+        loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y, work)
         best_loss, best_w, best_b = loss, weights, biases
         for _ in range(epochs):
             weights = [w - learning_rate * g for w, g in zip(weights, grads_w)]
             biases = [b - learning_rate * g for b, g in zip(biases, grads_b)]
-            loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y)
+            loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y, work)
             if loss < best_loss:
                 best_loss, best_w, best_b = loss, weights, biases
 

@@ -9,7 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit
 
 from ageval import am, dsp
 from ageval.errors import (
@@ -19,6 +23,7 @@ from ageval.errors import (
     ModelValidationError,
     NumericError,
     ShapeMismatchError,
+    ValidationError,
 )
 
 
@@ -249,6 +254,19 @@ def test_the_class_count_is_the_final_layers_width(tmp_path):
         am.AcousticModel(loaded.layers, loaded.input_dim, n_classes=6)
 
 
+@pytest.mark.parametrize("out_dim, in_dim", [(0, 2), (2, 0)])
+def test_a_layer_without_rows_or_columns_is_rejected(tmp_path, out_dim, in_dim):
+    layer = {"activation": "softmax", "in_dim": in_dim, "out_dim": out_dim, "weight": [],
+             "bias": [0] * out_dim}
+    doc = {"input_dim": in_dim, "left_context": 0, "right_context": 0, "layers": [layer]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelValidationError, match=(
+        rf"^layer weight must have at least one row and one column, got shape \({out_dim}, {in_dim}\)$"
+    )):
+        am.load_model(path)
+
+
 def test_hidden_softmax_rejected():
     layers = (
         am.LayerSpec(np.ones((3, 2)), np.zeros(3), "softmax"),
@@ -309,7 +327,8 @@ def test_gradients_match_central_differences():
         return am.AcousticModel(layers, 6)
 
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
-    loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels)
+    work = am._Workspace(12, [5, 4])
+    loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels, work)
     assert_allclose(loss, am.cross_entropy_loss(model_with(weights), feats, labels),
                     rtol=1e-12)
     step = 1e-5
@@ -326,6 +345,95 @@ def test_gradients_match_central_differences():
         analytic = grads_w[li][i, j]
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
         assert rel < 1e-6
+
+
+def reference_loss_and_grads(weights, biases, x, labels):
+    """The loss-and-gradient pass written out of place, with numpy's row max, frozen as the
+    reference the workspace pass must match bit for bit."""
+    n = x.shape[0]
+    hs = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        hs.append(expit(hs[-1] @ w.T + b))
+    logits = hs[-1] @ weights[-1].T + biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = shifted - log_z
+    loss = float(-log_p[np.arange(n), labels].mean())
+    delta = np.exp(log_p)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for li in range(len(weights) - 1, -1, -1):
+        grads_w[li] = delta.T @ hs[li]
+        grads_b[li] = delta.sum(axis=0)
+        if li > 0:
+            delta = delta @ weights[li]
+            a = hs[li]
+            delta = delta * a * (1.0 - a)
+    return loss, grads_w, grads_b
+
+
+def random_layers(rng, dims):
+    weights = [rng.uniform(-1, 1, (o, i)) / np.sqrt(i) for i, o in zip(dims[:-1], dims[1:])]
+    biases = [rng.normal(0, 0.5, o) for o in dims[1:]]
+    return weights, biases
+
+
+@given(
+    n=st.integers(1, 3000),
+    dim=st.integers(1, 250),
+    hidden=st.lists(st.integers(1, 40), max_size=2),
+    classes=st.integers(2, 12),
+    used_labels=st.integers(1, 12),
+    log10_scale=st.floats(-3, 3) | st.floats(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_loss_and_grads_keep_the_bits_of_the_out_of_place_pass(
+        n, dim, hidden, classes, used_labels, log10_scale, seed):
+    rng = np.random.default_rng(seed)
+    dims = [dim, *hidden, classes]
+    x = rng.normal(0, 10.0 ** log10_scale, (n, dim))
+    labels = rng.integers(0, min(used_labels, classes), n)
+    weights, biases = random_layers(rng, dims)
+    work = am._Workspace(n, dims[1:])
+    with np.errstate(all="ignore"):
+        # a pass with other weights first, as train_toy reuses its workspace
+        am._loss_and_grads(*random_layers(rng, dims), x, labels, work)
+        got = am._loss_and_grads(weights, biases, x, labels, work)
+        expected = reference_loss_and_grads(weights, biases, x, labels)
+    assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+    for got_grads, expected_grads in zip(got[1:], expected[1:]):
+        assert [g.tobytes() for g in got_grads] == [g.tobytes() for g in expected_grads]
+
+
+@given(arrays(
+    np.float64,
+    st.tuples(st.integers(0, 40), st.integers(1, 16)),
+    elements=st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats(),
+))
+@settings(max_examples=300, deadline=None)
+def test_row_max_takes_each_rows_maximum(a):
+    top = am._row_max(a)
+    expected = a.max(axis=1, keepdims=True)
+    # the same numbers, NaN for NaN; numpy's vectorised reduction leaves the
+    # sign of a tie of +0 and -0 and the payload of a NaN unspecified
+    assert_array_equal(top, expected, strict=True)
+    plain = ~np.isnan(expected) & (expected != 0)
+    assert top[plain].tobytes() == expected[plain].tobytes()
+    # a tie of zeros reaches neither a posterior nor a log-probability
+    finite = a[np.isfinite(a).all(axis=1)]
+    picks = np.arange(finite.shape[0]) * finite.shape[1]
+    with np.errstate(over="ignore"):
+        shifted = finite - finite.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        log_p = shifted - np.log(e.sum(axis=1, keepdims=True))
+        assert am._softmax_rows(finite).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        logits = finite.copy()
+        if finite.shape[0]:
+            am._mean_nll(logits, picks)
+    assert logits.tobytes() == log_p.tobytes()
 
 
 def test_frame_error_rate_hand_case():
@@ -424,6 +532,18 @@ def test_train_toy_splices_each_utterance_on_its_own():
         [joined], [np.concatenate(split)], left_context=1, right_context=1, **kwargs
     )
     assert not np.array_equal(crossing.layers[0].weight, per_utt.layers[0].weight)
+
+
+@pytest.mark.parametrize("hidden_dims", [(0,), (4, -1)])
+def test_train_toy_rejects_a_hidden_width_below_one(monkeypatch, hidden_dims):
+    feats, labels = cluster_data(seed=16, n=10)
+
+    def no_pass(*args):
+        raise AssertionError("a training pass ran")
+
+    monkeypatch.setattr(am, "_loss_and_grads", no_pass)
+    with pytest.raises(ValidationError, match="^hidden layer widths must be positive, got "):
+        am.train_toy([feats], [labels], hidden_dims=hidden_dims)
 
 
 def test_train_toy_label_validation():

@@ -506,6 +506,20 @@ def test_a_model_with_non_finite_weights_exits_with_code_one(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_model_whose_softmax_layer_has_no_rows_exits_with_code_one(tmp_path, mini_corpus, capsys):
+    doc = json.loads((mini_corpus.parent / "model.json").read_text())
+    doc["layers"][-1].update(out_dim=0, weight=[], bias=[])
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert main([
+        "score", "--manifest", str(mini_corpus), "--model", str(tmp_path / "model.json"),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer weight must have at least one row and one column")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def write_grid_scores(path, n_groups):
     """A scores file of n_groups snr_db groups of 6 rows, every row carrying all three measures."""
     rng = np.random.default_rng(11)
