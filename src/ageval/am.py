@@ -228,9 +228,9 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     Max is exact, so each row gets the reduction's number. Only the sign of a
     tie of +0 and -0 and the payload of a NaN may differ, as numpy's
     vectorised reduction leaves both unspecified; a tie of zeros puts at
-    least 2 in the row's sum of exponentials, so no log-probability or
-    posterior changes. On a matrix a few columns wide, a few calls over all
-    rows cost far less than one short reduction per row.
+    least 2 in the row's sum of exponentials, so no log-probability changes.
+    On training's logits, a few columns wide and thousands of rows, a few
+    calls over all rows cost far less than one short reduction per row.
     """
     top = a[:, :1].copy()
     for j in range(1, a.shape[1]):
@@ -239,7 +239,7 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - _row_max(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -282,29 +282,29 @@ def forward(model: AcousticModel, features: FeatureMatrix) -> PosteriorMatrix:
     return PosteriorMatrix(_softmax_rows(logits))
 
 
-def _mean_nll(logits: np.ndarray, picks: np.ndarray) -> float:
-    """Mean negative log softmax probability of the picked entries.
+def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log softmax probability of each row's label, and where those are.
 
-    picks indexes logits.ravel(), one entry per row: row * n_classes + label.
-    logits is turned into the log-probabilities in place.
+    logits is turned into the log-probabilities in place. The second result
+    indexes logits.ravel(), one entry per row: row * n_classes + label.
     """
+    picks = np.arange(logits.shape[0]) * logits.shape[1] + labels
     logits -= _row_max(logits)
     log_z = np.log(np.exp(logits).sum(axis=1, keepdims=True))
     logits -= log_z
-    return float(-logits.take(picks).mean())
+    return float(-logits.take(picks).mean()), picks
 
 
 class _Workspace:
     """The frames x width arrays of a loss-and-gradient pass, allocated once per train_toy call.
 
-    Per layer: its output (a hidden layer's activations; the final layer's
-    logits, then log-probabilities) and its delta. Per hidden layer: 1 - a.
+    Per layer: its output (a hidden layer's activations, then 1 - a; the
+    final layer's logits, then log-probabilities) and its delta.
     """
 
     def __init__(self, n_frames: int, widths: Sequence[int]) -> None:
         self.outs = [np.empty((n_frames, w)) for w in widths]
         self.deltas = [np.empty((n_frames, w)) for w in widths]
-        self.complements = [np.empty((n_frames, w)) for w in widths[:-1]]
 
 
 def _loss_and_grads(
@@ -330,8 +330,7 @@ def _loss_and_grads(
         hs.append(z)
     logits = np.matmul(hs[-1], weights[-1].T, out=work.outs[-1])
     logits += biases[-1]
-    picks = np.arange(n) * logits.shape[1] + labels
-    loss = _mean_nll(logits, picks)  # leaves the log-probabilities in logits
+    loss, picks = _mean_nll(logits, labels)  # leaves the log-probabilities in logits
     delta = np.exp(logits, out=work.deltas[-1])
     delta.reshape(-1)[picks] -= 1.0
     delta /= n
@@ -341,11 +340,11 @@ def _loss_and_grads(
         grads_w[li] = delta.T @ hs[li]
         grads_b[li] = delta.sum(axis=0)
         if li > 0:
-            a = hs[li]
-            complement = np.subtract(1.0, a, out=work.complements[li - 1])
+            a = hs[li]  # read for the last time here, so 1 - a may overwrite it
             delta = np.matmul(delta, weights[li], out=work.deltas[li - 1])
             delta *= a
-            delta *= complement
+            np.subtract(1.0, a, out=a)
+            delta *= a
     return loss, grads_w, grads_b
 
 
@@ -354,7 +353,7 @@ def cross_entropy_loss(model: AcousticModel, features: FeatureMatrix, labels: Se
     x = _model_input(model, features)
     y = _checked_labels(labels, x.shape[0], model.n_classes)
     _, logits = _layer_stack(*_params(model), x)
-    return _mean_nll(logits, np.arange(x.shape[0]) * model.n_classes + y)
+    return _mean_nll(logits, y)[0]
 
 
 def frame_error_rate(model: AcousticModel, features: FeatureMatrix, labels: Sequence[int]) -> float:
