@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatchError,
     TooShortError,
     ValidationError,
+    _as_int,
 )
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh", "softmax")
@@ -214,14 +215,6 @@ def load_model(path: str | Path) -> AcousticModel:
     return AcousticModel(tuple(layers), input_dim, left, right)
 
 
-def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "sigmoid":
-        return expit(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
 def _row_max(a: np.ndarray) -> np.ndarray:
     """a.max(axis=1, keepdims=True), taken with one np.maximum per column.
 
@@ -252,19 +245,37 @@ def _model_input(model: AcousticModel, features: FeatureMatrix) -> np.ndarray:
     return splice_array(x, model.left_context, model.right_context)
 
 
-def _params(model: AcousticModel) -> tuple[list[np.ndarray], list[np.ndarray], list[str]]:
-    layers = model.layers
-    return [s.weight for s in layers], [s.bias for s in layers], [s.activation for s in layers]
-
-
 def _layer_stack(
-    weights: list[np.ndarray], biases: list[np.ndarray], activations: list[str], x: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Inputs to every layer (x first, then each hidden output) and the final logits."""
-    hs = [x]
-    for w, b, act in zip(weights[:-1], biases[:-1], activations[:-1]):
-        hs.append(_activate(act, hs[-1] @ w.T + b))
-    return hs, hs[-1] @ weights[-1].T + biases[-1]
+    weights: list[np.ndarray], biases: list[np.ndarray], activations: list[str], x: np.ndarray,
+    outs: list[np.ndarray],
+) -> np.ndarray:
+    """Run the layers on x in place: outs[i] gets layer i's activations, the last its logits.
+
+    Returns the logits. Each step is the one an out-of-place pass makes, in its
+    order, so no bit depends on outs.
+    """
+    h = x
+    for w, b, act, z in zip(weights, biases, activations, outs):
+        np.matmul(h, w.T, out=z)
+        z += b
+        if act == "sigmoid":
+            expit(z, out=z)
+        elif act == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif act == "tanh":
+            np.tanh(z, out=z)
+        h = z
+    return h
+
+
+def _layer_outputs(model: AcousticModel, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output on the spliced input x, each in a fresh array; the last is the logits."""
+    layers = model.layers
+    outs = [np.empty((x.shape[0], s.out_dim)) for s in layers]
+    _layer_stack(
+        [s.weight for s in layers], [s.bias for s in layers], [s.activation for s in layers], x, outs
+    )
+    return outs
 
 
 def forward(model: AcousticModel, features: FeatureMatrix) -> PosteriorMatrix:
@@ -274,8 +285,8 @@ def forward(model: AcousticModel, features: FeatureMatrix) -> PosteriorMatrix:
     model's context. Softmax subtracts the per-row max before exponentiation.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, logits = _layer_stack(*_params(model), _model_input(model, features))
-    if not all(np.all(np.isfinite(h)) for h in hs[1:]):
+        *hidden, logits = _layer_outputs(model, _model_input(model, features))
+    if not all(np.all(np.isfinite(h)) for h in hidden):
         raise NumericError("non-finite values in a hidden layer")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in the output layer")
@@ -295,43 +306,28 @@ def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     return float(-logits.take(picks).mean()), picks
 
 
-class _Workspace:
-    """The frames x width arrays of a loss-and-gradient pass, allocated once per train_toy call.
-
-    Per layer: its output (a hidden layer's activations, then 1 - a; the
-    final layer's logits, then log-probabilities) and its delta.
-    """
-
-    def __init__(self, n_frames: int, widths: Sequence[int]) -> None:
-        self.outs = [np.empty((n_frames, w)) for w in widths]
-        self.deltas = [np.empty((n_frames, w)) for w in widths]
-
-
 def _loss_and_grads(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
     x: np.ndarray,
     labels: np.ndarray,
-    work: _Workspace,
+    outs: list[np.ndarray],
+    deltas: list[np.ndarray],
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy over one full batch and its gradients, for sigmoid hidden layers.
 
-    Every frames x width intermediate is written into work; the returned
-    gradients are fresh arrays. Each matrix product and elementwise step is
-    the one an out-of-place pass would make, in the same order, so the bits
-    do not depend on the workspace.
+    outs and deltas hold each layer's frames x width output and delta; train_toy
+    allocates them once per call. Log-probabilities overwrite the logits, and 1 - a
+    the activations a once they are read for the last time. Every step is the one an
+    out-of-place pass makes, in its order, so the bits, and the fresh gradients
+    returned, do not depend on the buffers.
     """
     n = x.shape[0]
-    hs = [x]
-    for w, b, z in zip(weights[:-1], biases[:-1], work.outs):
-        np.matmul(hs[-1], w.T, out=z)
-        z += b
-        expit(z, out=z)
-        hs.append(z)
-    logits = np.matmul(hs[-1], weights[-1].T, out=work.outs[-1])
-    logits += biases[-1]
-    loss, picks = _mean_nll(logits, labels)  # leaves the log-probabilities in logits
-    delta = np.exp(logits, out=work.deltas[-1])
+    acts = ["sigmoid"] * (len(weights) - 1) + ["softmax"]
+    logits = _layer_stack(weights, biases, acts, x, outs)
+    hs = [x, *outs[:-1]]
+    loss, picks = _mean_nll(logits, labels)
+    delta = np.exp(logits, out=deltas[-1])
     delta.reshape(-1)[picks] -= 1.0
     delta /= n
     grads_w: list[np.ndarray] = [np.empty(0)] * len(weights)
@@ -340,8 +336,8 @@ def _loss_and_grads(
         grads_w[li] = delta.T @ hs[li]
         grads_b[li] = delta.sum(axis=0)
         if li > 0:
-            a = hs[li]  # read for the last time here, so 1 - a may overwrite it
-            delta = np.matmul(delta, weights[li], out=work.deltas[li - 1])
+            a = hs[li]
+            delta = np.matmul(delta, weights[li], out=deltas[li - 1])
             delta *= a
             np.subtract(1.0, a, out=a)
             delta *= a
@@ -352,8 +348,7 @@ def cross_entropy_loss(model: AcousticModel, features: FeatureMatrix, labels: Se
     """Mean cross-entropy of the model's posteriors against integer frame labels."""
     x = _model_input(model, features)
     y = _checked_labels(labels, x.shape[0], model.n_classes)
-    _, logits = _layer_stack(*_params(model), x)
-    return _mean_nll(logits, y)[0]
+    return _mean_nll(_layer_outputs(model, x)[-1], y)[0]
 
 
 def frame_error_rate(model: AcousticModel, features: FeatureMatrix, labels: Sequence[int]) -> float:
@@ -474,9 +469,11 @@ def train_toy(
     """
     if learning_rate <= 0:
         raise ValidationError("learning_rate must be positive")
-    if epochs < 0:
+    if _as_int(epochs, "epochs") < 0:
         raise ValidationError("epochs must be nonnegative")
-    hidden = [int(d) for d in hidden_dims]
+    hidden = [_as_int(d, "hidden layer width") for d in hidden_dims]
+    classes = None if n_classes is None else _as_int(n_classes, "n_classes")
+    left, right = _as_int(left_context, "left_context"), _as_int(right_context, "right_context")
     if any(d < 1 for d in hidden):
         raise ValidationError(f"hidden layer widths must be positive, got {hidden}")
     if not features:
@@ -486,34 +483,35 @@ def train_toy(
     y = np.concatenate([np.ravel(lab) for lab in labels]).astype(np.int64)
     if y.size == 0:
         raise EmptyInputError("no training labels")
-    classes = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    classes = int(y.max()) + 1 if classes is None else classes
     for feats, lab in zip(features, labels):
         _checked_labels(lab, feats.n_frames, classes)
     if y.size < classes:
         raise TooShortError(f"need at least {classes} frames to train {classes} classes")
-    x = np.vstack([splice_array(f.values, left_context, right_context) for f in features])
+    x = np.vstack([splice_array(f.values, left, right) for f in features])
 
     rng = np.random.default_rng(seed)
     dims = [x.shape[1], *hidden, classes]
     weights, biases = _init_layers(rng, dims)
     acts = ["sigmoid"] * (len(dims) - 2) + ["softmax"]
-    work = _Workspace(x.shape[0], dims[1:])
+    outs = [np.empty((x.shape[0], w)) for w in dims[1:]]
+    deltas = [np.empty_like(z) for z in outs]
 
     # One BLAS thread: the sums inside the matrix products, and so the model's
     # bytes, would otherwise depend on the thread count.
     with _one_blas_thread():
         # Each pass yields the loss of the current iterate and the gradient for
         # the next step, so epochs steps cost epochs + 1 passes.
-        loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y, work)
+        loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y, outs, deltas)
         best_loss, best_w, best_b = loss, weights, biases
         for _ in range(epochs):
             weights = [w - learning_rate * g for w, g in zip(weights, grads_w)]
             biases = [b - learning_rate * g for b, g in zip(biases, grads_b)]
-            loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y, work)
+            loss, grads_w, grads_b = _loss_and_grads(weights, biases, x, y, outs, deltas)
             if loss < best_loss:
                 best_loss, best_w, best_b = loss, weights, biases
 
     layers = tuple(
         LayerSpec(w, b, act) for w, b, act in zip(best_w, best_b, acts)
     )
-    return AcousticModel(layers, features[0].dim, left_context, right_context)
+    return AcousticModel(layers, features[0].dim, left, right)

@@ -26,6 +26,7 @@ from .errors import (
     SampleRateMismatchError,
     TooShortError,
     ValidationError,
+    _as_int,
 )
 
 INT16_FULL_SCALE = 32768.0
@@ -62,10 +63,11 @@ class Waveform:
             raise ValidationError("waveform must contain at least one sample")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("waveform samples must be finite")
-        if int(self.sample_rate_hz) <= 0:
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        rate = _as_int(self.sample_rate_hz, "sample rate")
+        if rate <= 0:
+            raise ValidationError(f"sample rate must be positive, got {rate}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class FrameSpec:
             raise ValidationError(f"unknown window kind {self.window_kind!r}")
         if not 0.0 <= self.preemphasis < 1.0:
             raise ValidationError("preemphasis coefficient must be in [0, 1)")
-        n = self.fft_size
+        n = _as_int(self.fft_size, "fft_size")
         if n <= 0 or (n & (n - 1)) != 0:
             raise ValidationError(f"fft_size must be a positive power of two, got {n}")
 
@@ -107,7 +109,7 @@ class MelSpec:
     high_freq_hz: float = 7800.0
 
     def __post_init__(self) -> None:
-        if self.n_filters < 1:
+        if _as_int(self.n_filters, "n_filters") < 1:
             raise ValidationError("need at least one mel filter")
         if self.low_freq_hz < 0 or self.low_freq_hz >= self.high_freq_hz:
             raise ValidationError("mel band edges must satisfy 0 <= low < high")
@@ -308,13 +310,14 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
     above 65536 raise ValidationError: the filter would take 20 * max(up, down)
     + 1 taps.
     """
+    target_hz = _as_int(target_hz, "target rate")
     if target_hz <= 0:
         raise ValidationError(f"target rate must be positive, got {target_hz}")
     source_hz = waveform.sample_rate_hz
     if target_hz == source_hz:
         return waveform
-    g = math.gcd(int(target_hz), source_hz)
-    up, down = int(target_hz) // g, source_hz // g
+    g = math.gcd(target_hz, source_hz)
+    up, down = target_hz // g, source_hz // g
     if max(up, down) > 2**16:
         raise ValidationError(
             f"cannot resample {source_hz} Hz to {target_hz} Hz: the ratio {up}/{down} has a term above 65536"
@@ -324,7 +327,7 @@ def resample(waveform: Waveform, target_hz: int) -> Waveform:
     if target_len < 1:
         raise TooShortError("input too short to resample to the target rate")
     # resample_poly gives ceil(n * up / down) samples, never fewer than target_len.
-    return Waveform(y[:target_len], int(target_hz))
+    return Waveform(y[:target_len], target_hz)
 
 
 def _constant(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:

@@ -5,6 +5,8 @@ callers can catch one base class at an API boundary. Plain OSError from file
 I/O is allowed to propagate untouched.
 """
 
+import operator
+
 
 class AgevalError(Exception):
     """Base class for all toolkit errors."""
@@ -76,3 +78,13 @@ class EmptyReportError(AgevalError):
 
 class ConfigError(AgevalError):
     """A run configuration is inconsistent with itself or with the inputs."""
+
+
+def _as_int(value: object, name: str, error: type[AgevalError] = ValidationError) -> int:
+    """value as a Python int when it is a Python or numpy integer but not a bool; else error."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

@@ -30,6 +30,11 @@ DEFAULT_N_UTTS = 20
 N_TONE_CLASSES = 4
 SILENCE_CLASS = 0
 
+# manifest.csv's header; each manifest row holds its cells in this order
+_MANIFEST_COLUMNS = (
+    "utt_id", "clean_path", "degraded_path", "wer", "snr_db", "noise_type", "se_algo", "condition",
+)
+
 # Per-class fundamentals and spectral envelope peaks (Hz). Classes 2 and 3
 # share nearby envelope peaks on purpose, so the trained model has a
 # confusable pair and its errors carry model-specific structure.
@@ -196,7 +201,7 @@ def make_fixture_corpus(
             raise
 
     clean_features = [dsp.mvn(dsp.fbank(w)) for w in clean_waves]
-    rows: list[dict[str, str]] = []
+    rows: list[list[str]] = []
     # One BLAS thread for the helper's features and the main thread's
     # training and forward passes, so no byte written depends on the
     # caller's thread setting. The pool is shut down before the count is
@@ -218,28 +223,22 @@ def make_fixture_corpus(
             am.save_model(model, out / "model.json")
             for (u, snr_db, _), (name, feats) in zip(tasks, degraded_features):
                 wer = am.frame_error_rate(model, feats, labels[u])
-                rows.append(
-                    {
-                        "utt_id": f"utt{u:03d}_snr{_snr_name(snr_db)}",
-                        "clean_path": f"clean/utt{u:03d}.wav",
-                        "degraded_path": f"degraded/{name}",
-                        "wer": repr(float(wer)),
-                        "snr_db": repr(float(snr_db)),
-                        "noise_type": "white",
-                        "se_algo": "noisy",
-                        "condition": "fixture",
-                    }
-                )
+                rows.append([
+                    f"utt{u:03d}_snr{_snr_name(snr_db)}",
+                    f"clean/utt{u:03d}.wav",
+                    f"degraded/{name}",
+                    repr(float(wer)),
+                    repr(float(snr_db)),
+                    "white",
+                    "noisy",
+                    "fixture",
+                ])
         except BaseException:
             # Drop the rows not yet started instead of finishing them first.
             pool.shutdown(cancel_futures=True)
             raise
 
     manifest_path = out / "manifest.csv"
-    columns = [
-        "utt_id", "clean_path", "degraded_path", "wer", "snr_db", "noise_type", "se_algo",
-        "condition",
-    ]
     with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_text([[name, *(row[name] for row in rows)] for name in columns]))
+        fh.write(_csv_text([[name, *cells] for name, cells in zip(_MANIFEST_COLUMNS, zip(*rows))]))
     return manifest_path

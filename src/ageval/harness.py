@@ -37,6 +37,7 @@ from .errors import (
     NumericError,
     SampleRateMismatchError,
     ShapeMismatchError,
+    _as_int,
 )
 from .measures import (
     DEFAULT_ALIGNMENT_TOLERANCE,
@@ -161,7 +162,7 @@ class RunConfig:
             raise ConfigError(f"unknown measures: {unknown}; valid: {list(MEASURE_NAMES)}")
         if not 0.0 <= self.alignment_tolerance < 1.0:
             raise ConfigError("alignment_tolerance must lie in [0, 1)")
-        if self.workers < 1:
+        if _as_int(self.workers, "workers", ConfigError) < 1:
             raise ConfigError("workers must be at least 1")
 
     @property
@@ -169,11 +170,7 @@ class RunConfig:
         return any(m in POSTERIOR_MEASURES for m in self.measures)
 
 
-def _parse_wer(
-    raw: str | None, where: str, error: type[FormatError] = ManifestError
-) -> float | None:
-    if raw is None:
-        return None
+def _parse_wer(raw: str, where: str, error: type[FormatError] = ManifestError) -> float | None:
     text = raw.strip()
     if not text:
         return None

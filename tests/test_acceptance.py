@@ -151,7 +151,8 @@ def test_c04_training_gradients_match_central_differences():
     weights = [rng.normal(0, 0.5, (5, 6)), rng.normal(0, 0.5, (4, 5))]
     biases = [rng.normal(0, 0.1, 5), rng.normal(0, 0.1, 4)]
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
-    _, grads_w, _ = am._loss_and_grads(weights, biases, x, labels, am._Workspace(14, [5, 4]))
+    buffers = [[np.empty((14, w)) for w in (5, 4)] for _ in range(2)]  # outputs and deltas
+    _, grads_w, _ = am._loss_and_grads(weights, biases, x, labels, *buffers)
 
     def loss_for(ws):
         layers = (

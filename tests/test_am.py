@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -149,6 +149,79 @@ def test_forward_flags_numeric_overflow():
     feats = dsp.FeatureMatrix(np.full((2, 2), 10.0), "fbank", 10.0)
     with pytest.raises(NumericError):
         am.forward(model, feats)
+
+
+def out_of_place_layer_stack(weights, biases, activations, x):
+    """The layer stack written out of place, frozen as the reference the in-place one must
+    match bit for bit: the inputs to every layer (x first) and the final logits."""
+    hs = [x]
+    for w, b, act in zip(weights[:-1], biases[:-1], activations[:-1]):
+        z = hs[-1] @ w.T + b
+        hs.append(expit(z) if act == "sigmoid" else np.maximum(z, 0.0) if act == "relu" else np.tanh(z))
+    return hs, hs[-1] @ weights[-1].T + biases[-1]
+
+
+def out_of_place_forward(model, feats):
+    """forward's posteriors through out_of_place_layer_stack and an out-of-place softmax."""
+    x = dsp.splice_array(feats.values, model.left_context, model.right_context)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs, logits = out_of_place_layer_stack(*layer_params(model), x)
+    if not all(np.all(np.isfinite(h)) for h in hs[1:]):
+        raise NumericError("non-finite values in a hidden layer")
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite values in the output layer")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def layer_params(model):
+    return ([s.weight for s in model.layers], [s.bias for s in model.layers],
+            [s.activation for s in model.layers])
+
+
+def outcome(run):
+    """run()'s bytes, or the NumericError it raised."""
+    try:
+        return np.float64(run()).tobytes()
+    except NumericError as exc:
+        return f"NumericError: {exc}"
+
+
+@given(
+    n=st.integers(1, 500),
+    dim=st.integers(1, 8),
+    left=st.integers(0, 2),
+    right=st.integers(0, 2),
+    hidden=st.lists(st.tuples(st.sampled_from(["sigmoid", "relu", "tanh"]), st.integers(1, 40)),
+                    max_size=2),
+    classes=st.integers(2, 12),
+    log10_scale=st.floats(-3, 3) | st.floats(150, 308),
+    weight_gain=st.sampled_from([1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, dim=8, left=0, right=0, hidden=[("relu", 3)], classes=3, log10_scale=308.0,
+         weight_gain=1e3, seed=0)  # overflows in the hidden layer
+@example(n=4, dim=8, left=2, right=1, hidden=[], classes=3, log10_scale=308.0,
+         weight_gain=1e3, seed=0)  # overflows in the output layer
+@settings(max_examples=100, deadline=None)
+def test_forward_and_loss_keep_the_bits_of_the_out_of_place_pass(
+        n, dim, left, right, hidden, classes, log10_scale, weight_gain, seed):
+    rng = np.random.default_rng(seed)
+    widths = [dim * (left + right + 1), *(w for _, w in hidden), classes]
+    weights, biases = random_layers(rng, widths)
+    weights = [w * weight_gain for w in weights]
+    acts = [act for act, _ in hidden] + ["softmax"]
+    model = am.AcousticModel(tuple(map(am.LayerSpec, weights, biases, acts)), dim, left, right)
+    feats = dsp.FeatureMatrix(rng.uniform(-1, 1, (n, dim)) * 10.0 ** log10_scale, "fbank", 10.0)
+    labels = rng.integers(0, classes, n)
+    assert outcome(lambda: am.forward(model, feats).values) == outcome(
+        lambda: out_of_place_forward(model, feats))
+    x = dsp.splice_array(feats.values, left, right)
+    with np.errstate(all="ignore"):
+        got = am.cross_entropy_loss(model, feats, labels)
+        expected = am._mean_nll(out_of_place_layer_stack(*layer_params(model), x)[1], labels)[0]
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 # model validation and serialization -------------------------------------
@@ -312,6 +385,11 @@ def test_cross_entropy_loss_rejects_wrong_dimension():
         am.cross_entropy_loss(model, spliced, [0] * 6)
 
 
+def layer_buffers(n_frames, widths):
+    """Per layer, an output and a delta array, as train_toy allocates once per call."""
+    return [np.empty((n_frames, w)) for w in widths], [np.empty((n_frames, w)) for w in widths]
+
+
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, (12, 6))
@@ -327,8 +405,7 @@ def test_gradients_match_central_differences():
         return am.AcousticModel(layers, 6)
 
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
-    work = am._Workspace(12, [5, 4])
-    loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels, work)
+    loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels, *layer_buffers(12, [5, 4]))
     assert_allclose(loss, am.cross_entropy_loss(model_with(weights), feats, labels),
                     rtol=1e-12)
     step = 1e-5
@@ -397,11 +474,11 @@ def test_loss_and_grads_keep_the_bits_of_the_out_of_place_pass(
     x = rng.normal(0, 10.0 ** log10_scale, (n, dim))
     labels = rng.integers(0, min(used_labels, classes), n)
     weights, biases = random_layers(rng, dims)
-    work = am._Workspace(n, dims[1:])
+    buffers = layer_buffers(n, dims[1:])
     with np.errstate(all="ignore"):
-        # a pass with other weights first, as train_toy reuses its workspace
-        am._loss_and_grads(*random_layers(rng, dims), x, labels, work)
-        got = am._loss_and_grads(weights, biases, x, labels, work)
+        # a pass with other weights first, as train_toy reuses its buffers
+        am._loss_and_grads(*random_layers(rng, dims), x, labels, *buffers)
+        got = am._loss_and_grads(weights, biases, x, labels, *buffers)
         expected = reference_loss_and_grads(weights, biases, x, labels)
     assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
     for got_grads, expected_grads in zip(got[1:], expected[1:]):
@@ -541,6 +618,25 @@ def test_train_toy_rejects_a_hidden_width_below_one(monkeypatch, hidden_dims):
     monkeypatch.setattr(am, "_loss_and_grads", no_pass)
     with pytest.raises(ValidationError, match="^hidden layer widths must be positive, got "):
         am.train_toy([feats], [labels], hidden_dims=hidden_dims)
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    ("hidden_dims", (2.7,), "hidden layer width must be an integer, got 2.7"),
+    ("n_classes", 3.9, "n_classes must be an integer, got 3.9"),
+    ("left_context", 1.5, "left_context must be an integer, got 1.5"),
+    ("right_context", 1.0, "right_context must be an integer, got 1.0"),
+    ("epochs", "20", "epochs must be an integer, got '20'"),
+])
+def test_train_toy_takes_counts_only_as_integers(monkeypatch, argument, value, message):
+    feats, labels = cluster_data(seed=16, n=10)
+
+    def no_work(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(am, "splice_array", no_work)
+    with pytest.raises(ValidationError) as info:
+        am.train_toy([feats], [labels], **{argument: value})
+    assert type(info.value) is ValidationError and str(info.value) == message
 
 
 def test_train_toy_label_validation():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ageval import dsp, measures
+from ageval import dsp, harness, measures
 from ageval.errors import ConfigError, TooShortError, ValidationError
 
 
@@ -125,6 +125,27 @@ def test_frame_spec_validation():
         dsp.FrameSpec(window_kind="kaiser")
     with pytest.raises(ValidationError):
         dsp.FrameSpec(preemphasis=1.5)
+
+
+def second_of_silence(rate):
+    return dsp.Waveform(np.zeros(16000), rate)
+
+
+@pytest.mark.parametrize("make, error, name, good", [
+    (second_of_silence, ValidationError, "sample rate", 16000),
+    (lambda rate: dsp.resample(second_of_silence(16000), rate), ValidationError, "target rate", 8000),
+    (lambda n: dsp.FrameSpec(fft_size=n), ValidationError, "fft_size", 512),
+    (lambda n: dsp.MelSpec(n_filters=n), ValidationError, "n_filters", 40),
+    (lambda n: harness.RunConfig(workers=n), ConfigError, "workers", 1),
+], ids=["Waveform", "resample", "FrameSpec", "MelSpec", "RunConfig"])
+def test_value_objects_take_counts_only_as_integers(make, error, name, good):
+    make(good)
+    make(np.int64(good))
+    for bad in (good + 0.5, float(good), np.float64(good), str(good), True):
+        with pytest.raises(error) as info:
+            make(bad)
+        assert type(info.value) is error
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
 
 
 # filterbank and cepstra ------------------------------------------------

@@ -39,8 +39,10 @@ def test_seed0_outputs_keep_their_recorded_bytes(tmp_path):
     if recorded != running:
         pytest.skip(f"digests were recorded with {recorded[2:]}, this is {running[2:]}; "
                     "another numpy, scipy or BLAS build may round differently")
+    # an open that relies on the locale's encoding fails the run
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--seed", "0", "--out", str(tmp_path / "out")],
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(TOOL), "--seed", "0", "--out", str(tmp_path / "out")],
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

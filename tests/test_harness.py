@@ -1032,7 +1032,7 @@ def dictreader_load_scores_csv(path):
                     harness.ScoreRow(
                         utt_id=record["utt_id"],
                         values=values,
-                        wer_percent=harness._parse_wer(record.get("wer"), where, FormatError),
+                        wer_percent=harness._parse_wer(record.get("wer", ""), where, FormatError),
                         tags={t: record[t] for t in tag_cols if record.get(t, "").strip()},
                     )
                 )

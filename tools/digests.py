@@ -61,7 +61,7 @@ def _write_group_scores(path: Path, seed: int) -> None:
     """The correlate-groups/ input: measures tracking a latent severity, WER, one tag."""
     rng = np.random.default_rng([seed, 19])
     sizes = [*rng.integers(10, 71, 50).tolist(), 5500, 5500]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utt_id", "wer", "age", "entropy", "stoi", "cond"])
         for g, size in enumerate(sizes):
@@ -93,7 +93,7 @@ def _write_error_scores(path: Path, seed: int) -> None:
     """The correlate-errors/ input: one group per outcome of a correlation item, 40 rows each."""
     rng = np.random.default_rng([seed, 23])
     faults = ["healthy", "healthy", "age_constant", "age_1e307", "wer_constant", "wer_1e300", "wer_1e154"]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utt_id", "wer", "age", "entropy", "stoi", "cond"])
         for g, fault in enumerate(faults):
@@ -119,7 +119,7 @@ def _write_error_scores(path: Path, seed: int) -> None:
 
 def _write_stoi_lengths(out: Path, fixture: Path) -> None:
     """The stoi-lengths/ input: one clean file scored at three aligned lengths, and a silent one."""
-    with open(fixture / "manifest.csv", newline="") as fh:
+    with open(fixture / "manifest.csv", newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     col = {name: i for i, name in enumerate(header)}
     rows = [row for row in rows if row[col["clean_path"]] == "clean/utt000.wav"]
@@ -142,7 +142,7 @@ def _write_stoi_lengths(out: Path, fixture: Path) -> None:
         row[col["utt_id"]], row[col["clean_path"]], row[col["degraded_path"]] = (
             utt_id, clean_path, degraded_path)
         rows.append(row)
-    with open(out / "manifest.csv", "w", newline="") as fh:
+    with open(out / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
 
 
