@@ -12,7 +12,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -85,7 +86,7 @@ class AcousticModel:
     """A stack of affine layers ending in softmax over acoustic state classes."""
 
     layers: tuple[LayerSpec, ...]
-    input_dim: int
+    _: KW_ONLY
     left_context: int = 0
     right_context: int = 0
 
@@ -93,15 +94,14 @@ class AcousticModel:
         layers = tuple(self.layers)
         if not layers:
             raise ModelValidationError("model must have at least one layer")
-        if self.left_context < 0 or self.right_context < 0:
+        left = _as_int(self.left_context, "left_context", ModelValidationError)
+        right = _as_int(self.right_context, "right_context", ModelValidationError)
+        if left < 0 or right < 0:
             raise ModelValidationError("context sizes must be nonnegative")
-        if self.input_dim < 1:
-            raise ModelValidationError("input_dim must be positive")
-        width = self.left_context + self.right_context + 1
-        if layers[0].in_dim != self.input_dim * width:
+        width = left + right + 1
+        if layers[0].in_dim % width:
             raise ModelValidationError(
-                f"first layer expects {layers[0].in_dim} inputs but spliced features "
-                f"have {self.input_dim} * {width} = {self.input_dim * width}"
+                f"the first layer's {layers[0].in_dim} inputs do not split into {width} spliced frames"
             )
         for prev, cur in zip(layers, layers[1:]):
             if cur.in_dim != prev.out_dim:
@@ -114,6 +114,13 @@ class AcousticModel:
         if layers[-1].activation != "softmax":
             raise ModelValidationError("final layer activation must be softmax")
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "left_context", left)
+        object.__setattr__(self, "right_context", right)
+
+    @property
+    def input_dim(self) -> int:
+        """The width of one unspliced feature frame: the first layer's inputs per spliced frame."""
+        return self.layers[0].in_dim // (self.left_context + self.right_context + 1)
 
     @property
     def n_classes(self) -> int:
@@ -190,8 +197,8 @@ def load_model(path: str | Path) -> AcousticModel:
     Undecodable text, invalid JSON, a count (input_dim, a context size, a
     layer's in_dim or out_dim) that is not a JSON integer, a layer's weight
     or bias that is not a flat list of out_dim * in_dim or out_dim JSON
-    numbers, and malformed or out-of-range fields raise FormatError naming
-    the path.
+    numbers, an input_dim the first layer does not take, and malformed or
+    out-of-range fields raise FormatError naming the path.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -212,7 +219,10 @@ def load_model(path: str | Path) -> AcousticModel:
             layers.append(LayerSpec(weight.reshape(out_dim, in_dim), bias, raw["activation"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
-    return AcousticModel(tuple(layers), input_dim, left, right)
+    model = AcousticModel(tuple(layers), left_context=left, right_context=right)
+    if input_dim != model.input_dim:
+        raise FormatError(f"{path}: input_dim is {input_dim}, but the layers take {model.input_dim}")
+    return model
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -467,8 +477,11 @@ def train_toy(
     thread count is 1 (see _one_blas_thread), so it is not safe to call from
     two threads at once.
     """
-    if learning_rate <= 0:
-        raise ValidationError("learning_rate must be positive")
+    real = isinstance(learning_rate, Real) and not isinstance(learning_rate, bool)
+    if not (real and 0 < learning_rate < np.inf):
+        raise ValidationError(f"learning_rate must be a positive, finite number, got {learning_rate!r}")
+    if _as_int(seed, "seed") < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if _as_int(epochs, "epochs") < 0:
         raise ValidationError("epochs must be nonnegative")
     hidden = [_as_int(d, "hidden layer width") for d in hidden_dims]
@@ -514,4 +527,4 @@ def train_toy(
     layers = tuple(
         LayerSpec(w, b, act) for w, b, act in zip(best_w, best_b, acts)
     )
-    return AcousticModel(layers, features[0].dim, left, right)
+    return AcousticModel(layers, left_context=left, right_context=right)

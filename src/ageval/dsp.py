@@ -93,12 +93,6 @@ class FrameSpec:
         if n <= 0 or (n & (n - 1)) != 0:
             raise ValidationError(f"fft_size must be a positive power of two, got {n}")
 
-    def frame_length_samples(self, sample_rate_hz: int) -> int:
-        return int(round(self.frame_length_ms * sample_rate_hz / 1000.0))
-
-    def frame_shift_samples(self, sample_rate_hz: int) -> int:
-        return int(round(self.frame_shift_ms * sample_rate_hz / 1000.0))
-
 
 @dataclass(frozen=True)
 class MelSpec:
@@ -260,14 +254,14 @@ def mix_at_snr(
     The noise is read cyclically starting at noise_offset and extended to the
     clean signal's length. Power is the mean squared amplitude over the full
     mixed extent, so the measured SNR of the result matches snr_db by
-    construction. An SNR that gives no finite, nonzero noise gain is a
-    ValidationError.
+    construction. An SNR that gives no finite, nonzero noise gain and a
+    noise_offset that is not a nonnegative integer are ValidationErrors.
     """
     if clean.sample_rate_hz != noise.sample_rate_hz:
         raise SampleRateMismatchError(
             f"clean is {clean.sample_rate_hz} Hz but noise is {noise.sample_rate_hz} Hz"
         )
-    if noise_offset < 0:
+    if _as_int(noise_offset, "noise_offset") < 0:
         raise ValidationError("noise_offset must be nonnegative")
     n = clean.samples.size
     p_clean = float(np.mean(clean.samples**2))
@@ -371,8 +365,8 @@ def _frame_geometry(n: int, sample_rate_hz: int, spec: FrameSpec) -> tuple[int, 
     the frame length (ConfigError), and the n samples must hold one frame
     (TooShortError).
     """
-    frame_len = spec.frame_length_samples(sample_rate_hz)
-    frame_shift = spec.frame_shift_samples(sample_rate_hz)
+    frame_len = int(round(spec.frame_length_ms * sample_rate_hz / 1000.0))
+    frame_shift = int(round(spec.frame_shift_ms * sample_rate_hz / 1000.0))
     if frame_len < 1 or frame_shift < 1:
         raise ConfigError("frame length and shift must be at least one sample")
     if spec.fft_size < frame_len:

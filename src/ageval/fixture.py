@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import am, dsp
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _as_int
 from .harness import _csv_text
 
 SAMPLE_RATE = 16000
@@ -141,9 +141,10 @@ def make_fixture_corpus(
     Layout: clean/*.wav, degraded/*.wav, labels/*.txt, model.json,
     manifest.csv. The manifest has one row per (utterance, SNR) pair with the
     surrogate WER filled in and tags snr_db, noise_type, se_algo, condition.
-    A negative seed, an n_utts below 1, an empty grid, an SNR with no finite,
-    nonzero noise gain at unit powers or two SNRs that format to one file
-    name raise ConfigError before any file is written.
+    A seed, n_utts or epochs that is not an integer, a negative seed or
+    epochs, an n_utts below 1, an empty grid, an SNR with no finite, nonzero
+    noise gain at unit powers or two SNRs that format to one file name raise
+    ConfigError before any file is written.
 
     While the model trains, one helper thread writes, re-reads and
     featurizes the degraded rows in manifest order; their WERs follow once
@@ -151,10 +152,12 @@ def make_fixture_corpus(
     memory until then, about 32 KB per second of degraded audio (26 MB for
     20 utterances at 30 SNRs).
     """
-    if seed < 0:
+    if _as_int(seed, "seed", ConfigError) < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    if n_utts < 1:
+    if _as_int(n_utts, "n_utts", ConfigError) < 1:
         raise ConfigError(f"n_utts must be at least 1, got {n_utts}")
+    if _as_int(epochs, "epochs", ConfigError) < 0:
+        raise ConfigError(f"epochs must be nonnegative, got {epochs}")
     _check_snr_grid(snr_grid)
     out = Path(out_dir)
     (out / "clean").mkdir(parents=True, exist_ok=True)

@@ -60,7 +60,6 @@ class CorrelationReport:
     measure_name: str
     n_points: int
     params: LogisticParams
-    rho_magnitude: float
     rho_signed: float
     spearman: float
     rmse_mapped: float
@@ -68,8 +67,11 @@ class CorrelationReport:
     def __post_init__(self) -> None:
         if self.n_points < 3:
             raise ValidationError("a correlation report needs at least 3 points")
-        if abs(self.rho_magnitude - abs(self.rho_signed)) > 1e-12:
-            raise ValidationError("rho_magnitude must equal |rho_signed|")
+
+    @property
+    def rho_magnitude(self) -> float:
+        """|rho_signed|, by which the measures are ranked."""
+        return abs(self.rho_signed)
 
 
 def _as_float_vector(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
@@ -334,7 +336,6 @@ def _evaluate_rows(pts: np.ndarray, names: Sequence[str]) -> list[CorrelationRep
             measure_name=names[i],
             n_points=n,
             params=fits[i],  # type: ignore[arg-type]
-            rho_magnitude=abs(rho),
             rho_signed=rho,
             spearman=rank,
             rmse_mapped=rms,

@@ -105,7 +105,7 @@ def test_c03_forward_pass_equivalence_and_invariances():
     final = am.LayerSpec(
         rng.normal(0, 0.5, (5, 9)), rng.normal(0, 0.1, 5), "softmax"
     )
-    model = am.AcousticModel((hidden, final), 4, 1, 1)
+    model = am.AcousticModel((hidden, final), left_context=1, right_context=1)
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (15, 4)), "fbank", 10.0)
     post = am.forward(model, feats).values
 
@@ -131,7 +131,7 @@ def test_c03_forward_pass_equivalence_and_invariances():
 
     shifted = am.AcousticModel(
         (hidden, am.LayerSpec(final.weight, final.bias + 11.3, "softmax")),
-        4, 1, 1,
+        left_context=1, right_context=1,
     )
     shift_dev = float(
         np.max(np.abs(am.forward(shifted, feats).values - post))
@@ -159,7 +159,7 @@ def test_c04_training_gradients_match_central_differences():
             am.LayerSpec(ws[0], biases[0], "sigmoid"),
             am.LayerSpec(ws[1], biases[1], "softmax"),
         )
-        return am.cross_entropy_loss(am.AcousticModel(layers, 6), feats, labels)
+        return am.cross_entropy_loss(am.AcousticModel(layers), feats, labels)
 
     step = 1e-5
     worst = 0.0

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ def random_model(rng, input_dim=5, hidden=7, n_classes=4, left=1, right=1,
             "softmax",
         ),
     )
-    return am.AcousticModel(layers, input_dim, left, right)
+    return am.AcousticModel(layers, left_context=left, right_context=right)
 
 
 def reference_forward(model, feats):
@@ -102,7 +103,7 @@ def test_forward_is_invariant_to_final_logit_shift():
         ),
     )
     shifted = am.AcousticModel(
-        shifted_layers, model.input_dim, model.left_context, model.right_context,
+        shifted_layers, left_context=model.left_context, right_context=model.right_context,
     )
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (8, 5)), "fbank", 10.0)
     assert_allclose(
@@ -115,7 +116,7 @@ def test_forward_is_invariant_to_final_logit_shift():
 def test_forward_splices_context_internally():
     rng = np.random.default_rng(3)
     model = random_model(rng, left=2, right=2)
-    flat = am.AcousticModel(model.layers, 25, 0, 0)
+    flat = am.AcousticModel(model.layers)
     feats = dsp.FeatureMatrix(rng.normal(0, 1, (10, 5)), "fbank", 10.0)
     spliced = dsp.FeatureMatrix(dsp.splice_array(feats.values, 2, 2), "spliced", 10.0)
     a = am.forward(model, feats)
@@ -128,7 +129,7 @@ def test_forward_splices_context_internally():
 
 def test_forward_with_zero_final_layer_is_uniform():
     layers = (am.LayerSpec(np.zeros((6, 3)), np.zeros(6), "softmax"),)
-    model = am.AcousticModel(layers, 3)
+    model = am.AcousticModel(layers)
     feats = dsp.FeatureMatrix(np.random.default_rng(4).normal(0, 1, (5, 3)), "fbank", 10.0)
     assert np.all(am.forward(model, feats).values == 1.0 / 6.0)
 
@@ -145,7 +146,7 @@ def test_forward_flags_numeric_overflow():
         am.LayerSpec(np.full((4, 2), 1e308), np.zeros(4), "relu"),
         am.LayerSpec(np.ones((3, 4)), np.zeros(3), "softmax"),
     )
-    model = am.AcousticModel(layers, 2)
+    model = am.AcousticModel(layers)
     feats = dsp.FeatureMatrix(np.full((2, 2), 10.0), "fbank", 10.0)
     with pytest.raises(NumericError):
         am.forward(model, feats)
@@ -212,7 +213,9 @@ def test_forward_and_loss_keep_the_bits_of_the_out_of_place_pass(
     weights, biases = random_layers(rng, widths)
     weights = [w * weight_gain for w in weights]
     acts = [act for act, _ in hidden] + ["softmax"]
-    model = am.AcousticModel(tuple(map(am.LayerSpec, weights, biases, acts)), dim, left, right)
+    model = am.AcousticModel(
+        tuple(map(am.LayerSpec, weights, biases, acts)), left_context=left, right_context=right
+    )
     feats = dsp.FeatureMatrix(rng.uniform(-1, 1, (n, dim)) * 10.0 ** log10_scale, "fbank", 10.0)
     labels = rng.integers(0, classes, n)
     assert outcome(lambda: am.forward(model, feats).values) == outcome(
@@ -314,7 +317,7 @@ def test_a_model_file_without_layers_is_a_model_without_layers(tmp_path):
 
 def test_the_class_count_is_the_final_layers_width(tmp_path):
     assert [f.name for f in dataclasses.fields(am.AcousticModel)] == [
-        "layers", "input_dim", "left_context", "right_context"
+        "layers", "left_context", "right_context"
     ]
     path = tmp_path / "model.json"
     am.save_model(random_model(np.random.default_rng(8), n_classes=6), path)
@@ -324,7 +327,80 @@ def test_the_class_count_is_the_final_layers_width(tmp_path):
     for model, n_classes in ((loaded, 6), (trained, 3)):
         assert model.n_classes == model.layers[-1].out_dim == n_classes
     with pytest.raises(TypeError):
-        am.AcousticModel(loaded.layers, loaded.input_dim, n_classes=6)
+        am.AcousticModel(loaded.layers, n_classes=6)
+
+
+def a_count(values):
+    """Each drawn count as a Python int or as a numpy integer."""
+    return values.flatmap(lambda c: st.sampled_from([c, np.int64(c), np.int32(c), np.uint8(c)]))
+
+
+@given(
+    input_dim=st.integers(1, 8),
+    hidden=st.lists(st.tuples(st.sampled_from(["sigmoid", "relu", "tanh"]), st.integers(1, 6)),
+                    max_size=2),
+    classes=st.integers(1, 5),
+    left=a_count(st.integers(0, 3)),
+    right=a_count(st.integers(0, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_model_survives_a_save_and_a_load(input_dim, hidden, classes, left, right, seed):
+    rng = np.random.default_rng(seed)
+    widths = [input_dim * (int(left) + int(right) + 1), *(w for _, w in hidden), classes]
+    acts = [act for act, _ in hidden] + ["softmax"]
+    layers = tuple(map(am.LayerSpec, *random_layers(rng, widths), acts))
+    model = am.AcousticModel(layers, left_context=left, right_context=right)
+    with tempfile.TemporaryDirectory() as name:
+        first, second = Path(name, "first.json"), Path(name, "second.json")
+        am.save_model(model, first)
+        back = am.load_model(first)
+        am.save_model(back, second)
+        assert second.read_bytes() == first.read_bytes()
+    for m in (model, back):
+        assert (m.input_dim, m.left_context, m.right_context) == (input_dim, left, right)
+        assert type(m.left_context) is type(m.right_context) is int
+    assert len(back.layers) == len(model.layers)
+    for a, b in zip(model.layers, back.layers):
+        assert a.activation == b.activation
+        assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+
+
+def test_a_models_input_width_is_read_from_its_first_layer():
+    layers = (am.LayerSpec(np.ones((2, 6)), np.zeros(2), "softmax"),)
+    assert am.AcousticModel(layers).input_dim == 6
+    assert am.AcousticModel(layers, left_context=1, right_context=1).input_dim == 2
+    assert am.AcousticModel(layers, right_context=5).input_dim == 1
+    with pytest.raises(ModelValidationError, match=(
+        "^the first layer's 6 inputs do not split into 4 spliced frames$"
+    )):
+        am.AcousticModel(layers, left_context=3)
+    # the contexts are keyword-only, so an old positional input_dim is never read as a context
+    with pytest.raises(TypeError):
+        am.AcousticModel(layers, 2)
+    with pytest.raises(TypeError):
+        am.AcousticModel(layers, input_dim=6)
+
+
+@pytest.mark.parametrize("value", [1.0, 2.5, True, "1"], ids=["1.0", "2.5", "true", "str"])
+@pytest.mark.parametrize("field", ["left_context", "right_context"])
+def test_a_model_takes_its_contexts_only_as_integers(field, value):
+    layers = (am.LayerSpec(np.ones((2, 6)), np.zeros(2), "softmax"),)
+    with pytest.raises(ModelValidationError) as info:
+        am.AcousticModel(layers, **{field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_a_model_file_whose_input_dim_disagrees_with_its_first_layer_is_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    am.save_model(random_model(np.random.default_rng(8)), path)  # 5 inputs, spliced 3 wide
+    doc = json.loads(path.read_text())
+    assert (doc["input_dim"], doc["layers"][0]["in_dim"]) == (5, 15)
+    doc["input_dim"] = 15
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        am.load_model(path)
+    assert str(info.value) == f"{path}: input_dim is 15, but the layers take 5"
 
 
 @pytest.mark.parametrize("out_dim, in_dim", [(0, 2), (2, 0)])
@@ -346,13 +422,13 @@ def test_hidden_softmax_rejected():
         am.LayerSpec(np.ones((2, 3)), np.zeros(2), "softmax"),
     )
     with pytest.raises(ModelValidationError):
-        am.AcousticModel(layers, 2)
+        am.AcousticModel(layers)
 
 
 def test_final_layer_must_be_softmax():
     layers = (am.LayerSpec(np.ones((3, 2)), np.zeros(3), "sigmoid"),)
     with pytest.raises(ModelValidationError):
-        am.AcousticModel(layers, 2)
+        am.AcousticModel(layers)
 
 
 def test_layer_chain_dimensions_must_agree():
@@ -361,7 +437,7 @@ def test_layer_chain_dimensions_must_agree():
         am.LayerSpec(np.ones((3, 5)), np.zeros(3), "softmax"),
     )
     with pytest.raises(ModelValidationError):
-        am.AcousticModel(layers, 2)
+        am.AcousticModel(layers)
 
 
 # loss, gradients, error rate --------------------------------------------
@@ -402,7 +478,7 @@ def test_gradients_match_central_differences():
             am.LayerSpec(ws[0], biases[0], "sigmoid"),
             am.LayerSpec(ws[1], biases[1], "softmax"),
         )
-        return am.AcousticModel(layers, 6)
+        return am.AcousticModel(layers)
 
     feats = dsp.FeatureMatrix(x, "fbank", 10.0)
     loss, grads_w, _ = am._loss_and_grads(weights, biases, x, labels, *layer_buffers(12, [5, 4]))
@@ -512,7 +588,7 @@ def test_row_max_takes_each_rows_maximum(a):
 
 def test_frame_error_rate_hand_case():
     layers = (am.LayerSpec(10.0 * np.eye(2), np.zeros(2), "softmax"),)
-    model = am.AcousticModel(layers, 2)
+    model = am.AcousticModel(layers)
     feats = dsp.FeatureMatrix(
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), "fbank", 10.0
     )
@@ -626,6 +702,8 @@ def test_train_toy_rejects_a_hidden_width_below_one(monkeypatch, hidden_dims):
     ("left_context", 1.5, "left_context must be an integer, got 1.5"),
     ("right_context", 1.0, "right_context must be an integer, got 1.0"),
     ("epochs", "20", "epochs must be an integer, got '20'"),
+    ("seed", 2.5, "seed must be an integer, got 2.5"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
 ])
 def test_train_toy_takes_counts_only_as_integers(monkeypatch, argument, value, message):
     feats, labels = cluster_data(seed=16, n=10)
@@ -637,6 +715,20 @@ def test_train_toy_takes_counts_only_as_integers(monkeypatch, argument, value, m
     with pytest.raises(ValidationError) as info:
         am.train_toy([feats], [labels], **{argument: value})
     assert type(info.value) is ValidationError and str(info.value) == message
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf, 0.0, -1.0, "x", True])
+def test_train_toy_takes_a_positive_finite_learning_rate(monkeypatch, learning_rate):
+    feats, labels = cluster_data(seed=16, n=10)
+
+    def no_work(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(am, "splice_array", no_work)
+    with pytest.raises(ValidationError) as info:
+        am.train_toy([feats], [labels], learning_rate=learning_rate)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"learning_rate must be a positive, finite number, got {learning_rate!r}"
 
 
 def test_train_toy_label_validation():

@@ -86,9 +86,9 @@ def test_frame_signal_is_bit_identical_to_an_index_matrix_gather(
     # frames gathered through an explicit index matrix
     spec = dsp.FrameSpec(frame_ms, min(shift_ms, frame_ms), window_kind, preemphasis, 1024)
     wave = noise_wave(n, seed=seed, scale=10.0**level)
-    frame_len = spec.frame_length_samples(wave.sample_rate_hz)
+    frame_len = round(spec.frame_length_ms * wave.sample_rate_hz / 1000)
     window = dsp._window(window_kind, frame_len)
-    shift = spec.frame_shift_samples(wave.sample_rate_hz)
+    shift = round(spec.frame_shift_ms * wave.sample_rate_hz / 1000)
     got = dsp._power_spectra(wave.samples, window, shift, 1024, preemphasis)
     want = np.abs(np.fft.rfft(index_matrix_frames(wave, spec), n=1024)) ** 2
     assert got.shape == want.shape
@@ -242,8 +242,8 @@ BLOCK = dsp._FRAME_BLOCK
 def index_matrix_frames(waveform, spec):
     """Frames gathered through an explicit (n_frames, frame_len) index matrix."""
     sr = waveform.sample_rate_hz
-    frame_len = spec.frame_length_samples(sr)
-    frame_shift = spec.frame_shift_samples(sr)
+    frame_len = round(spec.frame_length_ms * sr / 1000)
+    frame_shift = round(spec.frame_shift_ms * sr / 1000)
     x = waveform.samples
     if spec.preemphasis > 0.0:
         x = np.concatenate(([x[0]], x[1:] - spec.preemphasis * x[:-1]))
@@ -273,8 +273,8 @@ def single_pass_fbank(waveform, frame_spec, mel_spec):
 )
 def test_fbank_is_bit_identical_to_the_single_pass_formula(n_frames, frame_spec):
     rate = 16000
-    frame_len = frame_spec.frame_length_samples(rate)
-    shift = frame_spec.frame_shift_samples(rate)
+    frame_len = round(frame_spec.frame_length_ms * rate / 1000)
+    shift = round(frame_spec.frame_shift_ms * rate / 1000)
     # One sample short of the next frame, so the frame count is exact.
     wave = noise_wave(frame_len + (n_frames - 1) * shift + shift - 1, seed=n_frames)
     mel_spec = dsp.MelSpec()
@@ -301,7 +301,7 @@ def test_fbank_is_bit_identical_to_the_single_pass_formula_on_random_signals(
 ):
     rate = 16000
     spec = dsp.FrameSpec(frame_ms, min(shift_ms, frame_ms), window_kind, preemphasis, 1024)
-    frame_len = spec.frame_length_samples(rate)
+    frame_len = round(spec.frame_length_ms * rate / 1000)
     n = frame_len + extra
     samples = noise_wave(n, seed=seed, scale=10.0**level).samples
     samples[:leading_zeros] = 0.0
@@ -311,7 +311,7 @@ def test_fbank_is_bit_identical_to_the_single_pass_formula_on_random_signals(
     mel_spec = dsp.MelSpec()
     got = dsp.fbank(wave, spec, mel_spec).values
     want = single_pass_fbank(wave, spec, mel_spec)
-    n_frames = 1 + (n - frame_len) // spec.frame_shift_samples(rate)
+    n_frames = 1 + (n - frame_len) // round(spec.frame_shift_ms * rate / 1000)
     assert got.shape == want.shape == (n_frames, mel_spec.n_filters)
     assert got.tobytes().hex() == want.tobytes().hex()
 

@@ -74,6 +74,21 @@ def test_noise_offset_wraps_modulo_noise_length():
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.parametrize("offset, message", [
+    (-1, "noise_offset must be nonnegative"),
+    (1.5, "noise_offset must be an integer, got 1.5"),
+    (True, "noise_offset must be an integer, got True"),
+    ("3", "noise_offset must be an integer, got '3'"),
+])
+def test_a_noise_offset_that_is_not_a_nonnegative_integer_is_a_validation_error(offset, message):
+    clean = dsp.Waveform(np.ones(100), 16000)
+    noise = dsp.Waveform(np.ones(300), 16000)
+    with pytest.raises(ValidationError) as info:
+        dsp.mix_at_snr(clean, noise, 5.0, noise_offset=offset)
+    assert str(info.value) == message
+    assert dsp.mix_at_snr(clean, noise, 5.0, noise_offset=np.int64(7)).samples.size == 100
+
+
 @pytest.mark.parametrize("snr_db, noise_level", [
     (4000.0, 0.1),  # the power ratio overflows
     (-4000.0, 0.1),  # the power ratio underflows to zero

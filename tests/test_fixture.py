@@ -200,9 +200,18 @@ def test_an_empty_snr_grid_is_rejected_before_any_file_is_written(tmp_path):
     assert not (tmp_path / "corpus").exists()
 
 
-def test_a_negative_seed_is_rejected_before_any_directory_is_made(tmp_path):
-    with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
-        make_fixture_corpus(tmp_path / "corpus", seed=-1, snr_grid=(5.0,), n_utts=1, epochs=1)
+@pytest.mark.parametrize("argument, value, message", [
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    ("seed", 2.5, "seed must be an integer, got 2.5"),
+    ("n_utts", 1.5, "n_utts must be an integer, got 1.5"),
+    ("epochs", "1", "epochs must be an integer, got '1'"),
+    ("epochs", -1, "epochs must be nonnegative, got -1"),
+], ids=["negative-seed", "float-seed", "float-n_utts", "string-epochs", "negative-epochs"])
+def test_a_bad_count_is_rejected_before_any_directory_is_made(tmp_path, argument, value, message):
+    kwargs = {"seed": 0, "snr_grid": (5.0,), "n_utts": 1, "epochs": 1, argument: value}
+    with pytest.raises(ConfigError) as info:
+        make_fixture_corpus(tmp_path / "corpus", **kwargs)
+    assert str(info.value) == message
     assert not (tmp_path / "corpus").exists()
 
 

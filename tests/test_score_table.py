@@ -158,7 +158,6 @@ def loop_evaluate_measure(scores, measure_name):
         measure_name=measure_name,
         n_points=len(pts),
         params=params,
-        rho_magnitude=abs(rho_signed),
         rho_signed=rho_signed,
         spearman=loop_spearman(m, wer),
         rmse_mapped=rmse,
