@@ -13,7 +13,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass
-from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -31,6 +30,7 @@ from .errors import (
     TooShortError,
     ValidationError,
     _as_int,
+    _as_real,
 )
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh", "softmax")
@@ -477,8 +477,11 @@ def train_toy(
     thread count is 1 (see _one_blas_thread), so it is not safe to call from
     two threads at once.
     """
-    real = isinstance(learning_rate, Real) and not isinstance(learning_rate, bool)
-    if not (real and 0 < learning_rate < np.inf):
+    try:
+        positive = _as_real(learning_rate, "learning_rate") > 0
+    except ValidationError:
+        positive = False
+    if not positive:
         raise ValidationError(f"learning_rate must be a positive, finite number, got {learning_rate!r}")
     if _as_int(seed, "seed") < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")

@@ -27,6 +27,7 @@ from .errors import (
     TooShortError,
     ValidationError,
     _as_int,
+    _as_real,
 )
 
 INT16_FULL_SCALE = 32768.0
@@ -81,6 +82,8 @@ class FrameSpec:
     fft_size: int = 512
 
     def __post_init__(self) -> None:
+        for name in ("frame_length_ms", "frame_shift_ms", "preemphasis"):
+            _as_real(getattr(self, name), name)
         if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
             raise ValidationError("frame length and shift must be positive")
         if self.frame_shift_ms > self.frame_length_ms:
@@ -105,6 +108,8 @@ class MelSpec:
     def __post_init__(self) -> None:
         if _as_int(self.n_filters, "n_filters") < 1:
             raise ValidationError("need at least one mel filter")
+        for name in ("low_freq_hz", "high_freq_hz"):
+            _as_real(getattr(self, name), name)
         if self.low_freq_hz < 0 or self.low_freq_hz >= self.high_freq_hz:
             raise ValidationError("mel band edges must satisfy 0 <= low < high")
 
@@ -279,12 +284,13 @@ def mix_at_snr(
 def _noise_gain(snr_db: float, p_clean: float = 1.0, p_noise: float = 1.0) -> float:
     """The noise amplitude gain that puts p_clean snr_db dB above gain**2 * p_noise.
 
-    ValidationError unless snr_db is finite and the gain,
+    ValidationError unless snr_db is a finite real number and the gain,
     sqrt(p_clean / (p_noise * 10 ** (snr_db / 10))), is a finite, nonzero
     float. At unit powers that holds for |snr_db| below about 3080 dB.
     """
-    if not math.isfinite(snr_db):
+    if isinstance(snr_db, float) and not math.isfinite(snr_db):
         raise ValidationError(f"SNR {snr_db} dB is not finite")
+    _as_real(snr_db, "SNR")
     try:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:

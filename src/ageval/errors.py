@@ -5,6 +5,9 @@ callers can catch one base class at an API boundary. Plain OSError from file
 I/O is allowed to propagate untouched.
 """
 
+import contextlib
+import math
+import numbers
 import operator
 
 
@@ -88,3 +91,12 @@ def _as_int(value: object, name: str, error: type[AgevalError] = ValidationError
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _as_real(value: object, name: str, error: type[AgevalError] = ValidationError) -> float:
+    """value as a Python float when it is a finite Python or numpy real but not a bool; else error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise error(f"{name} must be a finite real number, got {value!r}")

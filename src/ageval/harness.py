@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .measures import (
     MEASURE_NAMES,
     POSTERIOR_MEASURES,
     StoiReference,
+    _alignment_tolerance,
     age,
     aligned_length,
     entropy_confidence,
@@ -160,8 +161,7 @@ class RunConfig:
         unknown = [m for m in self.measures if m not in MEASURE_NAMES]
         if unknown:
             raise ConfigError(f"unknown measures: {unknown}; valid: {list(MEASURE_NAMES)}")
-        if not 0.0 <= self.alignment_tolerance < 1.0:
-            raise ConfigError("alignment_tolerance must lie in [0, 1)")
+        _alignment_tolerance(self.alignment_tolerance, ConfigError)
         if _as_int(self.workers, "workers", ConfigError) < 1:
             raise ConfigError("workers must be at least 1")
 
@@ -188,9 +188,9 @@ def _csv_records(
 ) -> Iterator[tuple[int, list[str] | None]]:
     """Yield (N, header), then (N, record) for each non-blank record after it.
 
-    The header is the first record, or None for a text with no record; N is
-    the physical line the record ends on, which a caller's error names as
-    "path:N". A header that repeats a non-blank name, extra fields, a
+    The header is the first record, or None for a text with no record, which
+    then yields nothing more; N is the physical line the record ends on,
+    which a caller's error names as "path:N". A header that repeats a non-blank name, extra fields, a
     non-blank cell under a blank header name, undecodable text and csv.Error
     raise error naming "path:N". Blank header names, such as a spreadsheet's
     trailing empty cells, may repeat; their columns hold no data.
@@ -205,6 +205,8 @@ def _csv_records(
             seen.add(name)
         unnamed = [i for i, name in enumerate(header or ()) if not name.strip()]
         yield reader.line_num, header
+        if header is None:
+            return
         width = len(header)
         for record in reader:
             if not record:
@@ -329,8 +331,11 @@ def _check_model(model: AcousticModel | None, cfg: RunConfig) -> None:
         )
 
 
-def _first_frames(features: FeatureMatrix, n: int) -> FeatureMatrix:
-    return features if features.n_frames == n else replace(features, values=features.values[:n])
+def _first_posteriors(model: AcousticModel, features: FeatureMatrix, n_frames: int) -> PosteriorMatrix:
+    """Posteriors of the first n_frames feature frames, normalized over those frames."""
+    if features.n_frames != n_frames:
+        features = replace(features, values=features.values[:n_frames])
+    return forward(model, mvn(features))
 
 
 class CleanReference:
@@ -362,10 +367,9 @@ class CleanReference:
         return StoiReference(self.waveform)
 
     def posteriors(self, n_frames: int) -> PosteriorMatrix:
-        """Posteriors of the first n_frames feature frames, normalized over those frames."""
+        """The clean side's _first_posteriors, computed once per frame count."""
         if n_frames not in self._posteriors:
-            features = mvn(_first_frames(self.features, n_frames))
-            self._posteriors[n_frames] = forward(self.model, features)
+            self._posteriors[n_frames] = _first_posteriors(self.model, self.features, n_frames)
         return self._posteriors[n_frames]
 
 
@@ -400,7 +404,7 @@ def score_utterance(
         features = fbank(degraded)
         n = aligned_length(n_clean, features.n_frames, cfg.alignment_tolerance, "frame")
         p_clean = clean.posteriors(n)
-        p_degraded = forward(model, mvn(_first_frames(features, n)))
+        p_degraded = _first_posteriors(model, features, n)
         if "age" in cfg.measures:
             values["age"] = age(p_clean, p_degraded).value
         if "entropy" in cfg.measures:
@@ -534,39 +538,47 @@ _FIT_CHUNK_VALUES = 16384
 
 def _in_stacks(
     table: ScoreTable,
-    items: Sequence[tuple[str, np.ndarray]],
+    items: Mapping[Hashable, tuple[str, np.ndarray]],
     fit: Callable[[np.ndarray, np.ndarray, list[str]], list],
-) -> list:
-    """fit's outcome for each (measure, rows) item, items of one length fitted as one stack.
+) -> tuple[dict, dict[Hashable, str]]:
+    """fit's results, and the reasons of its errors, for the (measure, rows) item of each key.
 
-    rows are the table rows of an item's points, in order. fit gets the
-    (g, n) stacks of measure values and of WER, gathered from the table one
-    chunk of items at a time, and the g measure names, and returns one
-    outcome per item.
+    rows are the table rows of an item's points, in order; items of one
+    length are fitted as one stack. fit gets the (g, n) stacks of measure
+    values and of WER, gathered from the table one chunk of items at a time,
+    and the g measure names, and returns one outcome per item: a result, or
+    the AgevalError the item raised, whose reason goes to the second map.
     """
-    outcomes: list = [None] * len(items)
-    lengths: dict[int, list[int]] = {}
-    for i, (_, rows) in enumerate(items):
-        lengths.setdefault(len(rows), []).append(i)
-    for n, members in lengths.items():
+    results, reasons = {}, {}
+    lengths: dict[int, list[Hashable]] = {}
+    for key, (_, rows) in items.items():
+        lengths.setdefault(len(rows), []).append(key)
+    for n, keys in lengths.items():
         per_stack = max(1, _FIT_CHUNK_VALUES // max(n, 1))
-        for start in range(0, len(members), per_stack):
-            chunk = members[start : start + per_stack]
+        for start in range(0, len(keys), per_stack):
+            chunk = keys[start : start + per_stack]
             m, wer = np.empty((len(chunk), n)), np.empty((len(chunk), n))
-            for row, i in enumerate(chunk):
-                measure, rows = items[i]
+            for row, key in enumerate(chunk):
+                measure, rows = items[key]
                 np.take(table.measures[measure], rows, out=m[row])
                 np.take(table.wer, rows, out=wer[row])
-            for i, outcome in zip(chunk, fit(m, wer, [items[i][0] for i in chunk])):
-                outcomes[i] = outcome
-    return outcomes
+            for key, outcome in zip(chunk, fit(m, wer, [items[key][0] for key in chunk])):
+                if isinstance(outcome, AgevalError):
+                    reasons[key] = _reason(outcome)
+                else:
+                    results[key] = outcome
+    return results, reasons
+
+
+def _curve_rows(table: ScoreTable, measure: str) -> np.ndarray:
+    """Mask of the rows of measure's curve and scatter file: those with a WER that carry it."""
+    return ~np.isnan(table.wer) & ~np.isnan(table.measures[measure])
 
 
 def _curves(
     table: ScoreTable, whole: GroupReport | None
 ) -> tuple[dict[str, LogisticParams], dict[str, str]]:
-    """Each measure's fit over every WER-bearing row that carries it, and the
-    reason of each fit that raises.
+    """Each measure's fit over its _curve_rows, and the reason of each fit that raises.
 
     whole is the "all" group of an ungrouped run. It reports a measure only
     when every WER-bearing row carries it, so its fit is over these very rows
@@ -576,23 +588,10 @@ def _curves(
     the curve needs only the fit, so the group's error does not tell
     whether a curve exists.
     """
-    with_wer = np.flatnonzero(~np.isnan(table.wer))
-    curves: dict[str, LogisticParams] = {}
-    items = []
-    for measure, values in table.measures.items():
-        if whole is not None and measure in whole.correlations:
-            curves[measure] = whole.correlations[measure].params
-            continue
-        carried = ~np.isnan(values[with_wer])
-        items.append((measure, with_wer if carried.all() else with_wer[carried]))
-    fits = _in_stacks(table, items, lambda m, wer, _: fit_logistic(m, wer))
-    lost: dict[str, str] = {}
-    for (measure, _), fit in zip(items, fits):
-        if isinstance(fit, LogisticParams):
-            curves[measure] = fit
-        else:
-            lost[measure] = _reason(fit)
-    return {measure: curves[measure] for measure in sorted(curves)}, lost
+    curves = {m: report.params for m, report in (whole.correlations if whole else {}).items()}
+    items = {m: (m, np.flatnonzero(_curve_rows(table, m))) for m in table.measures if m not in curves}
+    fits, lost = _in_stacks(table, items, lambda m, wer, _: fit_logistic(m, wer))
+    return dict(sorted({**curves, **fits}.items())), lost
 
 
 def _group_reports(
@@ -601,9 +600,9 @@ def _group_reports(
     """correlate_by_group's GroupReports and skipped map: every group's means, then
     its fits, made in stacks across groups."""
     skipped: dict[str, str] = {}
-    # (name, n_rows, n_with_wer, means, {measure: item}) of each group to report
-    groups: list[tuple[str, int, int, dict[str, float], dict[str, int]]] = []
-    items: list[tuple[str, np.ndarray]] = []  # (measure, WER-bearing rows) to evaluate
+    groups: list[tuple[str, int, int, dict[str, float]]] = []  # (name, n_rows, n_with_wer, means)
+    items = {}  # (group, measure): (measure, WER-bearing rows) to evaluate
+    measures = sorted(table.measures)
     for name, members in _groups(table, group_key).items():
         wer = table.wer[members]
         has_wer = ~np.isnan(wer)
@@ -613,8 +612,7 @@ def _group_reports(
             continue
         rows = members[has_wer]
         means: dict[str, float] = {}
-        fits: dict[str, int] = {}
-        for measure in sorted(table.measures):
+        for measure in measures:
             values = table.measures[measure][members]
             carried = ~np.isnan(values)
             if not carried.any():
@@ -628,23 +626,19 @@ def _group_reports(
             if n_carried < n_with_wer:
                 skipped[f"{name}/{measure}"] = f"carried by {n_carried} of {n_with_wer} rows with wer"
             else:
-                fits[measure] = len(items)
-                items.append((measure, rows))
+                items[name, measure] = (measure, rows)
         try:
             means["wer"] = _finite_mean(wer[has_wer], "wer")
         except NumericError as exc:
             skipped[f"{name}/wer"] = _reason(exc)
-        groups.append((name, len(members), n_with_wer, means, fits))
-    outcomes = _in_stacks(table, items, lambda m, wer, names: evaluate_measure(np.stack((m, wer), -1), names))
+        groups.append((name, len(members), n_with_wer, means))
+    reports_by_item, reasons = _in_stacks(
+        table, items, lambda m, wer, names: evaluate_measure(np.stack((m, wer), -1), names)
+    )
+    skipped.update({f"{name}/{measure}": reason for (name, measure), reason in reasons.items()})
     reports: dict[str, GroupReport] = {}
-    for name, n_rows, n_with_wer, means, fits in groups:
-        correlations: dict[str, CorrelationReport] = {}
-        for measure, item in fits.items():
-            outcome = outcomes[item]
-            if isinstance(outcome, AgevalError):
-                skipped[f"{name}/{measure}"] = _reason(outcome)
-            else:
-                correlations[measure] = outcome
+    for name, n_rows, n_with_wer, means in groups:
+        correlations = {m: reports_by_item[name, m] for m in measures if (name, m) in reports_by_item}
         if not correlations:
             skipped.setdefault(name, "no measure produced a report")
             continue
@@ -711,14 +705,13 @@ def write_scores_csv(
     path = Path(path)
     measure_cols = sorted(table.measures)
     tag_cols = sorted(table.tags)
-    has_wer = ~np.isnan(table.wer)
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
         fh.write(_csv_text([[name] for name in ("utt_id", "wer", *measure_cols, *tag_cols)]))
         scatters = []
         for measure, params in (curves or {}).items():
             values = table.measures[measure]
-            carriers = has_wer & ~np.isnan(values)
+            carriers = _curve_rows(table, measure)
             # f(m) over the whole carrier array at once, as the curve was
             # fitted, placed in table rows so that a chunk of rows slices it
             mapped = np.full(len(table), np.nan)

@@ -15,6 +15,7 @@ import numpy as np
 from .am import PosteriorMatrix
 from .dsp import _FRAME_BLOCK, Waveform, _constant, _power_spectra, _strided_frames, resample
 from .errors import (
+    AgevalError,
     AlignmentError,
     DegenerateSignalError,
     EmptyInputError,
@@ -22,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
     TooShortError,
     ValidationError,
+    _as_real,
 )
 
 # The measures scored from acoustic-model posteriors, which need a model.
@@ -95,8 +97,20 @@ def entropy_confidence(p_degraded: PosteriorMatrix) -> MeasureScore:
     return MeasureScore("entropy", score.value, score.n_frames_used)
 
 
+def _alignment_tolerance(tolerance: float, error: type[AgevalError] = ValidationError) -> float:
+    """tolerance as a float when it is a real number in [0, 1), a relative length difference; else error."""
+    value = _as_real(tolerance, "alignment tolerance", error)
+    if not 0.0 <= value < 1.0:
+        raise error(f"alignment tolerance must lie in [0, 1), got {tolerance!r}")
+    return value
+
+
 def aligned_length(n_clean: int, n_degraded: int, tolerance: float, unit: str) -> int:
-    """Common clean/degraded length; AlignmentError beyond a relative difference of tolerance."""
+    """Common clean/degraded length; AlignmentError beyond a relative difference of tolerance.
+
+    A tolerance outside [0, 1) raises ValidationError.
+    """
+    tolerance = _alignment_tolerance(tolerance)
     rel = abs(n_clean - n_degraded) / max(n_clean, n_degraded)
     if rel > tolerance:
         raise AlignmentError(
@@ -296,7 +310,8 @@ def stoi(
     clean signal's energy profile, and normalized band envelopes are compared
     over 30-frame segments with per-band level alignment and SDR clipping at
     -15 dB. Values near 1 mean the degraded envelope tracks the clean one.
-    The longer signal is truncated, within the aligned_length tolerance.
+    The longer signal is truncated, within the aligned_length tolerance, which
+    must lie in [0, 1).
     A StoiReference as clean reuses its clean side across calls.
     """
     reference = clean if isinstance(clean, StoiReference) else StoiReference(clean)

@@ -148,6 +148,24 @@ def test_value_objects_take_counts_only_as_integers(make, error, name, good):
         assert str(info.value) == f"{name} must be an integer, got {bad!r}"
 
 
+@pytest.mark.parametrize("make, name, good", [
+    (lambda v: dsp.FrameSpec(frame_length_ms=v), "frame_length_ms", 25.0),
+    (lambda v: dsp.FrameSpec(frame_shift_ms=v), "frame_shift_ms", 10.0),
+    (lambda v: dsp.FrameSpec(preemphasis=v), "preemphasis", 0.9),
+    (lambda v: dsp.MelSpec(low_freq_hz=v), "low_freq_hz", 20.0),
+    (lambda v: dsp.MelSpec(high_freq_hz=v), "high_freq_hz", 7800.0),
+], ids=["frame_length_ms", "frame_shift_ms", "preemphasis", "low_freq_hz", "high_freq_hz"])
+def test_specs_take_reals_only_as_finite_numbers(make, name, good):
+    make(good)
+    make(np.float32(good))
+    make(int(good))
+    for bad in (str(good), True, None, float("nan"), float("inf"), np.float64("nan"), 10**400):
+        with pytest.raises(ValidationError) as info:
+            make(bad)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"{name} must be a finite real number, got {bad!r}"
+
+
 # filterbank and cepstra ------------------------------------------------
 
 def test_fbank_of_silence_is_exactly_the_log_floor():

@@ -103,6 +103,17 @@ def test_an_snr_without_a_finite_nonzero_gain_is_a_validation_error(snr_db, nois
         dsp.mix_at_snr(clean, noise, snr_db)
 
 
+@pytest.mark.parametrize("snr_db", ["5", True, None, complex(5.0)])
+def test_an_snr_that_is_no_real_number_is_a_validation_error(snr_db):
+    rng = np.random.default_rng(6)
+    clean = dsp.Waveform(rng.normal(0, 0.1, 1000), 16000)
+    noise = dsp.Waveform(rng.normal(0, 0.1, 1000), 16000)
+    with pytest.raises(ValidationError) as info:
+        dsp.mix_at_snr(clean, noise, snr_db)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"SNR must be a finite real number, got {snr_db!r}"
+
+
 def test_zero_clean_rejected():
     noise = dsp.Waveform(np.ones(100), 16000)
     with pytest.raises(DegenerateSignalError):

@@ -222,6 +222,8 @@ def test_a_bad_count_is_rejected_before_any_directory_is_made(tmp_path, argument
     ((0.1234567, 0.1234568), "SNRs 0.1234567 and 0.1234568 dB both give file names snr0p123457"),
     ((5.0, 4000.0), "SNR 4000.0 dB gives no finite, nonzero noise gain"),
     ((5.0, -4000.0), "SNR -4000.0 dB gives no finite, nonzero noise gain"),
+    ((5.0, "5"), "SNR must be a finite real number, got '5'"),
+    ((5.0, True), "SNR must be a finite real number, got True"),
 ])
 def test_a_bad_snr_grid_is_rejected_before_any_file_is_written(tmp_path, snr_grid, message):
     with pytest.raises(ConfigError, match=message):

@@ -107,6 +107,10 @@ def test_a_manifest_without_a_visible_character_is_empty(tmp_path, text):
         harness.load_manifest(tmp_path / "m.csv")
 
 
+def test_a_text_with_no_record_gives_no_header_and_ends():
+    assert list(harness._csv_records([], Path("x"), FormatError, "bad")) == [(0, None)]
+
+
 def test_a_blank_first_record_is_a_header_without_the_required_columns(tmp_path):
     (tmp_path / "m.csv").write_text("\n" + CSV_TEXT)
     with pytest.raises(ManifestError, match=r"m\.csv: header lacks required columns"):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ageval import dsp, measures
+from ageval import dsp, harness, measures
 from ageval.errors import (
     AlignmentError,
+    ConfigError,
     DegenerateSignalError,
     SampleRateMismatchError,
     TooShortError,
+    ValidationError,
 )
 
 
@@ -101,6 +103,29 @@ def test_length_tolerance_is_a_parameter():
     with pytest.raises(AlignmentError):
         measures.stoi(clean, shorter)
     assert measures.stoi(clean, shorter, tolerance=0.05).value >= 0.999
+
+
+@pytest.mark.parametrize("tolerance, rule", [
+    (float("nan"), "be a finite real number"),
+    (float("inf"), "be a finite real number"),
+    (-0.1, "lie in [0, 1)"),
+    (1.0, "lie in [0, 1)"),
+    (1.5, "lie in [0, 1)"),
+    ("0.1", "be a finite real number"),
+    (True, "be a finite real number"),
+])
+def test_a_tolerance_outside_zero_to_one_is_rejected(tolerance, rule):
+    clean = speechlike(16000)
+    half = dsp.Waveform(clean.samples[:8000], 10000)
+    message = f"alignment tolerance must {rule}, got {tolerance!r}"
+    with pytest.raises(ValidationError) as info:
+        measures.stoi(clean, half, tolerance=tolerance)
+    assert type(info.value) is ValidationError and str(info.value) == message
+    with pytest.raises(ValidationError):
+        measures.aligned_length(100, 50, tolerance, "frame")
+    with pytest.raises(ConfigError) as info:
+        harness.RunConfig(alignment_tolerance=tolerance)
+    assert str(info.value) == message
 
 
 def test_sample_rate_mismatch_rejected():
