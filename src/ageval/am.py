@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatchError,
     TooShortError,
     ValidationError,
+    _as_array,
     _as_int,
     _as_real,
 )
@@ -53,20 +54,12 @@ class LayerSpec:
     activation: str
 
     def __post_init__(self) -> None:
-        weight = np.asarray(self.weight, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
-        if weight.ndim != 2:
-            raise ModelValidationError(f"layer weight must be 2-D, got shape {weight.shape}")
-        if 0 in weight.shape:
-            raise ModelValidationError(
-                f"layer weight must have at least one row and one column, got shape {weight.shape}"
-            )
-        if bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
+        weight = _as_array(self.weight, 2, "layer weight", ModelValidationError)
+        bias = _as_array(self.bias, 1, "layer bias", ModelValidationError)
+        if bias.shape[0] != weight.shape[0]:
             raise ModelValidationError(
                 f"layer bias shape {bias.shape} does not match {weight.shape[0]} outputs"
             )
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            raise ModelValidationError("layer weights and biases must be finite")
         if self.activation not in ACTIVATIONS:
             raise ModelValidationError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "weight", weight)
@@ -135,15 +128,11 @@ class PosteriorMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValidationError(f"posterior matrix must be 2-D, got shape {values.shape}")
-        if values.shape[0] > 0:
-            if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-                raise ValidationError("posterior entries must lie in [0, 1]")
-            sums = values.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-6:
-                raise ValidationError("posterior rows must sum to 1 within 1e-6")
+        values = _as_array(self.values, 2, "posterior matrix")
+        if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
+            raise ValidationError("posterior entries must lie in [0, 1]")
+        if np.max(np.abs(values.sum(axis=1) - 1.0)) > 1e-6:
+            raise ValidationError("posterior rows must sum to 1 within 1e-6")
         object.__setattr__(self, "values", values)
 
     @property

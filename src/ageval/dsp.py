@@ -26,6 +26,7 @@ from .errors import (
     SampleRateMismatchError,
     TooShortError,
     ValidationError,
+    _as_array,
     _as_int,
     _as_real,
 )
@@ -57,13 +58,7 @@ class Waveform:
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValidationError(f"waveform samples must be 1-D, got shape {samples.shape}")
-        if samples.size == 0:
-            raise ValidationError("waveform must contain at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("waveform samples must be finite")
+        samples = _as_array(self.samples, 1, "waveform samples")
         rate = _as_int(self.sample_rate_hz, "sample rate")
         if rate <= 0:
             raise ValidationError(f"sample rate must be positive, got {rate}")
@@ -123,16 +118,10 @@ class FeatureMatrix:
     frame_shift_ms: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValidationError(f"feature matrix must be 2-D, got shape {values.shape}")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValidationError(f"feature matrix must be non-empty, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("feature matrix contains non-finite values")
+        values = _as_array(self.values, 2, "feature matrix")
         if self.feature_kind not in FEATURE_KINDS:
             raise ValidationError(f"unknown feature kind {self.feature_kind!r}")
-        if self.frame_shift_ms <= 0:
+        if _as_real(self.frame_shift_ms, "frame_shift_ms") <= 0:
             raise ValidationError("frame_shift_ms must be positive")
         object.__setattr__(self, "values", values)
 

@@ -10,6 +10,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class AgevalError(Exception):
     """Base class for all toolkit errors."""
@@ -100,3 +102,17 @@ def _as_real(value: object, name: str, error: type[AgevalError] = ValidationErro
             if math.isfinite(value):
                 return float(value)
     raise error(f"{name} must be a finite real number, got {value!r}")
+
+
+def _as_array(
+    values: object, ndim: int, name: str, error: type[AgevalError] = ValidationError
+) -> np.ndarray:
+    """values as a float64 array when it has ndim axes, none empty, and finite entries; else error."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != ndim:
+        raise error(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if 0 in array.shape:
+        raise error(f"{name} must not be empty, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise error(f"{name} must be finite")
+    return array

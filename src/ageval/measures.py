@@ -18,7 +18,6 @@ from .errors import (
     AgevalError,
     AlignmentError,
     DegenerateSignalError,
-    EmptyInputError,
     SampleRateMismatchError,
     ShapeMismatchError,
     TooShortError,
@@ -85,8 +84,6 @@ def age(p_clean: PosteriorMatrix, p_degraded: PosteriorMatrix) -> MeasureScore:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"posterior shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    if n == 0:
-        raise EmptyInputError("no frames to score")
     total = float(np.sum(a * np.log(np.maximum(b, POSTERIOR_FLOOR))))
     return MeasureScore("age", -total / n, n)
 
@@ -108,9 +105,11 @@ def _alignment_tolerance(tolerance: float, error: type[AgevalError] = Validation
 def aligned_length(n_clean: int, n_degraded: int, tolerance: float, unit: str) -> int:
     """Common clean/degraded length; AlignmentError beyond a relative difference of tolerance.
 
-    A tolerance outside [0, 1) raises ValidationError.
+    A tolerance outside [0, 1) or a count below 1 raises ValidationError.
     """
     tolerance = _alignment_tolerance(tolerance)
+    if min(n_clean, n_degraded) < 1:
+        raise ValidationError(f"{unit} counts must be at least 1, got {n_clean} vs {n_degraded}")
     rel = abs(n_clean - n_degraded) / max(n_clean, n_degraded)
     if rel > tolerance:
         raise AlignmentError(

@@ -74,11 +74,17 @@ class CorrelationReport:
         return abs(self.rho_signed)
 
 
-def _as_float_vector(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
+def _vector_pair(
+    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray, names: tuple[str, str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 vectors of one length; else ShapeMismatchError naming them by names."""
+    xv, yv = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    for name, v in zip(names, (xv, yv)):
+        if v.ndim != 1:
+            raise ShapeMismatchError(f"{name} must be 1-D, got shape {v.shape}")
+    if xv.shape[0] != yv.shape[0]:
+        raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    return xv, yv
 
 
 def _one(outcomes: list[_T | AgevalError]) -> _T:
@@ -125,10 +131,7 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
     Values whose centered sums of squares or products leave the float64 range
     (overflow, or underflow to 0) raise NumericError.
     """
-    xv = _as_float_vector(x, "x")
-    yv = _as_float_vector(y, "y")
-    if xv.shape[0] != yv.shape[0]:
-        raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    xv, yv = _vector_pair(x, y, ("x", "y"))
     if xv.shape[0] < 2:
         raise TooFewPointsError("correlation needs at least 2 points")
     r, (error,) = _pearson_rows(xv[None], yv[None])
@@ -163,10 +166,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Spearman rank correlation: Pearson on fractional ranks, ties averaged."""
-    xv = _as_float_vector(x, "x")
-    yv = _as_float_vector(y, "y")
-    if xv.shape[0] != yv.shape[0]:
-        raise ShapeMismatchError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    xv, yv = _vector_pair(x, y, ("x", "y"))
     return pearson(_average_ranks(xv), _average_ranks(yv))
 
 
@@ -298,10 +298,7 @@ def fit_logistic(
         if wv.shape != mv.shape:
             raise ShapeMismatchError(f"shape mismatch: m {mv.shape} vs wer {wv.shape}")
         return _fit_rows(np.ascontiguousarray(mv), np.ascontiguousarray(wv))
-    mv = _as_float_vector(mv, "m")
-    wv = _as_float_vector(wer, "wer")
-    if mv.shape[0] != wv.shape[0]:
-        raise ShapeMismatchError(f"length mismatch: {mv.shape[0]} vs {wv.shape[0]}")
+    mv, wv = _vector_pair(mv, wer, ("m", "wer"))
     return _one(_fit_rows(mv[None], wv[None]))
 
 

@@ -411,7 +411,7 @@ def test_a_layer_without_rows_or_columns_is_rejected(tmp_path, out_dim, in_dim):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelValidationError, match=(
-        rf"^layer weight must have at least one row and one column, got shape \({out_dim}, {in_dim}\)$"
+        rf"^layer weight must not be empty, got shape \({out_dim}, {in_dim}\)$"
     )):
         am.load_model(path)
 
@@ -438,6 +438,43 @@ def test_layer_chain_dimensions_must_agree():
     )
     with pytest.raises(ModelValidationError):
         am.AcousticModel(layers)
+
+
+# Each array a value object holds, by the name its errors give it: a good
+# value, a maker of the object from a variant of that value, and its error type.
+VALUE_ARRAYS = {
+    "waveform samples": (np.full(4, 0.5), lambda a: dsp.Waveform(a, 16000), ValidationError),
+    "feature matrix": (np.full((3, 2), 0.5), lambda a: dsp.FeatureMatrix(a, "fbank", 10.0),
+                       ValidationError),
+    "layer weight": (np.ones((2, 3)), lambda a: am.LayerSpec(a, np.zeros(2), "softmax"),
+                     ModelValidationError),
+    "layer bias": (np.zeros(2), lambda a: am.LayerSpec(np.ones((2, 3)), a, "softmax"),
+                   ModelValidationError),
+    "posterior matrix": (np.full((3, 2), 0.5), am.PosteriorMatrix, ValidationError),
+}
+
+
+def with_entry(a, value):
+    a = a.copy()
+    a.flat[-1] = value
+    return a
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "empty", "ndim"])
+@pytest.mark.parametrize("name", list(VALUE_ARRAYS))
+def test_a_value_objects_arrays_have_their_axes_none_empty_and_only_finite_entries(name, fault):
+    good, make, error = VALUE_ARRAYS[name]
+    make(good)
+    bad, rule = {
+        "nan": (with_entry(good, np.nan), "must be finite"),
+        "inf": (with_entry(good, np.inf), "must be finite"),
+        "empty": (good[:0], f"must not be empty, got shape {good[:0].shape}"),
+        "ndim": (good[None], f"must be {good.ndim}-D, got shape {good[None].shape}"),
+    }[fault]
+    with pytest.raises(error) as info:
+        make(bad)
+    assert type(info.value) is error
+    assert str(info.value) == f"{name} {rule}"
 
 
 # loss, gradients, error rate --------------------------------------------

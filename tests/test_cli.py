@@ -502,7 +502,7 @@ def test_a_model_with_non_finite_weights_exits_with_code_one(
         "score", "--manifest", str(mini_corpus), "--model", str(tmp_path / "model.json"),
         "--out", str(tmp_path / "out"),
     ]) == 1
-    assert capsys.readouterr().err.startswith("error: layer weights and biases must be finite")
+    assert capsys.readouterr().err.startswith(f"error: layer {field} must be finite")
     assert not (tmp_path / "out").exists()
 
 
@@ -515,7 +515,7 @@ def test_a_model_whose_softmax_layer_has_no_rows_exits_with_code_one(tmp_path, m
         "--out", str(tmp_path / "out"),
     ]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: layer weight must have at least one row and one column")
+    assert err.startswith("error: layer weight must not be empty, got shape (0, ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -154,7 +154,9 @@ def test_value_objects_take_counts_only_as_integers(make, error, name, good):
     (lambda v: dsp.FrameSpec(preemphasis=v), "preemphasis", 0.9),
     (lambda v: dsp.MelSpec(low_freq_hz=v), "low_freq_hz", 20.0),
     (lambda v: dsp.MelSpec(high_freq_hz=v), "high_freq_hz", 7800.0),
-], ids=["frame_length_ms", "frame_shift_ms", "preemphasis", "low_freq_hz", "high_freq_hz"])
+    (lambda v: dsp.FeatureMatrix(np.zeros((2, 3)), "fbank", v), "frame_shift_ms", 10.0),
+], ids=["frame_length_ms", "frame_shift_ms", "preemphasis", "low_freq_hz", "high_freq_hz",
+        "feature_matrix_frame_shift_ms"])
 def test_specs_take_reals_only_as_finite_numbers(make, name, good):
     make(good)
     make(np.float32(good))

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ageval import am, measures
-from ageval.errors import EmptyInputError, ShapeMismatchError, ValidationError
+from ageval.errors import ShapeMismatchError, ValidationError
 
 
 def random_posteriors(rng, n_frames, n_classes):
@@ -104,9 +104,8 @@ def test_shape_mismatch_rejected():
 
 
 def test_empty_posteriors_rejected():
-    empty = am.PosteriorMatrix(np.empty((0, 4)))
-    with pytest.raises(EmptyInputError):
-        measures.age(empty, empty)
+    with pytest.raises(ValidationError, match=r"^posterior matrix must not be empty, got shape \(0, 4\)$"):
+        am.PosteriorMatrix(np.empty((0, 4)))
 
 
 def test_posterior_matrix_validation():
@@ -114,6 +113,14 @@ def test_posterior_matrix_validation():
         am.PosteriorMatrix(np.full((2, 4), 0.3))
     with pytest.raises(ValidationError):
         am.PosteriorMatrix(np.array([[1.2, -0.2]]))
+
+
+@pytest.mark.parametrize("n_clean, n_degraded", [(0, 0), (5, 0), (-3, 2)])
+def test_aligned_length_rejects_a_count_below_one(n_clean, n_degraded):
+    with pytest.raises(ValidationError) as info:
+        measures.aligned_length(n_clean, n_degraded, 0.02, "frame")
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"frame counts must be at least 1, got {n_clean} vs {n_degraded}"
 
 
 def test_measure_score_rejects_unknown_name():
